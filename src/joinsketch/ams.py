@@ -21,7 +21,14 @@ from .estimator import EstimateReport
 from .hashing import KIND_SIGN
 from .joingraph import JoinGraph
 from .mersenne import derive_state, field_elements_vec, poly_eval_vec
-from .sketch import METHOD_AMS, RelationSketch, SketchConfig, TupleUpdate
+from .sketch import (
+    METHOD_AMS,
+    RelationSketch,
+    SketchConfig,
+    TupleUpdate,
+    group_tuples,
+    updates_to_columns,
+)
 
 
 class AmsSignFamilies:
@@ -100,17 +107,11 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
     graph, config = sk.graph, sk.config
     families: AmsSignFamilies = sk.hashes
     omega = graph.omega[sk.relation]
-    n = len(deltas)
-    freq: dict[tuple[int, ...], float] = {}
-    for i in range(n):
-        key = tuple(int(columns[u][i]) for u in omega)
-        freq[key] = freq.get(key, 0.0) + float(deltas[i])
+    freq = group_tuples(columns, omega, deltas)
 
     for rep in range(config.l):
         sign_cache: dict[tuple[int, int, int], np.ndarray] = {}
         for key, weight in freq.items():
-            if weight == 0.0:
-                continue
             signs = np.ones(config.m, dtype=np.float64)
             for u, x in zip(omega, key):
                 for v in graph.gamma[u]:
@@ -132,19 +133,7 @@ def ams_build(
 ) -> RelationSketch:
     """Build an AMS sketch from a stream of tuple updates."""
     sk = ams_sketch(relation, config, graph)
-    omega = graph.omega[relation]
-    cols: dict[int, list[int]] = {u: [] for u in omega}
-    deltas: list[float] = []
-    for t in updates:
-        if t.relation != relation:
-            raise DataError(
-                f"stream for relation {relation} contains a tuple for relation {t.relation}"
-            )
-        for u in omega:
-            cols[u].append(t.values[u] & 0xFFFFFFFFFFFFFFFF)
-        deltas.append(t.delta)
-    columns = {u: np.array(vals, dtype=np.uint64) for u, vals in cols.items()}
-    ams_bulk_update(sk, columns, np.array(deltas, dtype=np.float64))
+    ams_bulk_update(sk, *updates_to_columns(updates, graph, relation))
     return sk
 
 

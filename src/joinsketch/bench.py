@@ -26,7 +26,7 @@ from .ingest import read_columns
 from .joingraph import JoinGraph, traversal_plan
 from .mersenne import mix64
 from .oracle import exact_cardinality
-from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, bulk_update
+from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, bulk_update, group_tuples
 
 BENCH_SCHEMA = "joinsketch-bench-v1"
 
@@ -143,15 +143,10 @@ def build_sketches(
 
 def freqs_from_columns(graph: JoinGraph, columns_by_relation: list[Columns]):
     """Materialize frequency maps (for the exact oracle) from columns."""
-    freqs = []
-    for rel, (columns, deltas) in enumerate(columns_by_relation):
-        omega = graph.omega[rel]
-        freq: dict[tuple[int, ...], float] = {}
-        for i in range(len(deltas)):
-            key = tuple(int(columns[u][i]) for u in omega)
-            freq[key] = freq.get(key, 0.0) + float(deltas[i])
-        freqs.append({k: v for k, v in freq.items() if v != 0.0})
-    return freqs
+    return [
+        group_tuples(columns, graph.omega[rel], deltas)
+        for rel, (columns, deltas) in enumerate(columns_by_relation)
+    ]
 
 
 def run_trial(

@@ -1,11 +1,14 @@
 """CSV ingestion: filter-at-read, canonicalization, tuple-update streams.
 
-Rows stream through exactly once.  Filter predicates apply before any
-sketch work, rows with an empty (NULL) joined column never join and are
-dropped, and raw cells canonicalize to 64-bit items: integers keep their
-two's-complement bit pattern, strings map through a fixed FNV-1a hash so
-equal strings always produce equal items without any cross-relation
-dictionary.
+Each source is parsed once, by one csv.reader loop that fills one list
+per joined column plus the deltas; bulk sketching takes those lists as
+arrays, and the per-tuple API iterates over them.  Filter predicates
+apply before any sketch work, rows with an empty (NULL) joined column
+never join and are dropped, and raw cells canonicalize to 64-bit items:
+integers keep their two's-complement bit pattern, strings map through a
+fixed FNV-1a hash so equal strings always produce equal items without
+any cross-relation dictionary.  Canonicalization is memoized per
+distinct cell text of each column.
 """
 
 from __future__ import annotations
@@ -88,10 +91,13 @@ def _compare(left, op: str, right) -> bool:
 
 
 class StreamReader:
-    """Single-pass reader producing one TupleUpdate per passing row.
+    """Single-pass reader of one relation's source.
 
-    `rows_read` counts every data row seen, including filtered ones, for
-    the single-pass instrumentation.
+    `read()` parses the file once with a single `csv.reader` loop into
+    one list of items per joined attribute plus the deltas; iterating
+    the reader yields one TupleUpdate per passing row from those lists.
+    `rows_read` counts every data row seen, including filtered ones,
+    and `rows_emitted` the rows that passed filters and NULL dropping.
     """
 
     def __init__(self, graph: JoinGraph, relation: int, path: str | None = None):
@@ -104,48 +110,91 @@ class StreamReader:
         self.rows_emitted = 0
         self._attr_cols = [(graph.attr_id(relation, col), col) for col in decl.join_columns]
 
-    def __iter__(self) -> Iterator[TupleUpdate]:
+    def read(self) -> tuple[dict[int, list[int]], list[float]]:
+        """Parse the source into item lists keyed by attribute id, and deltas.
+
+        Rows are handled as csv.DictReader would: blank lines are
+        skipped, a short row's missing cells are None and extra cells
+        are ignored.  A relation's filters run once per row, before any
+        join cell is read.  `canonicalize` runs once per distinct cell
+        text of a column; each column has its own cache, as one text
+        maps to different items under different column types.
+        """
         decl = self.decl
         try:
             fh = open(self.path, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise DataError(f"cannot open {self.path!r}: {exc}") from exc
         with fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{self.path}: missing header row")
-            header = set(reader.fieldnames)
+            # A repeated header name maps to its last position, as in DictReader.
+            position = {name: i for i, name in enumerate(header)}
             needed = set(decl.join_columns) | {p.column for p in decl.filters}
-            missing = needed - header
+            missing = needed - position.keys()
             if missing:
                 raise DataError(f"{self.path}: missing column(s) {sorted(missing)}")
-            has_delta = DELTA_COLUMN in header
+            delta_at = position.get(DELTA_COLUMN)
+            predicates = decl.filters
+            filter_at = [(p.column, position[p.column]) for p in predicates]
+            joins = [
+                (position[col], {}, decl.column_types[col]) for _, col in self._attr_cols
+            ]
+            items: list[list[int]] = [[] for _ in joins]
+            deltas: list[float] = []
+            delta_of: dict[str, float] = {}
+            passes, canon = apply_filters, canonicalize
+            rows_read = self.rows_read
 
-            for row in reader:
-                self.rows_read += 1
-                if not apply_filters(row, decl.filters):
-                    continue
-                values: dict[int, int] = {}
-                null_join = False
-                for attr, col in self._attr_cols:
-                    cell = row[col]
-                    if cell is None or cell == "":
-                        null_join = True
-                        break
-                    values[attr] = canonicalize(cell, decl.column_types[col])
-                if null_join:
-                    continue
-                delta = 1.0
-                if has_delta:
-                    try:
-                        delta = float(int(row[DELTA_COLUMN].strip()))
-                    except (ValueError, AttributeError) as exc:
-                        raise DataError(
-                            f"{self.path}: bad {DELTA_COLUMN} value {row[DELTA_COLUMN]!r} "
-                            f"at data row {self.rows_read}"
-                        ) from exc
-                self.rows_emitted += 1
-                yield TupleUpdate(relation=self.relation, values=values, delta=delta)
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    rows_read += 1
+                    width = len(row)
+                    if predicates and not passes(
+                        {col: row[i] if i < width else None for col, i in filter_at}, predicates
+                    ):
+                        continue
+                    values = []
+                    for i, cache, col_type in joins:
+                        cell = row[i] if i < width else None
+                        if not cell:
+                            break
+                        item = cache.get(cell)
+                        if item is None:
+                            item = cache[cell] = canon(cell, col_type)
+                        values.append(item)
+                    else:
+                        if delta_at is None:
+                            delta = 1.0
+                        else:
+                            cell = row[delta_at] if delta_at < width else None
+                            delta = delta_of.get(cell)
+                            if delta is None:
+                                try:
+                                    delta = delta_of[cell] = float(int(cell.strip()))
+                                except (ValueError, AttributeError) as exc:
+                                    raise DataError(
+                                        f"{self.path}: bad {DELTA_COLUMN} value {cell!r} "
+                                        f"at data row {rows_read}"
+                                    ) from exc
+                        for column, item in zip(items, values):
+                            column.append(item)
+                        deltas.append(delta)
+            finally:
+                self.rows_read = rows_read
+                self.rows_emitted += len(deltas)
+        return {attr: column for (attr, _), column in zip(self._attr_cols, items)}, deltas
+
+    def __iter__(self) -> Iterator[TupleUpdate]:
+        columns, deltas = self.read()
+        attrs = list(columns)
+        relation = self.relation
+        for values, delta in zip(zip(*columns.values()), deltas):
+            yield TupleUpdate(relation=relation, values=dict(zip(attrs, values)), delta=delta)
 
 
 def read_stream(graph: JoinGraph, relation: int, path: str | None = None) -> StreamReader:
@@ -156,14 +205,7 @@ def read_stream(graph: JoinGraph, relation: int, path: str | None = None) -> Str
 def read_columns(
     graph: JoinGraph, relation: int, path: str | None = None
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Materialize a relation's stream as column arrays for bulk updates."""
-    reader = read_stream(graph, relation, path)
-    omega = graph.omega[relation]
-    cols: dict[int, list[int]] = {u: [] for u in omega}
-    deltas: list[float] = []
-    for t in reader:
-        for u in omega:
-            cols[u].append(t.values[u])
-        deltas.append(t.delta)
-    columns = {u: np.array(vals, dtype=np.uint64) for u, vals in cols.items()}
-    return columns, np.array(deltas, dtype=np.float64)
+    """Read a relation's source as column arrays for bulk updates."""
+    columns, deltas = read_stream(graph, relation, path).read()
+    arrays = {attr: np.array(items, dtype=np.uint64) for attr, items in columns.items()}
+    return arrays, np.array(deltas, dtype=np.float64)

@@ -139,37 +139,39 @@ def bulk_update(
 ) -> None:
     """Vectorized update for a batch of tuples (column arrays by attribute).
 
-    Equivalent to calling update() per tuple: every partial counter sum
-    of integer deltas is itself an integer, so the accumulation order
-    cannot change the result.
+    Each attribute column is hashed on its distinct values only
+    (`np.unique`), and the bin and sign of every tuple are gathered back
+    through the inverse index; the signed deltas are then summed per bin
+    with `np.bincount`.  Equivalent to calling update() per tuple: every
+    partial counter sum of integer deltas is itself an integer, so the
+    accumulation order cannot change the result.
     """
     graph, hashes, cfg = sk.graph, sk.hashes, sk.config
     n = len(deltas)
     if n == 0:
         return
     deltas = np.asarray(deltas, dtype=np.float64)
+    omega = graph.omega[sk.relation]
+    distinct = {u: np.unique(columns[u], return_inverse=True) for u in omega}
     for rep in range(cfg.l):
         bins = np.zeros(n, dtype=np.uint64)
         signs = np.ones(n, dtype=np.float64)
-        for u in graph.omega[sk.relation]:
-            x = columns[u]
-            bins += bin_eval_vec(hashes.bin_for(graph.psi[u], rep), x)
+        for u in omega:
+            values, inverse = distinct[u]
+            bins += bin_eval_vec(hashes.bin_for(graph.psi[u], rep), values)[inverse]
+            value_signs = np.ones(len(values), dtype=np.float64)
             for v in graph.gamma[u]:
-                signs *= sign_eval_vec(hashes.sign_for(u, v, rep), x)
+                value_signs *= sign_eval_vec(hashes.sign_for(u, v, rep), values)
+            signs *= value_signs[inverse]
         idx = (bins % np.uint64(cfg.m)).astype(np.int64)
-        np.add.at(sk.counters[rep], idx, signs * deltas)
+        sk.counters[rep] += np.bincount(idx, weights=signs * deltas, minlength=cfg.m)
     sk.touched_cells += cfg.l * n
 
 
-def build_sketch(
-    updates: Iterable[TupleUpdate],
-    graph: JoinGraph,
-    hashes: HashSet,
-    config: SketchConfig,
-    relation: int,
-) -> RelationSketch:
-    """Fold a stream of updates for one relation into a fresh sketch."""
-    sk = RelationSketch(relation, config, graph, hashes)
+def updates_to_columns(
+    updates: Iterable[TupleUpdate], graph: JoinGraph, relation: int
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Collect one relation's tuple updates into column arrays by attribute."""
     omega = graph.omega[relation]
     cols: dict[int, list[int]] = {u: [] for u in omega}
     deltas: list[float] = []
@@ -186,5 +188,34 @@ def build_sketch(
             cols[u].append(t.values[u] & 0xFFFFFFFFFFFFFFFF)
         deltas.append(t.delta)
     columns = {u: np.array(vals, dtype=np.uint64) for u, vals in cols.items()}
-    bulk_update(sk, columns, np.array(deltas, dtype=np.float64))
+    return columns, np.array(deltas, dtype=np.float64)
+
+
+def group_tuples(
+    columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
+) -> dict[tuple[int, ...], float]:
+    """Net frequency of each distinct tuple (attribute-ordered), zeros dropped.
+
+    Distinct tuples come from one `np.unique` over the stacked columns;
+    `np.bincount` adds each tuple's deltas in stream order.
+    """
+    if len(deltas) == 0:
+        return {}
+    stacked = np.stack([np.asarray(columns[u], dtype=np.uint64) for u in attrs], axis=1)
+    keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    sums = np.bincount(inverse.reshape(-1), weights=deltas, minlength=len(keys))
+    keep = sums != 0.0
+    return dict(zip(map(tuple, keys[keep].tolist()), sums[keep].tolist()))
+
+
+def build_sketch(
+    updates: Iterable[TupleUpdate],
+    graph: JoinGraph,
+    hashes: HashSet,
+    config: SketchConfig,
+    relation: int,
+) -> RelationSketch:
+    """Fold a stream of updates for one relation into a fresh sketch."""
+    sk = RelationSketch(relation, config, graph, hashes)
+    bulk_update(sk, *updates_to_columns(updates, graph, relation))
     return sk

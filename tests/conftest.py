@@ -1,9 +1,12 @@
 """Shared builders for tests: canonical query shapes, random acyclic
 join graphs, and desk-scale synthetic workloads."""
 
+from collections import Counter
+
 import numpy as np
 
 from joinsketch.joingraph import JoinGraph, build_join_graph, parse_query
+from joinsketch.sketch import TupleUpdate
 
 
 def multiway_query_doc(sources: dict[str, str] | None = None) -> dict:
@@ -104,6 +107,30 @@ def zipf_values(rng: np.random.Generator, n: int, domain: int, s: float) -> np.n
     weights = ranks**-s
     weights /= weights.sum()
     return rng.choice(domain, size=n, p=weights).astype(np.uint64)
+
+
+def turnstile_stream(
+    rng: np.random.Generator,
+    graph: JoinGraph,
+    relation: int,
+    n: int,
+    domain: int = 64,
+    s: float = 1.2,
+) -> list[TupleUpdate]:
+    """Shuffled Zipf inserts of one relation plus -1 deletions.
+
+    Inserted tuples repeat.  Every fourth distinct tuple is deleted as
+    often as it was inserted, so its net frequency is zero; the next one
+    loses a single occurrence.
+    """
+    omega = graph.omega[relation]
+    cols = [zipf_values(rng, n, domain, s) for _ in omega]
+    keys = [tuple(int(c[i]) for c in cols) for i in range(n)]
+    stream = [TupleUpdate(relation, dict(zip(omega, key)), 1.0) for key in keys]
+    for k, (key, count) in enumerate(Counter(keys).items()):
+        deletions = {0: count, 1: 1}.get(k % 4, 0)
+        stream += [TupleUpdate(relation, dict(zip(omega, key)), -1.0)] * deletions
+    return [stream[i] for i in rng.permutation(len(stream))]
 
 
 def random_sketch_grids(rng: np.random.Generator, graph: JoinGraph, m: int, l: int):

@@ -9,6 +9,7 @@ import pytest
 from joinsketch.bench import (
     BENCH_SCHEMA,
     abs_rel_error,
+    freqs_from_columns,
     loglog_slope,
     parse_m_sweep,
     q_error,
@@ -19,8 +20,23 @@ from joinsketch.bench import (
     write_bench_csv,
 )
 from joinsketch.errors import QueryError
+from joinsketch.oracle import materialize
+from joinsketch.sketch import TupleUpdate, updates_to_columns
 
-from conftest import write_chain3_workload
+from conftest import multiway_graph, turnstile_stream, write_chain3_workload
+
+
+class TestFreqsFromColumns:
+    def test_matches_materialize_on_turnstile_stream(self):
+        graph = multiway_graph()
+        rng = np.random.default_rng(8)
+        streams = [turnstile_stream(rng, graph, rel, n=300) for rel in range(graph.r)]
+        streams[1].append(TupleUpdate(1, {1: (1 << 64) - 1, 2: 1 << 63}, 3.0))
+        streams[3] = []
+        columns = [updates_to_columns(s, graph, rel) for rel, s in enumerate(streams)]
+        expected = [materialize(s, graph, rel) for rel, s in enumerate(streams)]
+        assert all(len(f) > 0 for f in expected[:3]) and expected[3] == {}
+        assert freqs_from_columns(graph, columns) == expected
 
 
 class TestMetrics:

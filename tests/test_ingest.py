@@ -182,3 +182,93 @@ class TestReadColumns:
         columns, deltas = read_columns(graph, 0)
         assert len(deltas) == 0
         assert len(columns[0]) == 0
+
+
+def _columns_from_updates(updates, attrs):
+    columns = {u: np.array([t.values[u] for t in updates], dtype=np.uint64) for u in attrs}
+    return columns, np.array([t.delta for t in updates], dtype=np.float64)
+
+
+class TestColumnsMatchStream:
+    """read_columns and iterating read_stream share one parser."""
+
+    def _graph(self, tmp_path, text):
+        src = tmp_path / "a.csv"
+        src.write_text(text)
+        doc = {
+            "relations": [
+                {
+                    "name": "A",
+                    "source": str(src),
+                    "join_columns": ["k:int", "s:str"],
+                    "filters": [{"column": "status", "op": "!=", "value": "closed"}],
+                },
+                {"name": "B", "source": str(tmp_path / "b.csv"), "join_columns": ["y:int"]},
+                {"name": "C", "source": str(tmp_path / "c.csv"), "join_columns": ["z:str"]},
+            ],
+            "joins": [["A.k", "B.y"], ["A.s", "C.z"]],
+        }
+        return build_join_graph(parse_query(doc))
+
+    def test_mixed_rows(self, tmp_path):
+        graph = self._graph(
+            tmp_path,
+            "status,k,s,__delta\n"
+            "active,12,12,1\n"  # one cell text in an int and a str column
+            'active,12,"a,b",2\n'  # quoted comma
+            "active,,x,1\n"  # NULL int join cell
+            "closed,5,zz,1\n"  # filtered
+            "\n"  # blank line: skipped, not a data row
+            "active,9,12,-1,extra,cells\n"  # long row: extra cells ignored
+            "active,4\n"  # short row: the missing join cell is NULL
+            'pending,7,"",3\n'  # quoted empty str cell is NULL
+            "active,12,12,-1\n",
+        )
+        reader = read_stream(graph, 0)
+        updates = list(reader)
+        assert [(t.values[0], t.values[1], t.delta) for t in updates] == [
+            (12, fnv1a64(b"12"), 1.0),
+            (12, fnv1a64(b"a,b"), 2.0),
+            (9, fnv1a64(b"12"), -1.0),
+            (12, fnv1a64(b"12"), -1.0),
+        ]
+        assert (reader.rows_read, reader.rows_emitted) == (8, 4)
+
+        columns, deltas = read_columns(graph, 0)
+        expected_columns, expected_deltas = _columns_from_updates(updates, graph.omega[0])
+        assert columns.keys() == expected_columns.keys()
+        for u in columns:
+            np.testing.assert_array_equal(columns[u], expected_columns[u])
+        np.testing.assert_array_equal(deltas, expected_deltas)
+
+    def test_canonicalize_once_per_distinct_cell_of_a_column(self, tmp_path, monkeypatch):
+        import joinsketch.ingest as ingest
+
+        calls = []
+
+        def counted(text, col_type):
+            calls.append((text, col_type))
+            return canonicalize(text, col_type)
+
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        graph = self._graph(
+            tmp_path,
+            "status,k,s\n" + "active,12,12\nactive,7,12\nactive,12,ab\n" * 5,
+        )
+        columns, _ = read_columns(graph, 0)
+        assert sorted(calls) == [("12", "int"), ("12", "str"), ("7", "int"), ("ab", "str")]
+        assert columns[0].tolist() == [12, 7, 12] * 5
+
+    def test_short_row_missing_a_filter_cell(self, tmp_path):
+        graph = self._graph(tmp_path, "k,s,status\n1,a,active\n2,b\n")
+        with pytest.raises(DataError, match="filter column 'status' missing from row"):
+            read_columns(graph, 0)
+
+    @pytest.mark.parametrize("last_row", ["3,bad", "3"], ids=["unparsable", "missing"])
+    def test_bad_delta_names_the_data_row(self, tmp_path, last_row):
+        graph = _two_rel_doc(tmp_path, f"x,__delta\n1,1\n\n2,1\n{last_row}\n")
+        expected = "'bad'" if last_row == "3,bad" else "None"
+        with pytest.raises(DataError, match=f"bad __delta value {expected} at data row 3"):
+            read_columns(graph, 0)
+        with pytest.raises(DataError, match=f"bad __delta value {expected} at data row 3"):
+            list(read_stream(graph, 0))

@@ -12,14 +12,16 @@ from joinsketch.sketch import (
     SketchConfig,
     TupleUpdate,
     build_sketch,
+    bulk_update,
     merge,
     tuple_bin,
     tuple_sign,
     update,
+    updates_to_columns,
 )
 from joinsketch.sketchfile import load_sketch_file, save_sketch_file
 
-from conftest import multiway_graph, two_rel_graph
+from conftest import multiway_graph, turnstile_stream, two_rel_graph
 
 
 def make_conv(graph, relation, m=8, l=2, seed=3):
@@ -211,6 +213,34 @@ class TestMergeAndLinearity:
         for t in stream:
             update(scalar, t)
         np.testing.assert_array_equal(bulk.counters, scalar.counters)
+
+
+class TestBulkUpdate:
+    @pytest.mark.parametrize("relation", [0, 1], ids=["one-attribute", "two-attribute"])
+    def test_counters_byte_equal_to_per_tuple_updates(self, relation):
+        graph = multiway_graph()
+        stream = turnstile_stream(np.random.default_rng(40 + relation), graph, relation, n=600)
+        net: dict[tuple, float] = {}
+        for t in stream:
+            key = tuple(sorted(t.values.items()))
+            net[key] = net.get(key, 0.0) + t.delta
+        assert len(net) < len(stream) and 0.0 in net.values()
+
+        bulk, _ = make_conv(graph, relation, m=61, l=4, seed=12)
+        columns, deltas = updates_to_columns(stream, graph, relation)
+        bulk_update(bulk, columns, deltas)
+        scalar, _ = make_conv(graph, relation, m=61, l=4, seed=12)
+        for t in stream:
+            update(scalar, t)
+        assert bulk.counters.tobytes() == scalar.counters.tobytes()
+        assert bulk.touched_cells == 4 * len(stream)
+
+    def test_rejects_mismatched_tuples(self):
+        graph = multiway_graph()
+        with pytest.raises(DataError, match="contains a tuple for relation 0"):
+            updates_to_columns([TupleUpdate(0, {0: 1})], graph, 1)
+        with pytest.raises(DataError, match="cover attributes"):
+            updates_to_columns([TupleUpdate(1, {1: 1})], graph, 1)
 
 
 class TestDirectSumOracle:
