@@ -178,7 +178,7 @@ def _rebind(graph, config, stored, ams: bool):
             raise QueryError(
                 f"sketch for {name!r} has shape {counters.shape}, expected {sk.counters.shape}"
             )
-        sk.counters = counters.astype(np.float64, copy=True)
+        sk.counters = counters.astype(np.float64, copy=False)
         sketches.append(sk)
     return sketches
 

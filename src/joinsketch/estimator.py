@@ -4,8 +4,9 @@ The estimate is a sum over all bin assignments of the graph components
 of the product of relation counters, each relation indexed by the sum of
 its components' bins mod m.  Evaluating that sum directly costs
 m^(#components); the production path instead combines sketch vectors
-along the rooted traversal plan with Hadamard products and FFT-based
-circular cross-correlation, which is O(r * m log m) per repetition.
+along the rooted traversal plan with Hadamard products and circular
+cross-correlation by real FFT (`rfft`/`irfft`), which is O(r * m log m)
+per repetition.
 Both paths compute the same value and cross-check each other in tests.
 """
 
@@ -46,21 +47,32 @@ class EstimateReport:
 
 
 def circ_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Circular convolution: out[j] = sum_i x[i] * y[(j - i) mod m]."""
+    """Circular convolution: out[j] = sum_i x[i] * y[(j - i) mod m].
+
+    Computed by real FFT (`rfft`/`irfft`).
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return np.real(np.fft.ifft(np.fft.fft(x) * np.fft.fft(y)))
+    spec = np.fft.rfft(x)
+    spec *= np.fft.rfft(y)
+    return np.fft.irfft(spec, n=len(x))
 
 
 def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Circular cross-correlation: out[j] = sum_i x[i] * y[(j + i) mod m]."""
+    """Circular cross-correlation: out[j] = sum_i x[i] * y[(j + i) mod m].
+
+    Computed by real FFT (`rfft`/`irfft`); `n=len(x)` keeps odd m exact.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return np.real(np.fft.ifft(np.conj(np.fft.fft(x)) * np.fft.fft(y)))
+    spec = np.fft.rfft(x)
+    np.conj(spec, out=spec)
+    spec *= np.fft.rfft(y)
+    return np.fft.irfft(spec, n=len(x))
 
 
 def _check_sketches(sketches: list[RelationSketch], graph: JoinGraph) -> None:

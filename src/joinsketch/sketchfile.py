@@ -8,12 +8,13 @@ repetition-major order.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, QueryError
 from .sketch import METHOD_AMS, METHOD_CONV, SketchConfig
 
 MAGIC = b"JSK1"
@@ -59,10 +60,13 @@ def load_sketch_file(path: str) -> tuple[SketchConfig, list[tuple[str, np.ndarra
 
 
 def _read(fh: BinaryIO, path: str) -> tuple[SketchConfig, list[tuple[str, np.ndarray]]]:
+    def truncated(what: str) -> DataError:
+        return DataError(f"{path}: truncated sketch file while reading {what}")
+
     def take(n: int, what: str) -> bytes:
         data = fh.read(n)
         if len(data) != n:
-            raise DataError(f"{path}: truncated sketch file while reading {what}")
+            raise truncated(what)
         return data
 
     if take(4, "magic") != MAGIC:
@@ -78,13 +82,23 @@ def _read(fh: BinaryIO, path: str) -> tuple[SketchConfig, list[tuple[str, np.nda
     (seed,) = struct.unpack("<Q", take(8, "seed"))
     (count,) = struct.unpack("<I", take(4, "relation count"))
 
-    config = SketchConfig(m=m, l=l, seed=seed, method=_TAG_METHODS[tag])
+    try:
+        config = SketchConfig(m=m, l=l, seed=seed, method=_TAG_METHODS[tag])
+    except QueryError as exc:
+        raise DataError(f"{path}: bad sketch file header: {exc}") from exc
+    grid_bytes = l * m * 8
     relations: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         name = take(name_len, "name").decode("utf-8")
-        raw = take(l * m * 8, f"counters for {name!r}")
-        counters = np.frombuffer(raw, dtype="<f8").reshape(l, m).copy()
+        what = f"counters for {name!r}"
+        # A corrupt header can claim a grid far larger than memory; check
+        # the file holds it before allocating.
+        if os.fstat(fh.fileno()).st_size - fh.tell() < grid_bytes:
+            raise truncated(what)
+        counters = np.empty((l, m), dtype="<f8")
+        if fh.readinto(counters) != grid_bytes:
+            raise truncated(what)
         relations.append((name, counters))
     if fh.read(1):
         raise DataError(f"{path}: trailing bytes after sketch data")

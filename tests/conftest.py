@@ -1,7 +1,9 @@
 """Shared builders for tests: canonical query shapes, random acyclic
 join graphs, and desk-scale synthetic workloads."""
 
+import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -165,3 +167,16 @@ def write_chain3_workload(
         }
     )
     return build_join_graph(parse_query(doc))
+
+
+# Byte offset and struct format of the JSK1 header fields tests corrupt:
+# magic (4), version u32, method u8, then m u64 and l u32.
+_JSK1_HEADER_FIELDS = {"m": (9, "<Q"), "l": (17, "<I")}
+
+
+def patch_sketch_header(path, field: str, value: int) -> None:
+    """Overwrite one header field of a JSK1 sketch file in place."""
+    offset, fmt = _JSK1_HEADER_FIELDS[field]
+    data = bytearray(Path(path).read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    Path(path).write_bytes(bytes(data))

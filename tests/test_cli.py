@@ -9,7 +9,7 @@ import pytest
 from joinsketch.cli import EXIT_DATA, EXIT_QUERY, EXIT_USAGE, main
 from joinsketch.sketchfile import load_sketch_file
 
-from conftest import multiway_query_doc, write_chain3_workload
+from conftest import multiway_query_doc, patch_sketch_header, write_chain3_workload
 
 
 def _write_multiway_workload(tmp_path, rng, n=12, domain=5):
@@ -115,10 +115,11 @@ class TestSketchCommand:
 
 
 class TestEstimateCommand:
-    def test_fft_and_naive_paths_agree(self, multiway_env, capsys):
+    @pytest.mark.parametrize("m", [1, 7, 8])
+    def test_fft_and_naive_paths_agree(self, multiway_env, capsys, m):
         tmp_path, query = multiway_env
         out = str(tmp_path / "s.jsk")
-        main(["sketch", "--query", query, "--m", "8", "--reps", "5", "--seed", "3", "--out", out])
+        main(["sketch", "--query", query, "--m", str(m), "--reps", "5", "--seed", "3", "--out", out])
 
         assert main(["estimate", "--sketches", out, "--query", query, "--path", "fft"]) == 0
         fft = json.loads(capsys.readouterr().out)
@@ -144,6 +145,14 @@ class TestEstimateCommand:
         assert main(["estimate", "--sketches", out, "--query", str(query)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["median"] == 0.0
+
+    @pytest.mark.parametrize("field,value", [("m", 0), ("l", 0), ("m", 2**40)])
+    def test_corrupt_header_is_data_error(self, multiway_env, field, value):
+        tmp_path, query = multiway_env
+        out = str(tmp_path / "s.jsk")
+        main(["sketch", "--query", query, "--m", "8", "--out", out])
+        patch_sketch_header(out, field, value)
+        assert main(["estimate", "--sketches", out, "--query", query]) == EXIT_DATA
 
     def test_ams_file_with_conv_path_is_error(self, multiway_env):
         tmp_path, query = multiway_env

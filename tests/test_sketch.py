@@ -21,7 +21,7 @@ from joinsketch.sketch import (
 )
 from joinsketch.sketchfile import load_sketch_file, save_sketch_file
 
-from conftest import multiway_graph, turnstile_stream, two_rel_graph
+from conftest import multiway_graph, patch_sketch_header, turnstile_stream, two_rel_graph
 
 
 def make_conv(graph, relation, m=8, l=2, seed=3):
@@ -317,6 +317,13 @@ class TestSketchFile:
         assert [name for name, _ in loaded] == [name for name, _ in relations]
         for (_, a), (_, b) in zip(relations, loaded):
             assert a.tobytes() == b.tobytes()
+            # The CLI hands loaded grids to the estimator without a copy.
+            assert b.dtype == np.float64 and b.dtype.isnative
+            assert b.flags.c_contiguous and b.flags.writeable
+            assert b.base is None  # owns its memory, not a view over bytes
+        loaded[0][1][:] = -1.0
+        _, again = load_sketch_file(path)
+        assert again[0][1].tobytes() == relations[0][1].tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.jsk"
@@ -333,6 +340,25 @@ class TestSketchFile:
         data = open(path, "rb").read()
         open(path, "wb").write(data[:-5])
         with pytest.raises(DataError, match="truncated"):
+            load_sketch_file(path)
+
+    def _saved(self, tmp_path):
+        config = SketchConfig(m=4, l=2, seed=0)
+        path = str(tmp_path / "h.jsk")
+        save_sketch_file(path, config, [("A", np.zeros((2, 4))), ("B", np.ones((2, 4)))])
+        return path
+
+    def test_huge_grid_claim_is_truncated_not_allocated(self, tmp_path):
+        path = self._saved(tmp_path)
+        patch_sketch_header(path, "m", 2**40)
+        with pytest.raises(DataError, match="truncated"):
+            load_sketch_file(path)
+
+    @pytest.mark.parametrize("field", ["m", "l"])
+    def test_zero_shape_header_is_data_error(self, tmp_path, field):
+        path = self._saved(tmp_path)
+        patch_sketch_header(path, field, 0)
+        with pytest.raises(DataError, match=f"h.jsk: bad sketch file header: .* {field} must be"):
             load_sketch_file(path)
 
     def test_ams_tag_round_trip(self, tmp_path):
