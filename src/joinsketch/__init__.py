@@ -4,9 +4,11 @@ Builds per-relation Count sketches whose tuple encoding is a circular
 convolution of single-item sketches (constant-time updates), estimates
 acyclic equi-join cardinalities via FFT-based circular cross-correlation,
 and ships a dense AMS baseline plus an exact oracle for verification.
+
+The top level exports the names the README's library example uses and
+the exception classes; everything else is imported from its module.
 """
 
-from .ams import ams_build, ams_estimate, ams_sketch, ams_update
 from .errors import (
     BudgetError,
     DataError,
@@ -14,85 +16,26 @@ from .errors import (
     QueryError,
     UnsupportedQueryError,
 )
-from .estimator import (
-    EstimateReport,
-    circ_convolve,
-    circ_cross_correlate,
-    combine_sketches,
-    estimate,
-    naive_estimate,
-    required_bins,
-)
-from .hashing import BinHash, HashSet, SignHash, bin_eval, derive_hash_set, sign_eval
-from .ingest import apply_filters, canonicalize, read_stream
-from .joingraph import (
-    JoinGraph,
-    PlanTree,
-    QuerySpec,
-    build_join_graph,
-    load_query,
-    parse_query,
-    traversal_plan,
-)
-from .oracle import exact_cardinality, frequency_norms, materialize
-from .sketch import (
-    RelationSketch,
-    SketchConfig,
-    TupleUpdate,
-    build_sketch,
-    merge,
-    tuple_bin,
-    tuple_sign,
-    update,
-)
-from .sketchfile import load_sketch_file, save_sketch_file
+from .estimator import estimate
+from .hashing import derive_hash_set
+from .ingest import read_stream
+from .joingraph import build_join_graph, parse_query, traversal_plan
+from .sketch import SketchConfig, build_sketch
 
 __all__ = [
-    "BinHash",
     "BudgetError",
     "DataError",
-    "EstimateReport",
-    "HashSet",
-    "JoinGraph",
     "JoinSketchError",
-    "PlanTree",
     "QueryError",
-    "QuerySpec",
-    "RelationSketch",
-    "SignHash",
     "SketchConfig",
-    "TupleUpdate",
     "UnsupportedQueryError",
-    "ams_build",
-    "ams_estimate",
-    "ams_sketch",
-    "ams_update",
-    "apply_filters",
-    "bin_eval",
     "build_join_graph",
     "build_sketch",
-    "canonicalize",
-    "circ_convolve",
-    "circ_cross_correlate",
-    "combine_sketches",
     "derive_hash_set",
     "estimate",
-    "exact_cardinality",
-    "frequency_norms",
-    "load_query",
-    "load_sketch_file",
-    "materialize",
-    "merge",
-    "naive_estimate",
     "parse_query",
     "read_stream",
-    "required_bins",
-    "save_sketch_file",
-    "sign_eval",
     "traversal_plan",
-    "tuple_bin",
-    "tuple_sign",
-    "update",
 ]
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """Benchmark harness: repeated sketch-and-estimate trials with metrics.
 
 Each trial owns a seed derived from (master seed, method, m, trial), so
-every row is reproducible in isolation.  Trials run in a worker pool and
-results are emitted in deterministic (method, m, trial) order.  Error
-metrics follow the evaluation conventions: absolute relative error with
-a max(y, 1) denominator, and q-error with infinity for non-positive
-estimates.
+every row is reproducible in isolation.  Trials run one after another in
+one thread, so their timings measure the work alone, and rows are
+emitted in (method, m, trial) order.  Error metrics follow the
+evaluation conventions: absolute relative error with a max(y, 1)
+denominator, and q-error with infinity for non-positive estimates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +175,6 @@ def run_bench(
     master_seed: int,
     methods: list[str],
     l: int = 5,
-    workers: int = 4,
     columns_by_relation: list[Columns] | None = None,
 ) -> tuple[list[BenchRow], list[BenchSummary], dict[str, float]]:
     """Full sweep: rows per (method, m, trial), summaries, log-log slopes."""
@@ -188,35 +186,29 @@ def run_bench(
 
     exact = exact_cardinality(freqs_from_columns(graph, columns_by_relation), graph, path="auto")
 
-    tasks = [
-        (method, m, trial)
-        for method in methods
-        for m in m_values
-        for trial in range(trials)
-    ]
-
-    def run_one(task: tuple[str, int, int]) -> BenchRow:
-        method, m, trial = task
-        seed = trial_seed(master_seed, method, m, trial)
-        est, sketch_ms, infer_ms = run_trial(graph, columns_by_relation, method, m, l, seed)
-        return BenchRow(
-            method=method,
-            m=m,
-            trial=trial,
-            seed=seed,
-            estimate=est,
-            exact=exact,
-            abs_rel_error=abs_rel_error(exact, est),
-            q_error=q_error(exact, est),
-            sketch_ms=sketch_ms,
-            infer_ms=infer_ms,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, tasks))
-    else:
-        rows = [run_one(t) for t in tasks]
+    rows: list[BenchRow] = []
+    for method in methods:
+        for m in m_values:
+            for trial in range(trials):
+                seed = trial_seed(master_seed, method, m, trial)
+                est, sketch_ms, infer_ms = run_trial(
+                    graph, columns_by_relation, method, m, l, seed
+                )
+                rows.append(
+                    BenchRow(
+                        method=method,
+                        m=m,
+                        trial=trial,
+                        seed=seed,
+                        estimate=est,
+                        exact=exact,
+                        abs_rel_error=abs_rel_error(exact, est),
+                        q_error=q_error(exact, est),
+                        sketch_ms=sketch_ms,
+                        infer_ms=infer_ms,
+                    )
+                )
+    # Rows list methods by name, whatever order `methods` gives them in.
     rows.sort(key=lambda r: (r.method, r.m, r.trial))
 
     summaries: list[BenchSummary] = []

@@ -119,23 +119,25 @@ def combine_sketches(plan: PlanTree, sketches: list[RelationSketch], rep: int) -
     vector into the relation's sketch.  The element sum of the returned
     vector is the repetition's estimate.
     """
-    m = sketches[0].config.m
-
-    def walk(node: PlanNode) -> np.ndarray:
-        x = sketches[node.relation].counters[rep]
-        for _, children in node.cross_groups:
-            acc = np.ones(m, dtype=np.float64)
-            for child in children:
-                acc = walk(child) * acc
-            x = circ_cross_correlate(acc, x)
-        for child in node.hadamard_children:
-            x = walk(child) * x
-        return x
-
-    out = walk(plan.root)
+    out = _combine_subtree(plan.root, sketches, rep)
     if np.shares_memory(out, sketches[plan.root.relation].counters):
         out = out.copy()
     return out
+
+
+def _combine_subtree(node: PlanNode, sketches: list[RelationSketch], rep: int) -> np.ndarray:
+    # A module-level function, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep `sketches` and
+    # their counter grids alive until the cyclic garbage collector runs.
+    x = sketches[node.relation].counters[rep]
+    for _, children in node.cross_groups:
+        acc = np.ones(len(x), dtype=np.float64)
+        for child in children:
+            acc = _combine_subtree(child, sketches, rep) * acc
+        x = circ_cross_correlate(acc, x)
+    for child in node.hadamard_children:
+        x = _combine_subtree(child, sketches, rep) * x
+    return x
 
 
 def estimate(

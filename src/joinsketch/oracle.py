@@ -117,16 +117,6 @@ def _hash_join(freqs: list[Freq], graph: JoinGraph) -> float:
                 out[key[own_pos]] += acc
         return out
 
-    root = 0
-    child_maps = [
-        (pos[mine], subtree(other, eidx, theirs)) for eidx, mine, theirs, other in adjacency[root]
-    ]
-    total = 0.0
-    for key, weight in freqs[root].items():
-        acc = weight
-        for p, cmap in child_maps:
-            acc *= cmap.get(key[p], 0.0)
-            if acc == 0.0:
-                break
-        total += acc
-    return total
+    # The root has no parent edge; grouping it by any own attribute and
+    # summing the groups gives the total.
+    return sum(subtree(0, -1, graph.omega[0][0]).values(), 0.0)

@@ -197,7 +197,9 @@ def group_tuples(
     """Net frequency of each distinct tuple (attribute-ordered), zeros dropped.
 
     Distinct tuples come from one `np.unique` over the stacked columns;
-    `np.bincount` adds each tuple's deltas in stream order.
+    `np.bincount` adds each tuple's deltas in stream order.  The keys are
+    zipped from one Python list per column, which holds less memory at
+    once than a list of per-tuple lists.
     """
     if len(deltas) == 0:
         return {}
@@ -205,7 +207,8 @@ def group_tuples(
     keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
     sums = np.bincount(inverse.reshape(-1), weights=deltas, minlength=len(keys))
     keep = sums != 0.0
-    return dict(zip(map(tuple, keys[keep].tolist()), sums[keep].tolist()))
+    key_tuples = zip(*(column.tolist() for column in keys[keep].T))
+    return dict(zip(key_tuples, sums[keep].tolist()))
 
 
 def build_sketch(

@@ -90,7 +90,10 @@ def _read(fh: BinaryIO, path: str) -> tuple[SketchConfig, list[tuple[str, np.nda
     relations: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: relation name is not UTF-8: {exc}") from exc
         what = f"counters for {name!r}"
         # A corrupt header can claim a grid far larger than memory; check
         # the file holds it before allocating.

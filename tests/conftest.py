@@ -169,9 +169,11 @@ def write_chain3_workload(
     return build_join_graph(parse_query(doc))
 
 
-# Byte offset and struct format of the JSK1 header fields tests corrupt:
-# magic (4), version u32, method u8, then m u64 and l u32.
-_JSK1_HEADER_FIELDS = {"m": (9, "<Q"), "l": (17, "<I")}
+# Byte offset and struct format of the JSK1 fields tests corrupt: magic
+# (4), version u32, method u8, then m u64 and l u32; "name0" is the first
+# byte of the first relation's name, after seed u64, relation count u32
+# and its name length u32.
+_JSK1_HEADER_FIELDS = {"m": (9, "<Q"), "l": (17, "<I"), "name0": (37, "<B")}
 
 
 def patch_sketch_header(path, field: str, value: int) -> None:

@@ -377,7 +377,6 @@ class TestCriterion9ErrorMemorySlope:
             master_seed=20240601,
             methods=["conv"],
             l=5,
-            workers=8,
             columns_by_relation=columns,
         )
         medians = [s.median_are for s in summaries]

@@ -106,13 +106,16 @@ class TestRunBench:
             l=3,
             columns_by_relation=columns,
         )
-        rows_a, summaries_a, slopes_a = run_bench(graph, workers=4, **kwargs)
-        rows_b, summaries_b, slopes_b = run_bench(graph, workers=1, **kwargs)
+        rows_a, summaries_a, slopes_a = run_bench(graph, **kwargs)
+        rows_b, summaries_b, slopes_b = run_bench(graph, **kwargs)
 
         assert [(r.method, r.m, r.trial, r.seed, r.estimate) for r in rows_a] == [
             (r.method, r.m, r.trial, r.seed, r.estimate) for r in rows_b
         ]
         assert len(rows_a) == 2 * 2 * 5
+        # Sorted by method name, not by the order `methods` lists them in.
+        order = [(r.method, r.m, r.trial) for r in rows_a]
+        assert order == sorted(order) and order[0] == ("ams", 16, 0)
         assert summaries_a == summaries_b
         assert slopes_a == slopes_b
 
@@ -126,7 +129,7 @@ class TestRunBench:
         rng = np.random.default_rng(123)
         graph = write_chain3_workload(tmp_path, rng, sizes=(20, 20, 20))
         rows, _, _ = run_bench(
-            graph, m_values=[32], trials=3, master_seed=5, methods=["conv"], l=3, workers=1
+            graph, m_values=[32], trials=3, master_seed=5, methods=["conv"], l=3
         )
         for r in rows:
             assert r.abs_rel_error == abs_rel_error(r.exact, r.estimate)
@@ -137,7 +140,7 @@ class TestRunBench:
         rng = np.random.default_rng(7)
         graph = write_chain3_workload(tmp_path, rng, sizes=(15, 15, 15))
         rows, summaries, slopes = run_bench(
-            graph, m_values=[16, 32], trials=2, master_seed=1, methods=["conv"], l=2, workers=1
+            graph, m_values=[16, 32], trials=2, master_seed=1, methods=["conv"], l=2
         )
         out = tmp_path / "bench.csv"
         write_bench_csv(str(out), rows, summaries, slopes)

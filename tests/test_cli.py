@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from joinsketch.cli import EXIT_DATA, EXIT_QUERY, EXIT_USAGE, main
+from joinsketch.ingest import read_stream
+from joinsketch.joingraph import build_join_graph, load_query
+from joinsketch.oracle import exact_cardinality, materialize
 from joinsketch.sketchfile import load_sketch_file
 
-from conftest import multiway_query_doc, patch_sketch_header, write_chain3_workload
+from conftest import (
+    chain3_query_doc,
+    multiway_query_doc,
+    patch_sketch_header,
+    write_chain3_workload,
+)
 
 
 def _write_multiway_workload(tmp_path, rng, n=12, domain=5):
@@ -146,7 +154,9 @@ class TestEstimateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["median"] == 0.0
 
-    @pytest.mark.parametrize("field,value", [("m", 0), ("l", 0), ("m", 2**40)])
+    @pytest.mark.parametrize(
+        "field,value", [("m", 0), ("l", 0), ("m", 2**40), ("name0", 0xFF)]
+    )
     def test_corrupt_header_is_data_error(self, multiway_env, field, value):
         tmp_path, query = multiway_env
         out = str(tmp_path / "s.jsk")
@@ -235,6 +245,44 @@ class TestExactCommand:
         assert main(["exact", "--query", str(q)]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    @pytest.mark.parametrize("path", ["auto", "nested", "hash"])
+    def test_string_keys_filters_nulls_and_deletions(self, tmp_path, capsys, path):
+        # A str chain with a status filter, NULL join cells and __delta
+        # deletions, against the per-tuple fold of read_stream.
+        rng = np.random.default_rng(41)
+        words = ["ant", "bee", "cat", "dog", "", "eel"]
+        statuses = ["on", "on", "off", ""]
+
+        def rows(n, width):
+            out = []
+            for _ in range(n):
+                keys = [words[int(rng.integers(len(words)))] for _ in range(width)]
+                status = statuses[int(rng.integers(len(statuses)))]
+                delta = "-1" if rng.random() < 0.4 else "1"
+                out.append(",".join([*keys, status, delta]))
+            return "\n".join(out) + "\n"
+
+        sources = {}
+        for name, cols in (("R0", ["x"]), ("R1", ["y", "z"]), ("R2", ["w"])):
+            src = tmp_path / f"{name.lower()}.csv"
+            src.write_text(",".join([*cols, "status", "__delta"]) + "\n" + rows(60, len(cols)))
+            sources[name] = str(src)
+        doc = chain3_query_doc(sources)
+        for rel in doc["relations"]:
+            rel["join_columns"] = [col.replace(":int", "") for col in rel["join_columns"]]
+            rel["filters"] = [{"column": "status", "op": "!=", "value": "off"}]
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+
+        graph = build_join_graph(load_query(str(q)))
+        readers = [read_stream(graph, rel) for rel in range(graph.r)]
+        freqs = [materialize(reader, graph, rel) for rel, reader in enumerate(readers)]
+        expected = exact_cardinality(freqs, graph, path="nested")
+        assert all(r.rows_emitted < r.rows_read for r in readers)
+        assert expected != 0 and any(v < 0 for f in freqs for v in f.values())
+        assert main(["exact", "--query", str(q), "--path", path]) == 0
+        assert capsys.readouterr().out.strip() == str(int(expected))
+
 
 class TestBenchCommand:
     def test_writes_schema_versioned_csv(self, tmp_path):
@@ -262,6 +310,12 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# schema=")
         assert sum(1 for line in lines if line.startswith("row,")) == 9
+
+    def test_workers_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--query", str(tmp_path / "q.json"), "--m-sweep", "2^4..2^4",
+                  "--out", str(tmp_path / "b.csv"), "--workers", "2"])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestThroughputCommand:

@@ -1,7 +1,9 @@
 """Estimator correctness: FFT kernels against quadratic oracles, the
 plan-based combination against direct evaluation, and report rules."""
 
+import gc
 import statistics
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +197,23 @@ class TestEstimate:
         report = estimate(sketches, graph)
         assert report.median == 0.0
         assert report.per_repetition == (0.0,) * 5
+
+    def test_sketches_freed_without_the_cycle_collector(self):
+        # The combination must not leave a reference cycle (such as a
+        # recursive closure) holding the sketches and their counter grids.
+        graph = multiway_graph()
+        grids = random_sketch_grids(np.random.default_rng(4), graph, m=8, l=3)
+        sketches = sketches_from_grids(graph, grids, m=8, l=3)
+        grid = weakref.ref(sketches[0].counters)
+        del grids
+        gc.collect()
+        gc.disable()
+        try:
+            estimate(sketches, graph)
+            del sketches
+            assert grid() is None
+        finally:
+            gc.enable()
 
     def test_single_repetition_median(self):
         graph = two_rel_graph()

@@ -361,6 +361,12 @@ class TestSketchFile:
         with pytest.raises(DataError, match=f"h.jsk: bad sketch file header: .* {field} must be"):
             load_sketch_file(path)
 
+    def test_non_utf8_name_is_data_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        patch_sketch_header(path, "name0", 0xFF)
+        with pytest.raises(DataError, match="h.jsk: relation name is not UTF-8"):
+            load_sketch_file(path)
+
     def test_ams_tag_round_trip(self, tmp_path):
         config = SketchConfig(m=4, l=2, seed=9, method="ams")
         relations = [("A", np.ones((2, 4))), ("B", np.ones((2, 4)))]
