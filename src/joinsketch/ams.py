@@ -6,6 +6,11 @@ product of per-counter sign hashes, one independent 4-wise family per
 counters of the product of the relation counters, reported as the median
 across repetitions.  Update cost is Theta(m) per repetition, which is
 what the convolution sketch removes.
+
+The bulk update is vectorized: it groups a batch into distinct tuples,
+evaluates one (distinct values x m) sign-parity table per (edge,
+repetition), and adds each block of distinct tuples to the counters with
+one matrix product.  It stays Theta(m) per distinct tuple.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from .errors import DataError, QueryError
 from .estimator import EstimateReport
 from .hashing import KIND_SIGN
 from .joingraph import JoinGraph
-from .mersenne import derive_state, field_elements_vec, poly_eval_vec
+from .mersenne import BLOCK_ELEMENTS, derive_state, field_elements_vec, sign_parity_table
 from .sketch import (
     METHOD_AMS,
     RelationSketch,
     SketchConfig,
     TupleUpdate,
-    group_tuples,
+    distinct_tuples,
     updates_to_columns,
 )
 
@@ -59,13 +64,9 @@ class AmsSignFamilies:
 
     def signs(self, u: int, v: int, rep: int, x: int) -> np.ndarray:
         """Sign vector over all m counters for one item; float64 +-1."""
-        coeffs = self.coefficients(u, v, rep)
-        value = np.uint64(x & 0xFFFFFFFFFFFFFFFF)
-        acc = poly_eval_vec(
-            (coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]),
-            np.broadcast_to(value, (self.config.m,)),
-        )
-        return 1.0 - 2.0 * (acc & np.uint64(1)).astype(np.float64)
+        item = np.array([x & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        parity = sign_parity_table(self.coefficients(u, v, rep), item)[0]
+        return 1.0 - 2.0 * parity
 
 
 def ams_sketch(relation: int, config: SketchConfig, graph: JoinGraph) -> RelationSketch:
@@ -101,28 +102,41 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
     """Grouped update for a batch of tuples (column arrays by attribute).
 
     The counter definition sums over distinct tuples weighted by their
-    total frequency, so folding duplicates before the Theta(m) work is
-    exact and considerably faster on skewed streams.
+    net frequency, so folding duplicates before the Theta(m) work is
+    exact.  Per repetition, each (edge, attribute) pair gets one parity
+    table over the attribute's distinct values; a block of distinct
+    tuples XORs the tables' rows gathered through each attribute's
+    inverse index and adds weights @ (1 - 2 * parity) to the counters,
+    computed as sum(weights) - 2 * (weights @ parity).  For integer
+    deltas every partial sum is an integer below 2^53, so the summation
+    order cannot change a counter: the result equals ams_update() per
+    tuple bit for bit.
     """
     graph, config = sk.graph, sk.config
     families: AmsSignFamilies = sk.hashes
     omega = graph.omega[sk.relation]
-    freq = group_tuples(columns, omega, deltas)
-
+    keys, weights = distinct_tuples(columns, omega, deltas)
+    n = len(weights)
+    if n == 0:
+        return
+    distinct = [np.unique(keys[:, i], return_inverse=True) for i in range(len(omega))]
+    rows = max(1, BLOCK_ELEMENTS // config.m)
     for rep in range(config.l):
-        sign_cache: dict[tuple[int, int, int], np.ndarray] = {}
-        for key, weight in freq.items():
-            signs = np.ones(config.m, dtype=np.float64)
-            for u, x in zip(omega, key):
-                for v in graph.gamma[u]:
-                    ck = (u, v, x)
-                    vec = sign_cache.get(ck)
-                    if vec is None:
-                        vec = families.signs(u, v, rep, x)
-                        sign_cache[ck] = vec
-                    signs = signs * vec
-            sk.counters[rep] += signs * weight
-            sk.touched_cells += config.m
+        tables = [
+            (sign_parity_table(families.coefficients(u, v, rep), values), inverse)
+            for u, (values, inverse) in zip(omega, distinct)
+            for v in graph.gamma[u]
+        ]
+        (first, first_inverse), *rest = tables
+        counters = sk.counters[rep]
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            parity = first[first_inverse[block]]
+            for table, inverse in rest:
+                parity ^= table[inverse[block]]
+            block_weights = weights[block]
+            counters += block_weights.sum() - 2.0 * (block_weights @ parity.astype(np.float64))
+    sk.touched_cells += config.l * config.m * n
 
 
 def ams_build(

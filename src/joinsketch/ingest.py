@@ -23,6 +23,7 @@ from .joingraph import FilterPredicate, JoinGraph
 from .sketch import TupleUpdate
 
 _MASK64 = (1 << 64) - 1
+_INT_MIN = -(1 << 63)
 
 # FNV-1a 64-bit, seedless: offset basis and prime are fixed constants.
 FNV_OFFSET = 0xCBF29CE484222325
@@ -38,11 +39,27 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def _parse_int(text: str) -> int:
+    """Parse an int or __delta cell: ASCII decimal, no underscores, in [-2^63, 2^64).
+
+    Raises ValueError otherwise.  Python's `int()` also accepts digit
+    separators ("1_0") and non-ASCII digits, and a wider range, all of
+    which would join silently under a wrong 64-bit item.  A text of at
+    most 19 characters is always in range, so only longer ones pay for
+    the big-int comparison.
+    """
+    value = int(text)
+    in_range = len(text) <= 19 or _INT_MIN <= value <= _MASK64
+    if "_" in text or not text.isascii() or not in_range:
+        raise ValueError(text)
+    return value
+
+
 def canonicalize(text: str, col_type: str) -> int:
     """Map a raw cell to its 64-bit item value."""
     if col_type == "int":
         try:
-            return int(text.strip()) & _MASK64
+            return _parse_int(text.strip()) & _MASK64
         except ValueError as exc:
             raise DataError(f"cannot parse {text!r} as int") from exc
     if col_type == "str":
@@ -60,7 +77,7 @@ def apply_filters(row: dict[str, str], predicates: list[FilterPredicate]) -> boo
             return False
         if p.col_type == "int":
             try:
-                left = int(cell.strip())
+                left = _parse_int(cell.strip())
             except ValueError as exc:
                 raise DataError(
                     f"cannot compare {cell!r} in column {p.column!r} as int"
@@ -175,7 +192,7 @@ class StreamReader:
                             delta = delta_of.get(cell)
                             if delta is None:
                                 try:
-                                    delta = delta_of[cell] = float(int(cell.strip()))
+                                    delta = delta_of[cell] = float(_parse_int(cell.strip()))
                                 except (ValueError, AttributeError) as exc:
                                     raise DataError(
                                         f"{self.path}: bad {DELTA_COLUMN} value {cell!r} "

@@ -98,25 +98,37 @@ def _hash_join(freqs: list[Freq], graph: JoinGraph) -> float:
 
     pos = {u: graph.omega[rel].index(u) for rel in range(graph.r) for u in graph.omega[rel]}
 
-    def subtree(rel: int, via_edge: int, own_attr: int) -> dict[int, float]:
-        """Weight of the subtree rooted at `rel`, grouped by own_attr value."""
-        child_maps = []
-        for eidx, mine, theirs, other in adjacency[rel]:
-            if eidx == via_edge:
-                continue
-            child_maps.append((pos[mine], subtree(other, eidx, theirs)))
-        out: dict[int, float] = defaultdict(float)
-        own_pos = pos[own_attr]
-        for key, weight in freqs[rel].items():
-            acc = weight
-            for p, cmap in child_maps:
-                acc *= cmap.get(key[p], 0.0)
-                if acc == 0.0:
-                    break
-            if acc != 0.0:
-                out[key[own_pos]] += acc
-        return out
-
     # The root has no parent edge; grouping it by any own attribute and
     # summing the groups gives the total.
-    return sum(subtree(0, -1, graph.omega[0][0]).values(), 0.0)
+    root = _subtree(freqs, adjacency, pos, 0, -1, graph.omega[0][0])
+    return sum(root.values(), 0.0)
+
+
+def _subtree(
+    freqs: list[Freq],
+    adjacency: dict[int, list[tuple[int, int, int, int]]],
+    pos: dict[int, int],
+    rel: int,
+    via_edge: int,
+    own_attr: int,
+) -> dict[int, float]:
+    """Weight of the subtree rooted at `rel`, grouped by own_attr value."""
+    # A module-level function, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep `freqs` alive
+    # until the cyclic garbage collector runs.
+    child_maps = []
+    for eidx, mine, theirs, other in adjacency[rel]:
+        if eidx == via_edge:
+            continue
+        child_maps.append((pos[mine], _subtree(freqs, adjacency, pos, other, eidx, theirs)))
+    out: dict[int, float] = defaultdict(float)
+    own_pos = pos[own_attr]
+    for key, weight in freqs[rel].items():
+        acc = weight
+        for p, cmap in child_maps:
+            acc *= cmap.get(key[p], 0.0)
+            if acc == 0.0:
+                break
+        if acc != 0.0:
+            out[key[own_pos]] += acc
+    return out

@@ -191,24 +191,35 @@ def updates_to_columns(
     return columns, np.array(deltas, dtype=np.float64)
 
 
-def group_tuples(
+def distinct_tuples(
     columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    """Net frequency of each distinct tuple (attribute-ordered), zeros dropped.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct tuples (attribute-ordered rows) and their net frequencies, zeros dropped.
 
     Distinct tuples come from one `np.unique` over the stacked columns;
-    `np.bincount` adds each tuple's deltas in stream order.  The keys are
-    zipped from one Python list per column, which holds less memory at
-    once than a list of per-tuple lists.
+    `np.bincount` adds each tuple's deltas in stream order.
     """
     if len(deltas) == 0:
-        return {}
+        return np.empty((0, len(attrs)), dtype=np.uint64), np.empty(0, dtype=np.float64)
     stacked = np.stack([np.asarray(columns[u], dtype=np.uint64) for u in attrs], axis=1)
     keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
     sums = np.bincount(inverse.reshape(-1), weights=deltas, minlength=len(keys))
     keep = sums != 0.0
-    key_tuples = zip(*(column.tolist() for column in keys[keep].T))
-    return dict(zip(key_tuples, sums[keep].tolist()))
+    return keys[keep], sums[keep]
+
+
+def group_tuples(
+    columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
+) -> dict[tuple[int, ...], float]:
+    """Net frequency of each distinct tuple as a dict, zeros dropped.
+
+    The keys are zipped from one Python list per column of
+    `distinct_tuples`, which holds less memory at once than a list of
+    per-tuple lists.
+    """
+    keys, sums = distinct_tuples(columns, attrs, deltas)
+    key_tuples = zip(*(column.tolist() for column in keys.T))
+    return dict(zip(key_tuples, sums.tolist()))
 
 
 def build_sketch(

@@ -7,6 +7,7 @@ import pytest
 from joinsketch.ams import (
     AmsSignFamilies,
     ams_build,
+    ams_bulk_update,
     ams_estimate,
     ams_sketch,
     ams_update,
@@ -18,9 +19,10 @@ from joinsketch.sketch import (
     SketchConfig,
     TupleUpdate,
     build_sketch,
+    updates_to_columns,
 )
 
-from conftest import multiway_graph, two_rel_graph
+from conftest import chain3_graph, multiway_graph, turnstile_stream, two_rel_graph
 
 
 class TestAmsUpdate:
@@ -90,6 +92,40 @@ class TestAmsBuild:
         for t in stream:
             ams_update(scalar, t)
         np.testing.assert_array_equal(grouped.counters, scalar.counters)
+
+    @pytest.mark.parametrize("relation", [0, 1])
+    def test_bulk_update_matches_per_tuple_on_turnstile_stream(self, relation):
+        # m = 4096 takes 8 rows per block, so both the distinct tuples and
+        # each attribute's distinct values span several blocks.
+        graph = chain3_graph()
+        rng = np.random.default_rng(10 + relation)
+        config = SketchConfig(m=4096, l=2, seed=12, method="ams")
+        stream = turnstile_stream(rng, graph, relation, 150, domain=40)
+        bulk = ams_sketch(relation, config, graph)
+        ams_bulk_update(bulk, *updates_to_columns(stream, graph, relation))
+        scalar = ams_sketch(relation, config, graph)
+        for t in stream:
+            ams_update(scalar, t)
+        assert bulk.counters.tobytes() == scalar.counters.tobytes()
+
+        net: dict[tuple, float] = {}
+        for t in stream:
+            key = tuple(t.values[u] for u in graph.omega[relation])
+            net[key] = net.get(key, 0.0) + t.delta
+        distinct = sum(1 for f in net.values() if f != 0.0)
+        assert distinct > 16
+        assert bulk.touched_cells == config.l * config.m * distinct
+
+    def test_empty_and_cancelled_batches_leave_zero_counters(self):
+        graph = chain3_graph()
+        config = SketchConfig(m=64, l=2, seed=13, method="ams")
+        empty = ams_build([], graph, config, 1)
+        inserts = [TupleUpdate(1, {1: k, 2: k % 3}, 1.0) for k in range(20)]
+        deletes = [TupleUpdate(1, t.values, -1.0) for t in inserts]
+        cancelled = ams_build(inserts + deletes, graph, config, 1)
+        for sk in (empty, cancelled):
+            assert not sk.counters.any()
+            assert sk.touched_cells == 0
 
     def test_m_one_matches_conv_sketch(self):
         # At m=1 both methods reduce to the signed frequency sum with the

@@ -45,6 +45,25 @@ class TestCanonicalize:
         with pytest.raises(DataError):
             canonicalize("4x", "int")
 
+    def test_int_range_is_64_bit(self):
+        assert canonicalize(str((1 << 64) - 1), "int") == (1 << 64) - 1
+        assert canonicalize(str(-(1 << 63)), "int") == 1 << 63
+
+    def test_int_of_2_to_the_64_rejected(self):
+        # 2^64 would wrap to item 0 and join with "0".
+        with pytest.raises(DataError):
+            canonicalize("18446744073709551616", "int")
+        with pytest.raises(DataError):
+            canonicalize(str(-(1 << 63) - 1), "int")
+
+    def test_int_with_underscore_rejected(self):
+        with pytest.raises(DataError):
+            canonicalize("1_0", "int")
+
+    def test_int_with_non_ascii_digit_rejected(self):
+        with pytest.raises(DataError):
+            canonicalize("\u0663", "int")  # ARABIC-INDIC DIGIT THREE
+
     def test_equal_strings_equal_items(self):
         assert canonicalize("hello", "str") == canonicalize("hello", "str")
         assert canonicalize("hello", "str") != canonicalize("hellp", "str")
@@ -81,6 +100,12 @@ class TestApplyFilters:
         preds = [FilterPredicate("age", ">", 5, "int")]
         with pytest.raises(DataError):
             apply_filters({"age": "old"}, preds)
+
+    @pytest.mark.parametrize("cell", ["18446744073709551616", "1_0", "\u0663"])
+    def test_int_cells_parse_as_in_canonicalize(self, cell):
+        preds = [FilterPredicate("age", ">", 0, "int")]
+        with pytest.raises(DataError):
+            apply_filters({"age": cell}, preds)
 
     def test_conjunction_shortcircuits_to_false(self):
         preds = [
@@ -123,6 +148,12 @@ class TestReadStream:
 
     def test_bad_delta_value(self, tmp_path):
         graph = _two_rel_doc(tmp_path, "x,__delta\n1,two\n")
+        with pytest.raises(DataError, match="__delta"):
+            list(read_stream(graph, 0))
+
+    @pytest.mark.parametrize("delta", ["1_0", "\u0663"])
+    def test_delta_parses_as_an_int_cell(self, tmp_path, delta):
+        graph = _two_rel_doc(tmp_path, f"x,__delta\n1,{delta}\n")
         with pytest.raises(DataError, match="__delta"):
             list(read_stream(graph, 0))
 

@@ -13,6 +13,7 @@ from joinsketch.mersenne import (
     mulmod_vec,
     poly_eval,
     poly_eval_vec,
+    sign_parity_table,
 )
 
 EDGE_VALUES = [
@@ -82,19 +83,36 @@ class TestPolyEval:
         assert np.array_equal(got, expected)
 
     def test_vec_with_coefficient_arrays(self):
-        # one polynomial per output element, evaluated at a shared point
+        # one polynomial per coefficient row, evaluated at a shared point
         rng = np.random.default_rng(5)
         m = 257
-        cols = [rng.integers(0, PRIME, size=m, dtype=np.uint64) for _ in range(4)]
-        x = np.uint64(987654321)
-        got = poly_eval_vec(tuple(cols), np.broadcast_to(x, (m,)))
+        coeffs = rng.integers(0, PRIME, size=(m, 4), dtype=np.uint64)
+        x = 987654321
+        got = sign_parity_table(coeffs, np.array([x], dtype=np.uint64))
         expected = np.array(
-            [
-                poly_eval((int(cols[0][j]), int(cols[1][j]), int(cols[2][j]), int(cols[3][j])), int(x))
-                for j in range(m)
-            ],
-            dtype=np.uint64,
+            [[poly_eval(tuple(int(c) for c in coeffs[j]), x) & 1 for j in range(m)]],
+            dtype=np.uint8,
         )
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
+
+class TestSignParityTable:
+    def test_matches_scalar_on_edge_and_random_inputs(self):
+        # m = 5000 evaluates the 30 items in blocks of 6 rows.
+        rng = np.random.default_rng(9)
+        m = 5000
+        coeffs = rng.integers(0, PRIME, size=(m, 4), dtype=np.uint64)
+        coeffs[:4] = [[0, 0, 0, 0], [PRIME - 1] * 4, [0, 0, 0, PRIME - 1], [PRIME - 1, 0, 0, 0]]
+        edge = [0, 1, PRIME - 1, PRIME, PRIME + 1, 1 << 61, 1 << 63, (1 << 64) - 1]
+        xs = np.array(edge, dtype=np.uint64)
+        xs = np.concatenate([xs, rng.integers(0, 1 << 64, size=22, dtype=np.uint64)])
+        got = sign_parity_table(coeffs, xs)
+        rows = [tuple(int(c) for c in row) for row in coeffs]
+        expected = np.array(
+            [[poly_eval(row, int(x) % PRIME) & 1 for row in rows] for x in xs], dtype=np.uint8
+        )
+        assert got.shape == (30, m)
         assert np.array_equal(got, expected)
 
 

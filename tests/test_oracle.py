@@ -1,5 +1,8 @@
 """Exact oracle: hand-checked small joins, path agreement, guards."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,28 @@ class TestExactCardinality:
         # R0 matches (1,7) with weight 2*3, R2 contributes 3 per match: 18
         assert exact_cardinality(freqs, graph, path="nested") == 18.0
         assert exact_cardinality(freqs, graph, path="hash") == 18.0
+
+    def test_hash_join_frees_maps_without_the_cycle_collector(self):
+        # The hash join must not leave a reference cycle (such as a
+        # recursive closure) holding the frequency maps.
+        class WeakFreq(dict):
+            pass  # a plain dict cannot be weakly referenced
+
+        graph = chain3_graph()
+        freqs = [
+            WeakFreq(freq_single([1, 1])),
+            WeakFreq({(1, 7): 3.0, (2, 7): 1.0}),
+            WeakFreq(freq_single([7, 7, 7])),
+        ]
+        middle = weakref.ref(freqs[1])
+        gc.collect()
+        gc.disable()
+        try:
+            assert exact_cardinality(freqs, graph, path="hash") == 18.0
+            del freqs
+            assert middle() is None
+        finally:
+            gc.enable()
 
     def test_nested_budget_guard(self):
         graph = two_rel_graph()
