@@ -1,20 +1,37 @@
 """CSV ingestion: filter-at-read, canonicalization, tuple-update streams.
 
-Each source is parsed once, by one csv.reader loop that fills one list
-per joined column plus the deltas; bulk sketching takes those lists as
-arrays, and the per-tuple API iterates over them.  Filter predicates
-apply before any sketch work, rows with an empty (NULL) joined column
-never join and are dropped, and raw cells canonicalize to 64-bit items:
-integers keep their two's-complement bit pattern, strings map through a
-fixed FNV-1a hash so equal strings always produce equal items without
-any cross-relation dictionary.  Canonicalization is memoized per
-distinct cell text of each column.
+A source is read as bytes, in blocks of about BLOCK_BYTES that end at a
+newline, and tokenized one of two ways:
+
+- a *plain* block (no quote, CR or NUL byte, no blank line, and exactly
+  width - 1 commas on every line, width being the header's) is split at
+  commas and newlines in one pass, and column i of the block is every
+  width-th cell from i;
+- from the first block that is not plain to the end of the file,
+  `csv.reader` tokenizes instead, with csv.DictReader's row rules: blank
+  lines are skipped, a short row's missing cells are None and a long
+  row's extra cells are ignored.  An empty header line, or one with a
+  quote, CR or NUL byte, sends the whole file there.  It is the path for
+  quoted cells and CRLF lines.
+
+Both tokenizers feed one column assembler.  Per block, it runs each
+filter predicate over the distinct cells of its column, in predicate
+order, on the rows still passing; drops rows with an empty (NULL) joined
+cell, as NULL never joins; canonicalizes each distinct cell text of a
+joined column once per read, and parses each distinct `__delta` text
+once.  Integers keep their two's-complement bit pattern; strings map
+through a fixed FNV-1a hash, so equal strings always produce equal
+items without any cross-relation dictionary.  Bulk sketching takes the
+assembled arrays, and the per-tuple API iterates over them.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Iterator
+import io
+from collections import Counter
+from itertools import chain, compress
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,6 +47,20 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
 DELTA_COLUMN = "__delta"
+# A relation whose |__delta| values sum below 2^53 keeps every partial
+# sum, in a float64 counter or in the oracle, an exact integer.
+DELTA_SUM_LIMIT = 1 << 53
+
+# Bytes per read block: large enough that per-block work is noise, small
+# enough that ingest holds one block's cells, not the file's.  Blocks of
+# 8 to 64 KiB ingested equally fast; the peak memory grows with the block.
+BLOCK_BYTES = 1 << 14
+_NEWLINE = ord("\n")
+# Every byte but a comma, a newline and the bytes only csv.reader handles.
+_CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
+
+# A block's row count and its cells at a header position.
+_Batch = tuple[int, Callable[[int], list]]
 
 
 def fnv1a64(data: bytes) -> int:
@@ -69,26 +100,25 @@ def canonicalize(text: str, col_type: str) -> int:
 
 def apply_filters(row: dict[str, str], predicates: list[FilterPredicate]) -> bool:
     """Conjunction of all predicates; empty cells (NULL) satisfy none."""
-    for p in predicates:
-        cell = row.get(p.column)
-        if cell is None:
-            raise DataError(f"filter column {p.column!r} missing from row")
-        if cell == "":
-            return False
-        if p.col_type == "int":
-            try:
-                left = _parse_int(cell.strip())
-            except ValueError as exc:
-                raise DataError(
-                    f"cannot compare {cell!r} in column {p.column!r} as int"
-                ) from exc
-            right = p.value
-        else:
-            left = cell
-            right = p.value
-        if not _compare(left, p.op, right):
-            return False
-    return True
+    return all(_passes(p, row.get(p.column)) for p in predicates)
+
+
+def _passes(p: FilterPredicate, cell: str | None) -> bool:
+    """One predicate on one cell; None is a cell missing from its row."""
+    if cell is None:
+        raise DataError(f"filter column {p.column!r} missing from row")
+    if cell == "":
+        return False
+    if p.col_type == "int":
+        try:
+            left = _parse_int(cell.strip())
+        except ValueError as exc:
+            raise DataError(
+                f"cannot compare {cell!r} in column {p.column!r} as int"
+            ) from exc
+    else:
+        left = cell
+    return _compare(left, p.op, p.value)
 
 
 def _compare(left, op: str, right) -> bool:
@@ -107,14 +137,109 @@ def _compare(left, op: str, right) -> bool:
     raise QueryError(f"unknown operator {op!r}")
 
 
+def _blocks(fh) -> Iterator[tuple[int, bytes]]:
+    """(offset, bytes) of each block of a binary file: whole lines, about
+    BLOCK_BYTES each, then whatever follows the last newline."""
+    offset, carry = 0, b""
+    while chunk := fh.read(BLOCK_BYTES):
+        data = carry + chunk
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield offset, data[:cut]
+            offset += cut
+        carry = data[cut:]
+    if carry:
+        yield offset, carry
+
+
+def _plain(block: bytes, width: int) -> bool:
+    """Whether splitting at commas and newlines reads `block`, whole lines
+    ending in a newline, as csv.reader does: no quote, CR or NUL byte, no
+    blank line, and width - 1 commas on every line."""
+    # Left with its commas, newlines and special bytes only, a plain block
+    # is one line pattern repeated; a blank line breaks it unless width is 1.
+    structure = block.translate(None, _CELL_TEXT)
+    if structure != (b"," * (width - 1) + b"\n") * (len(structure) // width):
+        return False
+    return width > 1 or not (block[0] == _NEWLINE or b"\n\n" in block)
+
+
+def _tokenize(fh) -> Iterator[list[str] | _Batch]:
+    """Yield the header row, then one _Batch per block."""
+    blocks = _blocks(fh)
+    first = next(blocks, (0, b""))[1]
+    head, newline, rest = first.partition(b"\n")
+    width = head.count(b",") + 1
+    if not _plain(head + b"\n", width):
+        yield from _csv_tokenize(fh, 0, with_header=True)
+        return
+    yield head.decode("utf-8").split(",")
+    for offset, block in chain([(len(head) + len(newline), rest)], blocks):
+        if not block:
+            continue
+        if block[-1] != _NEWLINE:  # the last line of a file without a final newline
+            block += b"\n"
+        if not _plain(block, width):
+            yield from _csv_tokenize(fh, offset, with_header=False)
+            return
+        cells = block.decode("utf-8").replace("\n", ",").split(",")
+        cells.pop()  # the empty text after the final newline
+        yield len(cells) // width, lambda at, cells=cells: cells[at::width]
+
+
+def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _Batch]:
+    """csv.reader over the file from `offset` on: the header row if asked
+    for, then one _Batch per BLOCK_BYTES characters of text, blank lines
+    left out."""
+    fh.seek(offset)
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    fed = 0
+
+    def lines():
+        nonlocal fed
+        for line in text:
+            fed += len(line)
+            yield line
+
+    reader = csv.reader(lines())
+    if with_header:
+        header = next(reader, None)
+        if header is None:
+            return
+        yield header
+    rows: list[list[str]] = []
+    for row in reader:
+        if row:
+            rows.append(row)
+        if rows and fed >= BLOCK_BYTES:
+            yield _row_batch(rows)
+            rows, fed = [], 0
+    if rows:
+        yield _row_batch(rows)
+
+
+def _row_batch(rows: list[list[str]]) -> _Batch:
+    return len(rows), lambda at: [row[at] if at < len(row) else None for row in rows]
+
+
+def _take(cells: list, kept) -> list:
+    """The cells of the rows in `kept`, positions in ascending order."""
+    return cells if len(kept) == len(cells) else list(map(cells.__getitem__, kept))
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
 class StreamReader:
     """Single-pass reader of one relation's source.
 
-    `read()` parses the file once with a single `csv.reader` loop into
-    one list of items per joined attribute plus the deltas; iterating
-    the reader yields one TupleUpdate per passing row from those lists.
-    `rows_read` counts every data row seen, including filtered ones,
-    and `rows_emitted` the rows that passed filters and NULL dropping.
+    `read()` tokenizes the file block by block and assembles one array of
+    items per joined attribute plus the deltas; iterating the reader
+    yields one TupleUpdate per passing row from those arrays.
+    `rows_read` counts every data row seen; each is then counted once in
+    `rows_filtered` (failed a filter), `rows_null` (an empty joined cell)
+    or `rows_emitted` (passed filters and NULL dropping).
     """
 
     def __init__(self, graph: JoinGraph, relation: int, path: str | None = None):
@@ -124,93 +249,115 @@ class StreamReader:
         self.decl = decl
         self.path = path if path is not None else decl.source
         self.rows_read = 0
+        self.rows_filtered = 0
+        self.rows_null = 0
         self.rows_emitted = 0
         self._attr_cols = [(graph.attr_id(relation, col), col) for col in decl.join_columns]
 
-    def read(self) -> tuple[dict[int, list[int]], list[float]]:
-        """Parse the source into item lists keyed by attribute id, and deltas.
+    def read(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        """Parse the source into uint64 item arrays keyed by attribute id,
+        and float64 deltas.
 
-        Rows are handled as csv.DictReader would: blank lines are
-        skipped, a short row's missing cells are None and extra cells
-        are ignored.  A relation's filters run once per row, before any
-        join cell is read.  `canonicalize` runs once per distinct cell
-        text of a column; each column has its own cache, as one text
-        maps to different items under different column types.
+        `canonicalize` runs once per distinct cell text of a column; each
+        column has its own cache, as one text maps to different items
+        under different column types.
         """
-        decl = self.decl
         try:
-            fh = open(self.path, "r", encoding="utf-8", newline="")
+            fh = open(self.path, "rb")
         except OSError as exc:
             raise DataError(f"cannot open {self.path!r}: {exc}") from exc
         with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{self.path}: missing header row")
-            # A repeated header name maps to its last position, as in DictReader.
-            position = {name: i for i, name in enumerate(header)}
-            needed = set(decl.join_columns) | {p.column for p in decl.filters}
-            missing = needed - position.keys()
-            if missing:
-                raise DataError(f"{self.path}: missing column(s) {sorted(missing)}")
-            delta_at = position.get(DELTA_COLUMN)
-            predicates = decl.filters
-            filter_at = [(p.column, position[p.column]) for p in predicates]
-            joins = [
-                (position[col], {}, decl.column_types[col]) for _, col in self._attr_cols
-            ]
-            items: list[list[int]] = [[] for _ in joins]
-            deltas: list[float] = []
-            delta_of: dict[str, float] = {}
-            passes, canon = apply_filters, canonicalize
-            rows_read = self.rows_read
-
             try:
-                for row in reader:
-                    if not row:
-                        continue
-                    rows_read += 1
-                    width = len(row)
-                    if predicates and not passes(
-                        {col: row[i] if i < width else None for col, i in filter_at}, predicates
-                    ):
-                        continue
-                    values = []
-                    for i, cache, col_type in joins:
-                        cell = row[i] if i < width else None
-                        if not cell:
-                            break
-                        item = cache.get(cell)
-                        if item is None:
-                            item = cache[cell] = canon(cell, col_type)
-                        values.append(item)
-                    else:
-                        if delta_at is None:
-                            delta = 1.0
-                        else:
-                            cell = row[delta_at] if delta_at < width else None
-                            delta = delta_of.get(cell)
-                            if delta is None:
-                                try:
-                                    delta = delta_of[cell] = float(_parse_int(cell.strip()))
-                                except (ValueError, AttributeError) as exc:
-                                    raise DataError(
-                                        f"{self.path}: bad {DELTA_COLUMN} value {cell!r} "
-                                        f"at data row {rows_read}"
-                                    ) from exc
-                        for column, item in zip(items, values):
-                            column.append(item)
-                        deltas.append(delta)
-            finally:
-                self.rows_read = rows_read
-                self.rows_emitted += len(deltas)
-        return {attr: column for (attr, _), column in zip(self._attr_cols, items)}, deltas
+                return self._assemble(_tokenize(fh))
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{self.path}: not UTF-8 text: {exc}") from exc
+
+    def _assemble(
+        self, tokens: Iterator[list[str] | _Batch]
+    ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        decl, path = self.decl, self.path
+        header = next(tokens, None)
+        if header is None:
+            raise DataError(f"{path}: missing header row")
+        # A repeated header name maps to its last position, as in DictReader.
+        position = {name: i for i, name in enumerate(header)}
+        needed = set(decl.join_columns) | {p.column for p in decl.filters}
+        missing = needed - position.keys()
+        if missing:
+            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        delta_at = position.get(DELTA_COLUMN)
+        filters = [(p, position[p.column], {}) for p in decl.filters]
+        joins = [(position[col], decl.column_types[col], {}) for _, col in self._attr_cols]
+        items: list[list[np.ndarray]] = [[] for _ in joins]
+        deltas: list[np.ndarray] = []
+        delta_of: dict[str | None, int] = {}
+        delta_sum = 0
+
+        for n, column in tokens:
+            first_row = self.rows_read  # data rows before this block
+            self.rows_read += n
+            kept = range(n)  # block positions of the rows still passing
+            for p, at, verdict in filters:
+                cells = _take(column(at), kept)
+                for cell in dict.fromkeys(cells):
+                    if cell not in verdict:
+                        verdict[cell] = _passes(p, cell)
+                kept = list(compress(kept, map(verdict.__getitem__, cells)))
+            self.rows_filtered += n - len(kept)
+
+            # Join columns in declared order: a row leaves at its first NULL
+            # cell, so its later cells are never canonicalized.
+            passed = len(kept)
+            joined: list[list[str]] = []
+            for at, col_type, cache in joins:
+                cells = _take(column(at), kept)
+                if not all(cells):
+                    whole = list(map(bool, cells))
+                    kept = list(compress(kept, whole))
+                    cells = list(compress(cells, whole))
+                    joined = [list(compress(done, whole)) for done in joined]
+                for cell in dict.fromkeys(cells):
+                    if cell not in cache:
+                        cache[cell] = canonicalize(cell, col_type)
+                joined.append(cells)
+            self.rows_null += passed - len(kept)
+            for (_, _, cache), cells, out in zip(joins, joined, items):
+                out.append(np.fromiter(map(cache.__getitem__, cells), np.uint64, len(cells)))
+
+            if delta_at is None:
+                deltas.append(np.ones(len(kept)))
+            else:
+                cells = _take(column(delta_at), kept)
+                counts = Counter(cells)
+                for cell in counts:
+                    if cell not in delta_of:
+                        try:
+                            delta_of[cell] = _parse_int(cell.strip())
+                        except (ValueError, AttributeError) as exc:
+                            row = first_row + 1 + kept[cells.index(cell)]
+                            raise DataError(
+                                f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
+                            ) from exc
+                delta_sum += sum(abs(delta_of[cell]) * c for cell, c in counts.items())
+                if delta_sum >= DELTA_SUM_LIMIT:
+                    raise DataError(
+                        f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
+                        f"{self.rows_read} data rows; counters are exact only below that"
+                    )
+                values = map(delta_of.__getitem__, cells)
+                deltas.append(np.fromiter(values, np.float64, len(cells)))
+            self.rows_emitted += len(kept)
+
+        attrs = [attr for attr, _ in self._attr_cols]
+        columns = {attr: _concat(parts, np.uint64) for attr, parts in zip(attrs, items)}
+        return columns, _concat(deltas, np.float64)
 
     def __iter__(self) -> Iterator[TupleUpdate]:
         columns, deltas = self.read()
         attrs = list(columns)
         relation = self.relation
-        for values, delta in zip(zip(*columns.values()), deltas):
+        rows = zip(*(items.tolist() for items in columns.values()))
+        for values, delta in zip(rows, deltas.tolist()):
             yield TupleUpdate(relation=relation, values=dict(zip(attrs, values)), delta=delta)
 
 
@@ -223,6 +370,4 @@ def read_columns(
     graph: JoinGraph, relation: int, path: str | None = None
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """Read a relation's source as column arrays for bulk updates."""
-    columns, deltas = read_stream(graph, relation, path).read()
-    arrays = {attr: np.array(items, dtype=np.uint64) for attr, items in columns.items()}
-    return arrays, np.array(deltas, dtype=np.float64)
+    return read_stream(graph, relation, path).read()

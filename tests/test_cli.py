@@ -284,6 +284,56 @@ class TestExactCommand:
         assert capsys.readouterr().out.strip() == str(int(expected))
 
 
+class TestBadSourceData:
+    """Source data that no command may read silently exits 3 from both commands."""
+
+    def _query(self, tmp_path, a_text, b_text="y\n5\n"):
+        (tmp_path / "a.csv").write_bytes(a_text if isinstance(a_text, bytes) else a_text.encode())
+        (tmp_path / "b.csv").write_text(b_text)
+        doc = {
+            "relations": [
+                {"name": "A", "source": str(tmp_path / "a.csv"), "join_columns": ["x:int"]},
+                {"name": "B", "source": str(tmp_path / "b.csv"), "join_columns": ["y:int"]},
+            ],
+            "joins": [["A.x", "B.y"]],
+        }
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        return str(q)
+
+    def _run(self, command, query, tmp_path):
+        extra = ["--m", "8", "--out", str(tmp_path / "s.jsk")] if command == "sketch" else []
+        return main([command, "--query", query, *extra])
+
+    @pytest.mark.parametrize("command", ["exact", "sketch"])
+    @pytest.mark.parametrize(
+        "text",
+        [b"x,name\n5,ok\n5,b\xffd\n", b'x,name\r\n5,"ok"\r\n5,b\xffd\r\n'],
+        ids=["plain", "csv"],
+    )
+    def test_non_utf8_source(self, tmp_path, caplog, command, text):
+        query = self._query(tmp_path, text)
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert self._run(command, query, tmp_path) == EXIT_DATA
+        assert f"{tmp_path / 'a.csv'}: not UTF-8 text" in caplog.text
+
+    @pytest.mark.parametrize("command", ["exact", "sketch"])
+    def test_delta_sum_reaching_2_to_the_53(self, tmp_path, caplog, command):
+        # The true join size is 1; float64 arithmetic made it 0.
+        query = self._query(tmp_path, "x,__delta\n5,9007199254740993\n5,-9007199254740992\n")
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert self._run(command, query, tmp_path) == EXIT_DATA
+        assert "sum to 2^53 or more" in caplog.text
+
+    @pytest.mark.parametrize("deltas, code", [((2**52, 1 - 2**52), 0), ((2**52, -(2**52)), 3)])
+    def test_delta_sum_bound_is_2_to_the_53(self, tmp_path, capsys, deltas, code):
+        rows = "".join(f"5,{d}\n" for d in deltas)
+        query = self._query(tmp_path, "x,__delta\n" + rows)
+        assert main(["exact", "--query", query]) == code
+        if code == 0:
+            assert capsys.readouterr().out.strip() == "1"
+
+
 class TestBenchCommand:
     def test_writes_schema_versioned_csv(self, tmp_path):
         rng = np.random.default_rng(31)

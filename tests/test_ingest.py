@@ -1,6 +1,8 @@
 """CSV ingestion: filtering, NULL handling, canonical item values,
 delta column support, and single-pass instrumentation."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,227 @@ class TestColumnsMatchStream:
             read_columns(graph, 0)
         with pytest.raises(DataError, match=f"bad __delta value {expected} at data row 3"):
             list(read_stream(graph, 0))
+
+
+# Header of the tokenizer cases: filter columns first, so that a short row
+# still carries every filter cell.
+_TOKENIZER_HEADER = "status,n,k,s,__delta\n"
+# case -> (file text, whether the plain file falls back to csv.reader)
+_TOKENIZER_CASES = {
+    "blank-line": (_TOKENIZER_HEADER + "active,1,1,a,1\n\nactive,1,2,b,1\n", True),
+    # 2 + 6 commas on two lines, as in two full rows: only a per-line check sees it.
+    "short-and-long-row": (
+        _TOKENIZER_HEADER + "active,1,4\nactive,1,3,c,-1,x,y\nactive,1,5,e,1\n", True
+    ),
+    "no-trailing-newline": (_TOKENIZER_HEADER + "active,1,1,a,1\nactive,1,2,b,-1", False),
+    "header-only": (_TOKENIZER_HEADER, False),
+    "empty-file": ("", True),  # no header line to split: csv.reader decides
+    "non-ascii-str-cells": (
+        _TOKENIZER_HEADER + "active,1,1,é,1\nactive,1,1,日本,1\nactive,1,2,é,2\n",
+        False,
+    ),
+    "filters-nulls-delta": (
+        _TOKENIZER_HEADER
+        + "active,1,1,a,1\n"
+        + "closed,1,2,b,1\n"  # str filter fails
+        + "active,0,3,c,1\n"  # int filter fails
+        + ",1,4,d,1\n"  # NULL filter cell fails
+        + "active,1,,e,1\n"  # NULL int join cell
+        + "active,1,6,,1\n"  # NULL str join cell
+        + "active, 7 ,-7,g,-3\n"
+        + "active,1,1,a,9007199254\n",
+        False,
+    ),
+}
+
+
+def _csv_only(text):
+    """The same rows with every cell quoted and CRLF line ends: csv.reader's alone."""
+    return "\r\n".join(
+        ",".join(f'"{cell}"' for cell in line.split(",")) if line else ""
+        for line in text.split("\n")
+    )
+
+
+_TOKENIZER_FILTERS = [
+    {"column": "status", "op": "!=", "value": "closed"},
+    {"column": "n", "op": ">", "value": 0},
+]
+
+
+def _tokenizer_graph(tmp_path, name, text, filters=_TOKENIZER_FILTERS):
+    src = tmp_path / name
+    src.write_bytes(text.encode("utf-8"))
+    doc = {
+        "relations": [
+            {
+                "name": "A",
+                "source": str(src),
+                "join_columns": ["k:int", "s:str"],
+                "filters": filters,
+            },
+            {"name": "B", "source": "b.csv", "join_columns": ["y:int"]},
+            {"name": "C", "source": "c.csv", "join_columns": ["z:str"]},
+        ],
+        "joins": [["A.k", "B.y"], ["A.s", "C.z"]],
+    }
+    return build_join_graph(parse_query(doc))
+
+
+def _read_outcome(graph):
+    """Columns, deltas and row counts of one read, or the error it raised."""
+    reader = read_stream(graph, 0)
+    try:
+        columns, deltas = reader.read()
+    except DataError as exc:
+        return "error", str(exc).replace(reader.path, "<path>")
+    counts = (reader.rows_read, reader.rows_emitted, reader.rows_filtered, reader.rows_null)
+    assert counts[0] == sum(counts[1:])
+    assert all(items.dtype == np.uint64 for items in columns.values())
+    assert deltas.dtype == np.float64
+    return {u: items.tolist() for u, items in columns.items()}, deltas.tolist(), counts
+
+
+class TestTokenizers:
+    """The split and csv.reader tokenizers feed one assembler, with one result."""
+
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        import joinsketch.ingest as ingest
+
+        offsets = []
+        original = ingest._csv_tokenize
+
+        def spy(fh, offset, with_header):
+            offsets.append(offset)
+            return original(fh, offset, with_header)
+
+        monkeypatch.setattr(ingest, "_csv_tokenize", spy)
+        return offsets
+
+    @pytest.mark.parametrize("case", list(_TOKENIZER_CASES))
+    def test_plain_and_csv_files_read_alike(self, tmp_path, fallbacks, case):
+        text, plain_falls_back = _TOKENIZER_CASES[case]
+        plain = _read_outcome(_tokenizer_graph(tmp_path, "plain.csv", text))
+        assert (fallbacks != []) == plain_falls_back
+        assert 0 not in fallbacks or text == ""
+        fallbacks.clear()
+        quoted = _read_outcome(_tokenizer_graph(tmp_path, "quoted.csv", _csv_only(text)))
+        assert fallbacks == [0]
+        assert plain == quoted
+        if case == "empty-file":
+            assert plain == ("error", "<path>: missing header row")
+        if case == "short-and-long-row":
+            # The short row's s is NULL; the long row's extra cells are ignored.
+            columns, deltas, counts = plain
+            assert columns[0] == [3, 5] and deltas == [-1.0, 1.0]
+            assert counts == (3, 2, 0, 1)
+        if case == "filters-nulls-delta":
+            columns, deltas, counts = plain
+            assert columns[0] == [1, (1 << 64) - 7, 1]
+            assert columns[1] == [fnv1a64(b"a"), fnv1a64(b"g"), fnv1a64(b"a")]
+            assert deltas == [1.0, -3.0, 9007199254.0]
+            assert counts == (8, 3, 3, 2)
+
+    @pytest.mark.parametrize("form", ["plain", "csv"])
+    def test_results_hold_across_blocks(self, tmp_path, monkeypatch, form):
+        import joinsketch.ingest as ingest
+
+        rows = [f"{'closed' if i % 7 == 0 else 'active'},1,{i % 5},s{i % 3},{i % 4 - 1}"
+                for i in range(40)]
+        text = _TOKENIZER_HEADER + "\n".join(rows) + "\n"
+        text = text if form == "plain" else _csv_only(text)
+        graph = _tokenizer_graph(tmp_path, "a.csv", text)
+        whole = _read_outcome(graph)
+
+        calls = []
+
+        def counted(cell, col_type):
+            calls.append((cell, col_type))
+            return canonicalize(cell, col_type)
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 40)  # about two lines
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        assert _read_outcome(graph) == whole
+        assert sorted(calls) == sorted(
+            {(str(i % 5), "int") for i in range(40)} | {(f"s{i}", "str") for i in range(3)}
+        )
+
+        rows[30] = rows[30].rsplit(",", 1)[0] + ",bad"
+        text = _TOKENIZER_HEADER + "\n".join(rows) + "\n"
+        graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text))
+        assert _read_outcome(graph) == ("error", "<path>: bad __delta value 'bad' at data row 31")
+
+    @pytest.mark.parametrize("form", ["plain", "csv"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("active,1,4x,a,1", "cannot parse '4x' as int"),
+            ("active,1,4x,,1", "cannot parse '4x' as int"),  # before a NULL cell
+            ("active,old,4,a,1", "cannot compare 'old' in column 'n' as int"),
+            ("active,1,4,a,two", "<path>: bad __delta value 'two' at data row 2"),
+            ("active", "filter column 'n' missing from row"),
+        ],
+        ids=["join-cell", "join-cell-then-null", "filter-cell", "delta-cell",
+             "missing-filter-cell"],
+    )
+    def test_single_bad_cell_message(self, tmp_path, form, row, message):
+        text = _TOKENIZER_HEADER + f"active,1,1,a,1\n{row}\nactive,1,2,b,1\n"
+        text = text if form == "plain" else _csv_only(text)
+        assert _read_outcome(_tokenizer_graph(tmp_path, "a.csv", text)) == ("error", message)
+
+
+def _reference_read(graph, relation):
+    """Row-at-a-time reference: csv.DictReader rows, apply_filters, then
+    canonicalize each joined cell until the first NULL, then the delta."""
+    decl = graph.spec.relations[relation]
+    attrs = [(graph.attr_id(relation, col), col) for col in decl.join_columns]
+    columns, deltas = {u: [] for u, _ in attrs}, []
+    with open(decl.source, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            if not apply_filters(row, decl.filters):
+                continue
+            values = {}
+            for u, col in attrs:
+                if not row.get(col):
+                    break
+                values[u] = canonicalize(row[col], decl.column_types[col])
+            else:
+                for u, item in values.items():
+                    columns[u].append(item)
+                deltas.append(float(int(row.get("__delta") or 1)))
+    return {u: np.array(v, dtype=np.uint64) for u, v in columns.items()}, np.array(deltas)
+
+
+def test_matches_row_at_a_time_reference(tmp_path, monkeypatch):
+    import joinsketch.ingest as ingest
+
+    rng = np.random.default_rng(2026)
+    filters = [{"column": "status", "op": "!=", "value": "off"},
+               {"column": "k", "op": ">", "value": 0}]
+    pools = {"status": ["on", "off", ""], "k": ["1", "2", "-3", " 4", ""],
+             "__delta": ["1", "-1", "2"], "s": ["a", "b,c", "\u00e9", ""]}
+    for trial in range(60):
+        # A short row still has its filter and delta cells; its s cell is NULL.
+        names = list(pools)
+        lines = [",".join(names)]
+        for _ in range(int(rng.integers(0, 40))):
+            shape = rng.random()
+            if shape < 0.03:
+                lines.append("")
+                continue
+            width = len(names) if shape < 0.9 else int(rng.integers(2, len(names) + 3))
+            cells = [str(rng.choice(pools.get(name, ["x"])))
+                     for name in (names + ["extra"] * 2)[:width]]
+            lines.append(",".join(f'"{c}"' if "," in c else c for c in cells))
+        newline = "\r\n" if rng.random() < 0.2 else "\n"
+        text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
+        graph = _tokenizer_graph(tmp_path, f"r{trial}.csv", text, filters)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", int(rng.choice([7, 16, 64, 1 << 16])))
+        reader = read_stream(graph, 0)
+        columns, deltas = reader.read()
+        expected_columns, expected_deltas = _reference_read(graph, 0)
+        for u in expected_columns:
+            np.testing.assert_array_equal(columns[u], expected_columns[u])
+        np.testing.assert_array_equal(deltas, expected_deltas)
+        assert reader.rows_emitted == len(expected_deltas)
