@@ -21,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, QueryError
-from .estimator import EstimateReport
+from .errors import QueryError
+from .estimator import EstimateReport, _check_sketches
 from .hashing import KIND_SIGN
 from .joingraph import JoinGraph
 from .mersenne import BLOCK_ELEMENTS, derive_state, field_elements_vec, sign_parity_table
@@ -31,6 +31,7 @@ from .sketch import (
     RelationSketch,
     SketchConfig,
     TupleUpdate,
+    _check_tuple,
     distinct_tuples,
     updates_to_columns,
 )
@@ -79,15 +80,9 @@ def ams_update(sk: RelationSketch, t: TupleUpdate) -> None:
     """Apply one tuple: every one of the m counters changes, per repetition."""
     if sk.config.method != METHOD_AMS:
         raise QueryError("ams_update() applies to ams sketches")
-    if t.relation != sk.relation:
-        raise DataError(f"update for relation {t.relation} sent to sketch of {sk.relation}")
+    _check_tuple(sk.graph, sk.relation, t.relation, t.values)
     graph = sk.graph
     families: AmsSignFamilies = sk.hashes
-    needed = set(graph.omega[sk.relation])
-    if set(t.values) != needed:
-        raise DataError(
-            f"tuple values cover attributes {sorted(t.values)}, expected {sorted(needed)}"
-        )
     for rep in range(sk.config.l):
         signs = np.ones(sk.config.m, dtype=np.float64)
         for u in graph.omega[sk.relation]:
@@ -151,32 +146,17 @@ def ams_build(
     return sk
 
 
-def warm_families(sk: RelationSketch) -> None:
-    """Pre-derive all sign-family coefficients for one relation's sketch.
-
-    Separates hash initialization from update timing in throughput runs.
-    """
-    families: AmsSignFamilies = sk.hashes
-    graph = sk.graph
-    for rep in range(sk.config.l):
-        for u in graph.omega[sk.relation]:
-            for v in graph.gamma[u]:
-                families.coefficients(u, v, rep)
+def warm_families(families: AmsSignFamilies) -> None:
+    """Derive every join edge's sign families now, outside any timed update."""
+    for rep in range(families.config.l):
+        for u, v in families.graph.edges:
+            families.coefficients(u, v, rep)
 
 
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:
     """Mean-of-products estimate per repetition, median across repetitions."""
-    if not sketches:
-        raise QueryError("no sketches to estimate from")
+    _check_sketches(sketches, graph, METHOD_AMS)
     config = sketches[0].config
-    for sk in sketches:
-        if sk.config != config:
-            raise QueryError("sketches disagree on config")
-    if config.method != METHOD_AMS:
-        raise QueryError("ams_estimate requires ams sketches")
-    if len(sketches) != graph.r:
-        raise QueryError(f"expected {graph.r} sketches, got {len(sketches)}")
-
     start = time.perf_counter()
     per_rep: list[float] = []
     for rep in range(config.l):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ams import ams_bulk_update, ams_estimate, ams_sketch, warm_families
+from .ams import AmsSignFamilies, ams_bulk_update, ams_estimate, warm_families
 from .errors import QueryError
 from .estimator import estimate
 from .hashing import derive_hash_set
@@ -119,24 +119,31 @@ def read_all_columns(graph: JoinGraph) -> list[Columns]:
     return [read_columns(graph, rel) for rel in range(graph.r)]
 
 
+def hashes_and_update(config: SketchConfig, graph: JoinGraph):
+    """The hash object all relation sketches of `config` share, and its bulk update.
+
+    Conv: one HashSet.  AMS: one AmsSignFamilies, derived here, outside any
+    update; a family depends only on (seed, edge, repetition).
+    """
+    if config.method == METHOD_CONV:
+        return derive_hash_set(config, graph), bulk_update
+    families = AmsSignFamilies(config, graph)
+    warm_families(families)
+    return families, ams_bulk_update
+
+
 def build_sketches(
     graph: JoinGraph,
     config: SketchConfig,
     columns_by_relation: list[Columns],
 ) -> list[RelationSketch]:
     """Build one sketch per relation from pre-read column arrays."""
+    hashes, bulk = hashes_and_update(config, graph)
     sketches: list[RelationSketch] = []
-    if config.method == METHOD_CONV:
-        hashes = derive_hash_set(config, graph)
-        for rel, (columns, deltas) in enumerate(columns_by_relation):
-            sk = RelationSketch(rel, config, graph, hashes)
-            bulk_update(sk, columns, deltas)
-            sketches.append(sk)
-    else:
-        for rel, (columns, deltas) in enumerate(columns_by_relation):
-            sk = ams_sketch(rel, config, graph)
-            ams_bulk_update(sk, columns, deltas)
-            sketches.append(sk)
+    for rel, (columns, deltas) in enumerate(columns_by_relation):
+        sk = RelationSketch(rel, config, graph, hashes)
+        bulk(sk, columns, deltas)
+        sketches.append(sk)
     return sketches
 
 
@@ -312,17 +319,11 @@ def run_throughput(
     for method in methods:
         for m in m_values:
             config = SketchConfig(m=m, l=l, seed=master_seed, method=method)
-            if method == METHOD_CONV:
-                sk = RelationSketch(largest, config, graph, derive_hash_set(config, graph))
-                start = time.perf_counter()
-                bulk_update(sk, columns, deltas)
-                elapsed = time.perf_counter() - start
-            else:
-                sk = ams_sketch(largest, config, graph)
-                warm_families(sk)
-                start = time.perf_counter()
-                ams_bulk_update(sk, columns, deltas)
-                elapsed = time.perf_counter() - start
+            hashes, bulk = hashes_and_update(config, graph)
+            sk = RelationSketch(largest, config, graph, hashes)
+            start = time.perf_counter()
+            bulk(sk, columns, deltas)
+            elapsed = time.perf_counter() - start
             rate = (n / elapsed) if (n > 0 and elapsed > 0) else 0.0
             results.append(
                 {

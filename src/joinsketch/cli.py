@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .ams import ams_estimate, ams_sketch
+from .ams import ams_estimate
 from .bench import (
     build_sketches,
     parse_m_sweep,
@@ -27,8 +27,9 @@ from .bench import (
 )
 from .errors import BudgetError, DataError, QueryError
 from .estimator import estimate
-from .hashing import derive_hash_set
-# read_stream and materialize stay bound here: perfbench's traced rounds patch them by name.
+# derive_hash_set, read_stream and materialize stay bound here: perfbench's
+# traced rounds patch them by name.
+from .hashing import derive_hash_set  # noqa: F401
 from .ingest import read_columns, read_stream  # noqa: F401
 from .joingraph import build_join_graph, load_query, traversal_plan
 from .oracle import exact_cardinality, materialize  # noqa: F401
@@ -150,16 +151,13 @@ def cmd_estimate(args) -> int:
             f"sketch file relations {stored_names} do not match query relations {expected_names}"
         )
 
-    path = args.path
+    sketches = _rebind(graph, config, stored)
     if config.method == METHOD_AMS:
-        if path not in ("auto",):
-            raise QueryError(f"inference path {path!r} applies to conv sketches, file is ams")
-        sketches = _rebind(graph, config, stored, ams=True)
+        if args.path != "auto":
+            raise QueryError(f"inference path {args.path!r} applies to conv sketches, file is ams")
         report = ams_estimate(sketches, graph)
     else:
-        if path == "auto":
-            path = "fft"
-        sketches = _rebind(graph, config, stored, ams=False)
+        path = "fft" if args.path == "auto" else args.path
         report = estimate(sketches, graph, traversal_plan(graph, "auto"), path=path)
     payload = report.to_dict()
     payload["m"] = config.m
@@ -169,11 +167,12 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _rebind(graph, config, stored, ams: bool):
+def _rebind(graph, config, stored):
+    """Sketches over loaded counters, with no hash functions: neither
+    estimator reads them."""
     sketches = []
-    hashes = None if ams else derive_hash_set(config, graph)
     for rel, (name, counters) in enumerate(stored):
-        sk = ams_sketch(rel, config, graph) if ams else RelationSketch(rel, config, graph, hashes)
+        sk = RelationSketch(rel, config, graph, None)
         if counters.shape != sk.counters.shape:
             raise QueryError(
                 f"sketch for {name!r} has shape {counters.shape}, expected {sk.counters.shape}"

@@ -75,7 +75,9 @@ def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=len(x))
 
 
-def _check_sketches(sketches: list[RelationSketch], graph: JoinGraph) -> None:
+def _check_sketches(sketches: list[RelationSketch], graph: JoinGraph, method: str) -> None:
+    """Raise QueryError unless `sketches` are one per relation of `graph`,
+    in relation order, under one config of `method`."""
     if len(sketches) != graph.r:
         raise QueryError(f"expected {graph.r} sketches, got {len(sketches)}")
     config = sketches[0].config
@@ -84,8 +86,8 @@ def _check_sketches(sketches: list[RelationSketch], graph: JoinGraph) -> None:
             raise QueryError(f"sketch at position {k} is for relation {sk.relation}")
         if sk.config != config:
             raise QueryError("sketches disagree on config")
-    if config.method != METHOD_CONV:
-        raise QueryError(f"conv estimator got sketches with method {config.method!r}")
+    if config.method != method:
+        raise QueryError(f"{method} estimator got sketches with method {config.method!r}")
 
 
 def naive_estimate(sketches: list[RelationSketch], graph: JoinGraph, rep: int) -> float:
@@ -94,7 +96,7 @@ def naive_estimate(sketches: list[RelationSketch], graph: JoinGraph, rep: int) -
     Cost grows as m^(#components); guarded, and intended as the
     cross-check path for small m.
     """
-    _check_sketches(sketches, graph)
+    _check_sketches(sketches, graph, METHOD_CONV)
     m = sketches[0].config.m
     ncomp = graph.n_components
     if m**ncomp > NAIVE_CELL_BUDGET:
@@ -152,7 +154,7 @@ def estimate(
     sum, per `path`) and reports their median; with an even repetition
     count the median is the mean of the two middle values.
     """
-    _check_sketches(sketches, graph)
+    _check_sketches(sketches, graph, METHOD_CONV)
     if path not in ("fft", "naive"):
         raise QueryError(f"unknown inference path {path!r}")
     if plan is None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, QueryError
 from .joingraph import FilterPredicate, JoinGraph
-from .sketch import TupleUpdate
+from .sketch import COUNTER_LIMIT, TupleUpdate
 
 _MASK64 = (1 << 64) - 1
 _INT_MIN = -(1 << 63)
@@ -47,9 +47,6 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
 DELTA_COLUMN = "__delta"
-# A relation whose |__delta| values sum below 2^53 keeps every partial
-# sum, in a float64 counter or in the oracle, an exact integer.
-DELTA_SUM_LIMIT = 1 << 53
 
 # Bytes per read block: large enough that per-block work is noise, small
 # enough that ingest holds one block's cells, not the file's.  Blocks of
@@ -271,6 +268,8 @@ class StreamReader:
                 return self._assemble(_tokenize(fh))
             except UnicodeDecodeError as exc:
                 raise DataError(f"{self.path}: not UTF-8 text: {exc}") from exc
+            except csv.Error as exc:
+                raise DataError(f"{self.path}: {exc}") from exc
 
     def _assemble(
         self, tokens: Iterator[list[str] | _Batch]
@@ -339,7 +338,7 @@ class StreamReader:
                                 f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
                             ) from exc
                 delta_sum += sum(abs(delta_of[cell]) * c for cell, c in counts.items())
-                if delta_sum >= DELTA_SUM_LIMIT:
+                if delta_sum >= COUNTER_LIMIT:
                     raise DataError(
                         f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
                         f"{self.rows_read} data rows; counters are exact only below that"

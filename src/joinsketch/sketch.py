@@ -24,6 +24,9 @@ from .joingraph import JoinGraph
 
 METHOD_CONV = "conv"
 METHOD_AMS = "ams"
+# float64 holds every integer of magnitude below 2^53 exactly, so integer
+# deltas keep every counter and every partial sum exact below this bound.
+COUNTER_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,10 @@ class RelationSketch:
     """An l x m grid of real counters for one relation.
 
     Single-writer during ingestion; sketches sharing a config merge by
-    counter addition.  `touched_cells` counts counter writes for the
-    update-cost instrumentation.
+    counter addition.  `hashes` is the method's hash object (a HashSet
+    for conv, AmsSignFamilies for ams), or None for sketches loaded from
+    a file, as neither estimator reads hash functions.  `touched_cells`
+    counts counter writes for the update-cost instrumentation.
     """
 
     def __init__(self, relation: int, config: SketchConfig, graph: JoinGraph, hashes):
@@ -68,11 +73,6 @@ class RelationSketch:
         self.hashes = hashes
         self.counters = np.zeros((config.l, config.m), dtype=np.float64)
         self.touched_cells = 0
-
-    def copy(self) -> "RelationSketch":
-        out = RelationSketch(self.relation, self.config, self.graph, self.hashes)
-        out.counters = self.counters.copy()
-        return out
 
 
 def tuple_sign(graph: JoinGraph, hashes: HashSet, rep: int, t: TupleUpdate) -> int:
@@ -103,17 +103,23 @@ def tuple_bin(graph: JoinGraph, hashes: HashSet, rep: int, t: TupleUpdate) -> in
     return total % m
 
 
+def _check_tuple(graph: JoinGraph, relation: int, found: int, attrs) -> None:
+    """Raise DataError unless a tuple of relation `found` over attribute
+    ids `attrs` belongs in relation `relation`'s sketch."""
+    if found != relation:
+        raise DataError(f"stream for relation {relation} contains a tuple for relation {found}")
+    if set(attrs) != set(graph.omega[relation]):
+        raise DataError(
+            f"tuple values cover attributes {sorted(attrs)}, "
+            f"expected {sorted(graph.omega[relation])}"
+        )
+
+
 def update(sk: RelationSketch, t: TupleUpdate) -> None:
     """Apply one tuple to a conv sketch; writes exactly l counters."""
     if sk.config.method != METHOD_CONV:
         raise QueryError("update() applies to conv sketches; use ams_update for ams")
-    if t.relation != sk.relation:
-        raise DataError(f"update for relation {t.relation} sent to sketch of {sk.relation}")
-    needed = set(sk.graph.omega[sk.relation])
-    if set(t.values) != needed:
-        raise DataError(
-            f"tuple values cover attributes {sorted(t.values)}, expected {sorted(needed)}"
-        )
+    _check_tuple(sk.graph, sk.relation, t.relation, t.values)
     for rep in range(sk.config.l):
         j = tuple_bin(sk.graph, sk.hashes, rep, t)
         s = tuple_sign(sk.graph, sk.hashes, rep, t)
@@ -122,13 +128,17 @@ def update(sk: RelationSketch, t: TupleUpdate) -> None:
 
 
 def merge(a: RelationSketch, b: RelationSketch) -> RelationSketch:
-    """Sum two sketches of the same relation built under one config."""
+    """Sum two sketches of the same relation built under one config; a
+    DataError once a counter of an input or of the sum reaches COUNTER_LIMIT
+    in magnitude, where float64 starts to round."""
     if a.config != b.config:
         raise QueryError(f"cannot merge sketches with configs {a.config} and {b.config}")
     if a.relation != b.relation:
         raise QueryError(f"cannot merge sketches of relations {a.relation} and {b.relation}")
-    out = a.copy()
-    out.counters += b.counters
+    out = RelationSketch(a.relation, a.config, a.graph, a.hashes)
+    out.counters = a.counters + b.counters
+    if max(np.abs(sk.counters).max() for sk in (a, b, out)) >= COUNTER_LIMIT:
+        raise DataError("merged counters reach 2^53 in magnitude; they are exact only below that")
     return out
 
 
@@ -171,19 +181,23 @@ def bulk_update(
 def updates_to_columns(
     updates: Iterable[TupleUpdate], graph: JoinGraph, relation: int
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Collect one relation's tuple updates into column arrays by attribute."""
+    """Collect one relation's updates into column arrays by attribute.
+
+    A StreamReader hands over the arrays it parsed, with no TupleUpdate
+    built; any other iterable is collected tuple by tuple.
+    """
+    from .ingest import StreamReader  # ingest imports this module
+
+    if isinstance(updates, StreamReader):
+        columns, deltas = updates.read()
+        if len(deltas):
+            _check_tuple(graph, relation, updates.relation, columns)
+        return columns, deltas
     omega = graph.omega[relation]
     cols: dict[int, list[int]] = {u: [] for u in omega}
     deltas: list[float] = []
     for t in updates:
-        if t.relation != relation:
-            raise DataError(
-                f"stream for relation {relation} contains a tuple for relation {t.relation}"
-            )
-        if set(t.values) != set(omega):
-            raise DataError(
-                f"tuple values cover attributes {sorted(t.values)}, expected {sorted(omega)}"
-            )
+        _check_tuple(graph, relation, t.relation, t.values)
         for u in omega:
             cols[u].append(t.values[u] & 0xFFFFFFFFFFFFFFFF)
         deltas.append(t.delta)
@@ -229,7 +243,10 @@ def build_sketch(
     config: SketchConfig,
     relation: int,
 ) -> RelationSketch:
-    """Fold a stream of updates for one relation into a fresh sketch."""
+    """Fold a stream of updates for one relation into a fresh sketch.
+
+    A StreamReader is taken as the columns it parses (updates_to_columns).
+    """
     sk = RelationSketch(relation, config, graph, hashes)
     bulk_update(sk, *updates_to_columns(updates, graph, relation))
     return sk

@@ -271,7 +271,7 @@ class TestCriterion6UpdateCost:
         def time_ams(m, n=10, repeats=2):
             config = SketchConfig(m=m, l=5, seed=7, method="ams")
             sk = ams_sketch(0, config, graph)
-            warm_families(sk)
+            warm_families(sk.hashes)
             updates = [TupleUpdate(0, {0: int(x)}, 1.0) for x in rng.integers(0, 1 << 62, size=n)]
             best = float("inf")
             for _ in range(repeats):

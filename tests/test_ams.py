@@ -161,6 +161,19 @@ class TestAmsEstimate:
         report = ams_estimate([a, b], graph)
         assert report.median == 0.0
 
+    def test_rejects_sketches_out_of_relation_order(self):
+        # [R0, R0, R2] used to give -0.125; the three relations' median is 1.0.
+        graph = chain3_graph()
+        config = SketchConfig(m=16, l=3, seed=1, method="ams")
+        sk0, sk1, sk2 = (
+            ams_build([TupleUpdate(rel, dict.fromkeys(graph.omega[rel], 5), 1.0)],
+                      graph, config, rel)
+            for rel in range(3)
+        )
+        assert ams_estimate([sk0, sk1, sk2], graph).median == 1.0
+        with pytest.raises(QueryError, match="position 1 is for relation 0"):
+            ams_estimate([sk0, sk0, sk2], graph)
+
     def test_rejects_mixed_configs(self):
         graph = two_rel_graph()
         c1 = SketchConfig(m=16, l=1, seed=1, method="ams")

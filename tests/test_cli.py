@@ -318,6 +318,13 @@ class TestBadSourceData:
         assert f"{tmp_path / 'a.csv'}: not UTF-8 text" in caplog.text
 
     @pytest.mark.parametrize("command", ["exact", "sketch"])
+    def test_cell_over_the_csv_field_limit(self, tmp_path, caplog, command):
+        query = self._query(tmp_path, 'x,name\n5,"' + "a" * 200_000 + '"\n')
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert self._run(command, query, tmp_path) == EXIT_DATA
+        assert f"{tmp_path / 'a.csv'}: field larger than field limit" in caplog.text
+
+    @pytest.mark.parametrize("command", ["exact", "sketch"])
     def test_delta_sum_reaching_2_to_the_53(self, tmp_path, caplog, command):
         # The true join size is 1; float64 arithmetic made it 0.
         query = self._query(tmp_path, "x,__delta\n5,9007199254740993\n5,-9007199254740992\n")

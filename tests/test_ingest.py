@@ -6,7 +6,9 @@ import csv
 import numpy as np
 import pytest
 
+from joinsketch.ams import ams_build
 from joinsketch.errors import DataError
+from joinsketch.hashing import derive_hash_set
 from joinsketch.ingest import (
     apply_filters,
     canonicalize,
@@ -15,6 +17,7 @@ from joinsketch.ingest import (
     read_stream,
 )
 from joinsketch.joingraph import FilterPredicate, build_join_graph, parse_query
+from joinsketch.sketch import SketchConfig, build_sketch
 
 
 def _two_rel_doc(tmp_path, rows_a, columns="x:int", filters=None):
@@ -223,7 +226,8 @@ def _columns_from_updates(updates, attrs):
 
 
 class TestColumnsMatchStream:
-    """read_columns and iterating read_stream share one parser."""
+    """read_columns, iterating read_stream and building from a reader share
+    one parser."""
 
     def _graph(self, tmp_path, text):
         src = tmp_path / "a.csv"
@@ -273,6 +277,48 @@ class TestColumnsMatchStream:
         for u in columns:
             np.testing.assert_array_equal(columns[u], expected_columns[u])
         np.testing.assert_array_equal(deltas, expected_deltas)
+
+    _TURNSTILE = (
+        "status,k,s,__delta\n"
+        "active,12,ab,3\n"
+        "closed,5,zz,1\n"  # filtered
+        "active,,x,1\n"  # NULL int join cell
+        "active,4,,2\n"  # NULL str join cell
+        "active,9,ab,-1\n"
+        "pending,12,ab,-2\n"
+        "active,7,cd,5\n"
+    )
+
+    @pytest.mark.parametrize("method", ["conv", "ams"])
+    def test_build_from_reader_equals_per_row_build(self, tmp_path, method):
+        graph = self._graph(tmp_path, self._TURNSTILE)
+        config = SketchConfig(m=32, l=3, seed=5, method=method)
+        if method == "conv":
+            hashes = derive_hash_set(config, graph)
+            build = lambda updates: build_sketch(updates, graph, hashes, config, 0)  # noqa: E731
+        else:
+            build = lambda updates: ams_build(updates, graph, config, 0)  # noqa: E731
+        from_reader = build(read_stream(graph, 0))
+        per_row = build(list(read_stream(graph, 0)))
+        assert from_reader.counters.any()
+        assert from_reader.counters.tobytes() == per_row.counters.tobytes()
+        assert from_reader.touched_cells == per_row.touched_cells
+
+    @pytest.mark.parametrize("method", ["conv", "ams"])
+    def test_reader_for_another_relation(self, tmp_path, method):
+        graph = self._graph(tmp_path, self._TURNSTILE)
+        config = SketchConfig(m=8, l=1, method=method)
+        if method == "conv":
+            hashes = derive_hash_set(config, graph)
+            build = lambda updates: build_sketch(updates, graph, hashes, config, 1)  # noqa: E731
+        else:
+            build = lambda updates: ams_build(updates, graph, config, 1)  # noqa: E731
+        with pytest.raises(DataError) as per_row:
+            build(list(read_stream(graph, 0)))
+        with pytest.raises(DataError) as from_reader:
+            build(read_stream(graph, 0))
+        assert str(from_reader.value) == str(per_row.value)
+        assert "stream for relation 1 contains a tuple for relation 0" in str(per_row.value)
 
     def test_canonicalize_once_per_distinct_cell_of_a_column(self, tmp_path, monkeypatch):
         import joinsketch.ingest as ingest

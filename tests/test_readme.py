@@ -12,6 +12,7 @@ import numpy as np
 import joinsketch
 from joinsketch.cli import main
 from joinsketch.errors import JoinSketchError
+from joinsketch.sketch import TupleUpdate
 
 from conftest import chain3_query_doc, write_chain3_workload
 
@@ -58,3 +59,23 @@ def test_snippet_matches_cli_estimate(tmp_path, monkeypatch, capsys):
     assert main(["estimate", *flags, "--sketches", "q.jsk"]) == 0
     assert printed == json.loads(capsys.readouterr().out)["median"]
     assert printed != 0.0
+
+
+def test_snippet_builds_no_tuple_updates(tmp_path, monkeypatch):
+    write_chain3_workload(tmp_path, np.random.default_rng(17), sizes=(30, 40, 30))
+    sources = {f"R{k}": str(tmp_path / f"r{k}.csv") for k in range(3)}
+    (tmp_path / "q.json").write_text(json.dumps(chain3_query_doc(sources)))
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = TupleUpdate.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TupleUpdate, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(_library_snippet(), {})
+    assert built == []
+    TupleUpdate(0, {0: 1})  # the spy sees a construction
+    assert len(built) == 1

@@ -183,6 +183,26 @@ class TestMergeAndLinearity:
         with pytest.raises(QueryError):
             merge(RelationSketch(0, c, graph, hashes), RelationSketch(1, c, graph, hashes))
 
+    @pytest.mark.parametrize(
+        "deltas, exact",
+        [((2**52, 2**52 - 1), True), ((2**52, 2**52 + 1), False), ((2**53, 0), False)],
+        ids=["sum-below", "sum-reaches", "input-reaches"],
+    )
+    def test_merge_guards_the_2_to_the_53_bound(self, deltas, exact):
+        # 2^52 + (2^52 + 1) is 2^53 + 1, which float64 rounds to 2^53.
+        graph = two_rel_graph()
+        config = SketchConfig(m=4, l=1)
+        hashes = derive_hash_set(config, graph)
+        a, b = (
+            build_sketch([TupleUpdate(0, {0: 5}, float(d))], graph, hashes, config, 0)
+            for d in deltas
+        )
+        if exact:
+            assert np.abs(merge(a, b).counters).max() == 2**53 - 1
+        else:
+            with pytest.raises(DataError, match=r"2\^53"):
+                merge(a, b)
+
     def test_order_invariance(self):
         graph = multiway_graph()
         rng = np.random.default_rng(3)
