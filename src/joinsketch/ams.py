@@ -107,6 +107,8 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
     order cannot change a counter: the result equals ams_update() per
     tuple bit for bit.
     """
+    if sk.config.method != METHOD_AMS:
+        raise QueryError("ams_bulk_update() applies to ams sketches")
     graph, config = sk.graph, sk.config
     families: AmsSignFamilies = sk.hashes
     omega = graph.omega[sk.relation]

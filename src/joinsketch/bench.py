@@ -185,6 +185,8 @@ def run_bench(
     columns_by_relation: list[Columns] | None = None,
 ) -> tuple[list[BenchRow], list[BenchSummary], dict[str, float]]:
     """Full sweep: rows per (method, m, trial), summaries, log-log slopes."""
+    if trials < 1:
+        raise QueryError(f"trials must be >= 1, got {trials}")
     for method in methods:
         if method not in (METHOD_CONV, METHOD_AMS):
             raise QueryError(f"unknown method {method!r}")

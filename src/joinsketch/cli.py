@@ -117,6 +117,8 @@ def _parse_methods(text: str) -> list[str]:
             raise QueryError(f"unknown method {method!r}")
     if not methods:
         raise QueryError("no methods given")
+    if len(set(methods)) != len(methods):
+        raise QueryError(f"a method is listed twice in {text!r}")
     return methods
 
 

@@ -3,11 +3,12 @@
 The estimate is a sum over all bin assignments of the graph components
 of the product of relation counters, each relation indexed by the sum of
 its components' bins mod m.  Evaluating that sum directly costs
-m^(#components); the production path instead combines sketch vectors
-along the rooted traversal plan with Hadamard products and circular
-cross-correlation by real FFT (`rfft`/`irfft`), which is O(r * m log m)
-per repetition.
-Both paths compute the same value and cross-check each other in tests.
+m^(#components) (`naive_estimate`, which uses no plan); the production
+path instead walks the rooted traversal plan, the same `PlanNode` tree
+the exact hash join walks, combining sketch vectors with Hadamard
+products and circular cross-correlation by real FFT (`rfft`/`irfft`),
+which is O(r * m log m) per repetition.  Both paths compute the same
+value and cross-check each other in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import ceil
 import numpy as np
 
 from .errors import BudgetError, QueryError
-from .joingraph import JoinGraph, PlanNode, PlanTree, traversal_plan
+from .joingraph import JoinGraph, PlanNode, traversal_plan
 from .sketch import METHOD_CONV, RelationSketch
 
 NAIVE_CELL_BUDGET = 10**7
@@ -113,39 +114,34 @@ def naive_estimate(sketches: list[RelationSketch], graph: JoinGraph, rep: int) -
     return float(total.sum())
 
 
-def combine_sketches(plan: PlanTree, sketches: list[RelationSketch], rep: int) -> np.ndarray:
-    """Combine sketch vectors along the traversal plan.
+def combine_sketches(node: PlanNode, sketches: list[RelationSketch], rep: int) -> np.ndarray:
+    """Combine sketch vectors along the traversal plan below `node`.
 
     Sibling subtrees multiply element-wise; descending through a
     relation's other attribute cross-correlates the accumulated subtree
-    vector into the relation's sketch.  The element sum of the returned
-    vector is the repetition's estimate.
+    vector into the relation's sketch.  The element sum of the vector
+    returned for the plan's root is the repetition's estimate.  That
+    vector is never a view of a counter grid: every attribute joins, so
+    the root has a Hadamard child to multiply in.
     """
-    out = _combine_subtree(plan.root, sketches, rep)
-    if np.shares_memory(out, sketches[plan.root.relation].counters):
-        out = out.copy()
-    return out
-
-
-def _combine_subtree(node: PlanNode, sketches: list[RelationSketch], rep: int) -> np.ndarray:
-    # A module-level function, not a recursive closure: a closure that
-    # calls itself is a reference cycle, which would keep `sketches` and
-    # their counter grids alive until the cyclic garbage collector runs.
+    # Recursion at module level, not in a closure: a closure that calls
+    # itself is a reference cycle, which would keep `sketches` and their
+    # counter grids alive until the cyclic garbage collector runs.
     x = sketches[node.relation].counters[rep]
     for _, children in node.cross_groups:
         acc = np.ones(len(x), dtype=np.float64)
         for child in children:
-            acc = _combine_subtree(child, sketches, rep) * acc
+            acc = combine_sketches(child, sketches, rep) * acc
         x = circ_cross_correlate(acc, x)
     for child in node.hadamard_children:
-        x = _combine_subtree(child, sketches, rep) * x
+        x = combine_sketches(child, sketches, rep) * x
     return x
 
 
 def estimate(
     sketches: list[RelationSketch],
     graph: JoinGraph,
-    plan: PlanTree | None = None,
+    plan: PlanNode | None = None,
     path: str = "fft",
 ) -> EstimateReport:
     """Estimate the query cardinality from conv sketches.

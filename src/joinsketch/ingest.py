@@ -6,7 +6,8 @@ newline, and tokenized one of two ways:
 - a *plain* block (no quote, CR or NUL byte, no blank line, and exactly
   width - 1 commas on every line, width being the header's) is split at
   commas and newlines in one pass, and column i of the block is every
-  width-th cell from i;
+  width-th cell from i; a cell longer than `csv.field_size_limit()` is
+  an error here too, with csv.reader's message;
 - from the first block that is not plain to the end of the file,
   `csv.reader` tokenizes instead, with csv.DictReader's row rules: blank
   lines are skipped, a short row's missing cells are None and a long
@@ -170,7 +171,9 @@ def _tokenize(fh) -> Iterator[list[str] | _Batch]:
     if not _plain(head + b"\n", width):
         yield from _csv_tokenize(fh, 0, with_header=True)
         return
-    yield head.decode("utf-8").split(",")
+    header = head.decode("utf-8").split(",")
+    _check_cell_length(head, header)
+    yield header
     for offset, block in chain([(len(head) + len(newline), rest)], blocks):
         if not block:
             continue
@@ -181,7 +184,17 @@ def _tokenize(fh) -> Iterator[list[str] | _Batch]:
             return
         cells = block.decode("utf-8").replace("\n", ",").split(",")
         cells.pop()  # the empty text after the final newline
+        _check_cell_length(block, cells)
         yield len(cells) // width, lambda at, cells=cells: cells[at::width]
+
+
+def _check_cell_length(block: bytes, cells: list[str]) -> None:
+    """Raise csv.reader's error for a cell longer than csv.field_size_limit(),
+    so that both tokenizers accept the same cells.  A cell is no longer
+    than the bytes of its block, so only a longer block is searched."""
+    limit = csv.field_size_limit()
+    if len(block) > limit and max(map(len, cells)) > limit:
+        raise csv.Error(f"field larger than field limit ({limit})")
 
 
 def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _Batch]:

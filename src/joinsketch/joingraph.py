@@ -7,10 +7,10 @@ relation-level graph must be a tree: self-joins are expanded into joins
 with a fictitious copy of the relation, cyclic or disconnected queries
 are rejected.
 
-The traversal plan is the rooted form of the graph used at inference: a
-depth-first tree in which descending through a relation's other
-attributes marks a cross-correlation step and descending along a join
-edge marks a Hadamard step.
+The traversal plan is the rooted form of the graph, a tree of PlanNodes
+that both the FFT estimator and the exact hash join walk: descending
+through a relation's other attributes marks a cross-correlation step
+and descending along a join edge marks a Hadamard step.
 """
 
 from __future__ import annotations
@@ -379,42 +379,8 @@ class PlanNode:
     hadamard_children: tuple["PlanNode", ...]
 
 
-@dataclass(frozen=True)
-class PlanTree:
-    root: PlanNode
-
-    def covered_attrs(self) -> list[int]:
-        out: list[int] = []
-
-        def walk(node: PlanNode) -> None:
-            out.append(node.attr)
-            for other, children in node.cross_groups:
-                out.append(other)
-                for child in children:
-                    walk(child)
-            for child in node.hadamard_children:
-                walk(child)
-
-        walk(self.root)
-        return out
-
-    def covered_relations(self) -> list[int]:
-        out: list[int] = []
-
-        def walk(node: PlanNode) -> None:
-            out.append(node.relation)
-            for _, children in node.cross_groups:
-                for child in children:
-                    walk(child)
-            for child in node.hadamard_children:
-                walk(child)
-
-        walk(self.root)
-        return out
-
-
-def traversal_plan(graph: JoinGraph, root: int | str = "auto") -> PlanTree:
-    """Root the join graph at an attribute and derive the combine plan.
+def traversal_plan(graph: JoinGraph, root: int | str = "auto") -> PlanNode:
+    """Root the join graph at an attribute and return the root PlanNode.
 
     Recursion only moves away from the root: entering a relation through
     one attribute visits the relation's other attributes (cross-
@@ -426,30 +392,28 @@ def traversal_plan(graph: JoinGraph, root: int | str = "auto") -> PlanTree:
         root = 0
     if not isinstance(root, int) or not (0 <= root < graph.w):
         raise QueryError(f"unknown root attribute {root!r}")
-
     visited: set[int] = set()
+    plan = _plan_node(graph, root, visited)
+    # Every relation has an attribute, so covering the attributes covers them too.
+    assert visited == set(range(graph.w))
+    return plan
 
-    def build(u: int) -> PlanNode:
-        rel = graph.relation_of(u)
-        visited.add(u)
-        cross: list[tuple[int, tuple[PlanNode, ...]]] = []
-        for other in graph.omega[rel]:
-            if other == u:
-                continue
-            assert other not in visited
-            visited.add(other)
-            children = tuple(build(v) for v in graph.gamma[other])
-            cross.append((other, children))
-        hadamard = tuple(build(v) for v in graph.gamma[u] if v not in visited)
-        return PlanNode(u, rel, tuple(cross), hadamard)
 
-    tree = PlanTree(build(root))
-
-    covered = tree.covered_attrs()
-    assert sorted(covered) == list(range(graph.w))
-    rels = tree.covered_relations()
-    assert sorted(rels) == list(range(graph.r))
-    return tree
+def _plan_node(graph: JoinGraph, u: int, visited: set[int]) -> PlanNode:
+    # A module-level function, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep `graph` alive
+    # until the cyclic garbage collector runs.
+    rel = graph.relation_of(u)
+    visited.add(u)
+    cross: list[tuple[int, tuple[PlanNode, ...]]] = []
+    for other in graph.omega[rel]:
+        if other == u:
+            continue
+        assert other not in visited
+        visited.add(other)
+        cross.append((other, tuple(_plan_node(graph, v, visited) for v in graph.gamma[other])))
+    hadamard = tuple(_plan_node(graph, v, visited) for v in graph.gamma[u] if v not in visited)
+    return PlanNode(u, rel, tuple(cross), hadamard)
 
 
 def load_query(path: str) -> QuerySpec:

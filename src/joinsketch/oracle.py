@@ -1,10 +1,12 @@
 """Exact multi-join cardinality on desk-scale data.
 
-Two independent implementations: a nested-loop reference that enumerates
-every combination of distinct tuples (the canonical oracle, guarded by a
-combination budget), and a hash-join pass over the relation tree for
-larger instances.  Both compute the frequency-weighted count of joint
-assignments satisfying every join equality.
+Two independent implementations: a hash join that walks the rooted
+traversal plan the FFT estimator walks, with frequency maps keyed by
+value in place of m-vectors (the default), and a nested-loop reference
+that enumerates every combination of distinct tuples, shares no plan
+and is guarded by a combination budget.  Both compute the
+frequency-weighted count of joint assignments satisfying every join
+equality.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from math import prod
 from typing import Iterable, Mapping
 
 from .errors import BudgetError, QueryError
-from .joingraph import JoinGraph
+from .joingraph import JoinGraph, PlanNode, traversal_plan
 from .sketch import TupleUpdate
 
 # Frequency map of one relation: joined-attribute value tuple -> frequency.
 Freq = dict[tuple[int, ...], float]
 
 NESTED_LOOP_BUDGET = 10**8
-_AUTO_NESTED_LIMIT = 2 * 10**5
 
 
 def materialize(updates: Iterable[TupleUpdate], graph: JoinGraph, relation: int) -> Freq:
@@ -46,19 +47,16 @@ def frequency_norms(freq: Freq | Iterable[float]) -> float:
 def exact_cardinality(freqs: list[Freq], graph: JoinGraph, path: str = "auto") -> float:
     """Exact frequency-weighted join size of the query.
 
-    `path` picks the implementation: "nested" (reference, budgeted),
-    "hash" (relation-tree join), or "auto".
+    `path` picks the implementation: "hash" (the plan walk), "auto"
+    (the same), or "nested" (the budgeted reference).
     """
     if len(freqs) != graph.r:
         raise QueryError(f"expected {graph.r} relations, got {len(freqs)}")
     if any(not f for f in freqs):
         return 0.0
-    if path == "auto":
-        combos = prod(len(f) for f in freqs)
-        path = "nested" if combos <= _AUTO_NESTED_LIMIT else "hash"
     if path == "nested":
         return _nested_loop(freqs, graph)
-    if path == "hash":
+    if path in ("auto", "hash"):
         return _hash_join(freqs, graph)
     raise QueryError(f"unknown oracle path {path!r}")
 
@@ -89,46 +87,34 @@ def _nested_loop(freqs: list[Freq], graph: JoinGraph) -> float:
 
 
 def _hash_join(freqs: list[Freq], graph: JoinGraph) -> float:
-    # Relation-level adjacency: relation -> [(edge id, own attr, other attr, other relation)]
-    adjacency: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-    for eidx, (u, v) in enumerate(graph.edges):
-        ru, rv = graph.relation_of(u), graph.relation_of(v)
-        adjacency[ru].append((eidx, u, v, rv))
-        adjacency[rv].append((eidx, v, u, ru))
-
-    pos = {u: graph.omega[rel].index(u) for rel in range(graph.r) for u in graph.omega[rel]}
-
-    # The root has no parent edge; grouping it by any own attribute and
-    # summing the groups gives the total.
-    root = _subtree(freqs, adjacency, pos, 0, -1, graph.omega[0][0])
-    return sum(root.values(), 0.0)
+    # The root's map is keyed by its entry value; summing it gives the total.
+    return sum(_subtree(traversal_plan(graph, "auto"), freqs, graph).values(), 0.0)
 
 
-def _subtree(
-    freqs: list[Freq],
-    adjacency: dict[int, list[tuple[int, int, int, int]]],
-    pos: dict[int, int],
-    rel: int,
-    via_edge: int,
-    own_attr: int,
-) -> dict[int, float]:
-    """Weight of the subtree rooted at `rel`, grouped by own_attr value."""
+def _subtree(node: PlanNode, freqs: list[Freq], graph: JoinGraph) -> dict[int, float]:
+    """Weight of the plan subtree below `node`, keyed by the entry
+    attribute's value: the estimator's walk, with maps keyed by value in
+    place of m-vectors."""
     # A module-level function, not a recursive closure: a closure that
     # calls itself is a reference cycle, which would keep `freqs` alive
     # until the cyclic garbage collector runs.
-    child_maps = []
-    for eidx, mine, theirs, other in adjacency[rel]:
-        if eidx == via_edge:
-            continue
-        child_maps.append((pos[mine], _subtree(freqs, adjacency, pos, other, eidx, theirs)))
+    omega = graph.omega[node.relation]
+    entry = omega.index(node.attr)
+    # (key position, child map): a cross-group child joins at its group's
+    # attribute, a Hadamard child at the entry attribute.
+    child_maps = [
+        (omega.index(other), _subtree(child, freqs, graph))
+        for other, children in node.cross_groups
+        for child in children
+    ]
+    child_maps += [(entry, _subtree(child, freqs, graph)) for child in node.hadamard_children]
     out: dict[int, float] = defaultdict(float)
-    own_pos = pos[own_attr]
-    for key, weight in freqs[rel].items():
+    for key, weight in freqs[node.relation].items():
         acc = weight
         for p, cmap in child_maps:
             acc *= cmap.get(key[p], 0.0)
             if acc == 0.0:
                 break
         if acc != 0.0:
-            out[key[own_pos]] += acc
+            out[key[entry]] += acc
     return out

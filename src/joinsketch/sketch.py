@@ -156,6 +156,8 @@ def bulk_update(
     partial counter sum of integer deltas is itself an integer, so the
     accumulation order cannot change the result.
     """
+    if sk.config.method != METHOD_CONV:
+        raise QueryError("bulk_update() applies to conv sketches; use ams_bulk_update for ams")
     graph, hashes, cfg = sk.graph, sk.hashes, sk.config
     n = len(deltas)
     if n == 0:

@@ -70,6 +70,22 @@ class TestAmsUpdate:
         with pytest.raises(QueryError):
             ams_update(sk, TupleUpdate(0, {0: 7}, 1.0))
 
+    def test_bulk_updates_reject_the_other_method(self):
+        # build_sketch under an ams config used to scatter conv counters
+        # into a sketch labelled ams, which ams_estimate then read.
+        graph = two_rel_graph()
+        ams_config = SketchConfig(m=8, l=1, seed=5, method="ams")
+        with pytest.raises(QueryError, match="applies to conv sketches"):
+            build_sketch(
+                [TupleUpdate(0, {0: 7}, 1.0)], graph,
+                derive_hash_set(ams_config, graph), ams_config, 0,
+            )
+        conv_config = SketchConfig(m=8, l=1, seed=5)
+        sk = RelationSketch(0, conv_config, graph, derive_hash_set(conv_config, graph))
+        with pytest.raises(QueryError, match="applies to ams sketches"):
+            ams_bulk_update(sk, {0: np.array([7], dtype=np.uint64)}, np.ones(1))
+        assert not sk.counters.any()
+
 
 class TestAmsBuild:
     def _stream(self, rng, relation, attrs, n, domain=8):

@@ -325,6 +325,14 @@ class TestBadSourceData:
         assert f"{tmp_path / 'a.csv'}: field larger than field limit" in caplog.text
 
     @pytest.mark.parametrize("command", ["exact", "sketch"])
+    def test_unquoted_cell_over_the_csv_field_limit(self, tmp_path, caplog, command):
+        # The plain tokenizer used to read this cell, which csv.reader rejects.
+        query = self._query(tmp_path, "x,name\n5," + "a" * 200_000 + "\n")
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert self._run(command, query, tmp_path) == EXIT_DATA
+        assert f"{tmp_path / 'a.csv'}: field larger than field limit (131072)" in caplog.text
+
+    @pytest.mark.parametrize("command", ["exact", "sketch"])
     def test_delta_sum_reaching_2_to_the_53(self, tmp_path, caplog, command):
         # The true join size is 1; float64 arithmetic made it 0.
         query = self._query(tmp_path, "x,__delta\n5,9007199254740993\n5,-9007199254740992\n")
@@ -367,6 +375,29 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# schema=")
         assert sum(1 for line in lines if line.startswith("row,")) == 9
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("bench", ["--trials", "0"], "trials must be >= 1, got 0"),
+            ("bench", ["--methods", "conv,ams,conv"], "a method is listed twice"),
+            ("throughput", ["--methods", "ams,ams"], "a method is listed twice"),
+        ],
+        ids=["zero-trials", "bench-repeated-method", "throughput-repeated-method"],
+    )
+    def test_bad_sweep_is_rejected_before_any_source_is_read(
+        self, tmp_path, caplog, command, flags, message
+    ):
+        # The sources do not exist, so a check made after reading them exits 3.
+        q = tmp_path / "q.json"
+        sources = {f"R{k}": str(tmp_path / f"missing{k}.csv") for k in range(3)}
+        q.write_text(json.dumps(chain3_query_doc(sources)))
+        out = tmp_path / "bench.csv"
+        argv = [command, "--query", str(q), "--m-sweep", "2^4..2^4", *flags]
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert main(argv + (["--out", str(out)] if command == "bench" else [])) == EXIT_QUERY
+        assert message in caplog.text
+        assert not out.exists()
 
     def test_workers_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -521,6 +521,30 @@ class TestTokenizers:
         assert _read_outcome(_tokenizer_graph(tmp_path, "a.csv", text)) == ("error", message)
 
 
+    @pytest.mark.parametrize("form", ["plain", "csv"])
+    @pytest.mark.parametrize(
+        "header_cell, s_cell, outcome",
+        [("h" * 8, "s" * 8, "read"), ("h" * 9, "s", "error"), ("h", "s" * 9, "error")],
+        ids=["at-the-limit", "long-header-cell", "long-row-cell"],
+    )
+    def test_cell_length_limit(self, tmp_path, fallbacks, form, header_cell, s_cell, outcome):
+        # Both tokenizers read a cell of csv.field_size_limit() characters
+        # and reject one character more, with csv.reader's message; the
+        # limit in force at the call applies.
+        text = _TOKENIZER_HEADER.replace("\n", f",{header_cell}\n") + f"active,1,1,{s_cell},1,x\n"
+        graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text))
+        old = csv.field_size_limit(8)
+        try:
+            got = _read_outcome(graph)
+        finally:
+            csv.field_size_limit(old)
+        assert (fallbacks == []) == (form == "plain")
+        if outcome == "read":
+            assert got[0][1] == [fnv1a64(s_cell.encode())]
+        else:
+            assert got == ("error", "<path>: field larger than field limit (8)")
+
+
 def _reference_read(graph, relation):
     """Row-at-a-time reference: csv.DictReader rows, apply_filters, then
     canonicalize each joined cell until the first NULL, then the delta."""

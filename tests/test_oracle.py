@@ -60,6 +60,7 @@ class TestExactCardinality:
             nested = exact_cardinality(freqs, graph, path="nested")
             hashed = exact_cardinality(freqs, graph, path="hash")
             assert nested == hashed
+            assert exact_cardinality(freqs, graph, path="auto") == nested
 
     def test_tuple_order_invariance(self):
         graph = two_rel_graph()

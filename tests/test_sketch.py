@@ -1,9 +1,13 @@
 """Sketch construction: hashing composition, turnstile linearity,
 update-cost instrumentation, and the binary file format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from joinsketch.cli import EXIT_DATA, main
 from joinsketch.errors import DataError, QueryError
 from joinsketch.estimator import circ_convolve
 from joinsketch.hashing import bin_eval, derive_hash_set, sign_eval
@@ -21,7 +25,13 @@ from joinsketch.sketch import (
 )
 from joinsketch.sketchfile import load_sketch_file, save_sketch_file
 
-from conftest import multiway_graph, patch_sketch_header, turnstile_stream, two_rel_graph
+from conftest import (
+    multiway_graph,
+    patch_sketch_header,
+    turnstile_stream,
+    two_rel_graph,
+    two_rel_query_doc,
+)
 
 
 def make_conv(graph, relation, m=8, l=2, seed=3):
@@ -394,3 +404,65 @@ class TestSketchFile:
         save_sketch_file(path, config, relations)
         loaded_config, _ = load_sketch_file(path)
         assert loaded_config.method == "ams"
+
+
+def _save_two(path, a_rows=2):
+    """Save relations A and B under m=4, l=2; A's grid has `a_rows` rows."""
+    save_sketch_file(
+        str(path), SketchConfig(m=4, l=2), [("A", np.zeros((a_rows, 4))), ("B", np.ones((2, 4)))]
+    )
+
+
+def _edited_file(tmp_path, edit):
+    """A valid two-relation file whose bytes `edit` then changed in place."""
+    path = tmp_path / "e.jsk"
+    _save_two(path)
+    data = bytearray(path.read_bytes())
+    edit(data)
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+def _load_edited(edit):
+    return lambda tmp_path: load_sketch_file(_edited_file(tmp_path, edit))
+
+
+def _version_2(data):
+    struct.pack_into("<I", data, 4, 2)
+
+
+# Offsets: magic 0, version 4, method tag 8, m 9.
+_BAD_SKETCH_FILES = {
+    "unsupported-version": (
+        _load_edited(_version_2),
+        "e.jsk: unsupported sketch file version 2"),
+    "unknown-method-tag": (
+        _load_edited(lambda data: struct.pack_into("<B", data, 8, 7)),
+        "e.jsk: unknown method tag 7"),
+    "cut-in-the-header": (
+        _load_edited(lambda data: data.__delitem__(slice(12, None))),
+        "e.jsk: truncated sketch file while reading m"),
+    "trailing-bytes": (
+        _load_edited(lambda data: data.extend(b"\0")),
+        "e.jsk: trailing bytes after sketch data"),
+    "grid-shape-on-save": (
+        lambda tmp_path: _save_two(tmp_path / "s.jsk", a_rows=1),
+        "counter grid for 'A' has shape (1, 4), expected (2, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SKETCH_FILES))
+def test_bad_sketch_file_raises(tmp_path, case):
+    run, fragment = _BAD_SKETCH_FILES[case]
+    with pytest.raises(DataError) as raised:
+        run(tmp_path)
+    assert type(raised.value) is DataError
+    assert fragment in str(raised.value)
+
+
+def test_bad_sketch_file_exits_3(tmp_path, caplog):
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(two_rel_query_doc()))
+    path = _edited_file(tmp_path, _version_2)
+    assert main(["estimate", "--query", str(q), "--sketches", path]) == EXIT_DATA
+    assert "unsupported sketch file version 2" in caplog.text
