@@ -98,7 +98,11 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
 
     The counter definition sums over distinct tuples weighted by their
     net frequency, so folding duplicates before the Theta(m) work is
-    exact.  Per repetition, each (edge, attribute) pair gets one parity
+    exact.  `distinct_tuples` folds the batch by per-column codes: a 1-D
+    `np.unique` per column, the ranks combined into one int64 code per
+    tuple (below n^2, so no overflow for n < 3 * 10^9) and re-ranked by
+    a 1-D `np.unique`; no structured rows are sorted.  Per repetition,
+    each (edge, attribute) pair gets one parity
     table over the attribute's distinct values; a block of distinct
     tuples XORs the tables' rows gathered through each attribute's
     inverse index and adds weights @ (1 - 2 * parity) to the counters,

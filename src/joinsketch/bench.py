@@ -187,6 +187,8 @@ def run_bench(
     """Full sweep: rows per (method, m, trial), summaries, log-log slopes."""
     if trials < 1:
         raise QueryError(f"trials must be >= 1, got {trials}")
+    if l < 1:
+        raise QueryError(f"repetition count l must be >= 1, got {l}")
     for method in methods:
         if method not in (METHOD_CONV, METHOD_AMS):
             raise QueryError(f"unknown method {method!r}")
@@ -310,6 +312,8 @@ def run_throughput(
     Hash-function setup happens outside the timed region; the timer
     covers only the update pass over the relation's tuples.
     """
+    if l < 1:
+        raise QueryError(f"repetition count l must be >= 1, got {l}")
     if columns_by_relation is None:
         columns_by_relation = read_all_columns(graph)
     sizes = [len(deltas) for _, deltas in columns_by_relation]

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact cardinality via the oracle")
     _add(p_exact, "query", required=True)
-    _add(p_exact, "path", default="auto", choices=["auto", "nested", "hash"])
+    _add(p_exact, "path", default="auto", choices=["auto", "nested"])
 
     p_bench = sub.add_parser("bench", help="accuracy/timing sweep, CSV output")
     _add(p_bench, "query", required=True)
@@ -173,14 +173,12 @@ def _rebind(graph, config, stored):
     """Sketches over loaded counters, with no hash functions: neither
     estimator reads them."""
     sketches = []
+    shape = (config.l, config.m)
     for rel, (name, counters) in enumerate(stored):
-        sk = RelationSketch(rel, config, graph, None)
-        if counters.shape != sk.counters.shape:
-            raise QueryError(
-                f"sketch for {name!r} has shape {counters.shape}, expected {sk.counters.shape}"
-            )
-        sk.counters = counters.astype(np.float64, copy=False)
-        sketches.append(sk)
+        if counters.shape != shape:
+            raise QueryError(f"sketch for {name!r} has shape {counters.shape}, expected {shape}")
+        counters = counters.astype(np.float64, copy=False)
+        sketches.append(RelationSketch(rel, config, graph, None, counters))
     return sketches
 
 

@@ -47,8 +47,8 @@ def frequency_norms(freq: Freq | Iterable[float]) -> float:
 def exact_cardinality(freqs: list[Freq], graph: JoinGraph, path: str = "auto") -> float:
     """Exact frequency-weighted join size of the query.
 
-    `path` picks the implementation: "hash" (the plan walk), "auto"
-    (the same), or "nested" (the budgeted reference).
+    `path` picks the implementation: "auto" (the hash join over the
+    rooted plan) or "nested" (the budgeted reference).
     """
     if len(freqs) != graph.r:
         raise QueryError(f"expected {graph.r} relations, got {len(freqs)}")
@@ -56,7 +56,7 @@ def exact_cardinality(freqs: list[Freq], graph: JoinGraph, path: str = "auto") -
         return 0.0
     if path == "nested":
         return _nested_loop(freqs, graph)
-    if path in ("auto", "hash"):
+    if path == "auto":
         return _hash_join(freqs, graph)
     raise QueryError(f"unknown oracle path {path!r}")
 

@@ -62,16 +62,27 @@ class RelationSketch:
     Single-writer during ingestion; sketches sharing a config merge by
     counter addition.  `hashes` is the method's hash object (a HashSet
     for conv, AmsSignFamilies for ams), or None for sketches loaded from
-    a file, as neither estimator reads hash functions.  `touched_cells`
-    counts counter writes for the update-cost instrumentation.
+    a file, as neither estimator reads hash functions.  `counters` hands
+    over an existing l x m grid (a loaded or merged one) in place of a
+    fresh zero grid.  `touched_cells` counts counter writes for the
+    update-cost instrumentation.
     """
 
-    def __init__(self, relation: int, config: SketchConfig, graph: JoinGraph, hashes):
+    def __init__(
+        self,
+        relation: int,
+        config: SketchConfig,
+        graph: JoinGraph,
+        hashes,
+        counters: np.ndarray | None = None,
+    ):
         self.relation = relation
         self.config = config
         self.graph = graph
         self.hashes = hashes
-        self.counters = np.zeros((config.l, config.m), dtype=np.float64)
+        if counters is None:
+            counters = np.zeros((config.l, config.m), dtype=np.float64)
+        self.counters = counters
         self.touched_cells = 0
 
 
@@ -135,8 +146,7 @@ def merge(a: RelationSketch, b: RelationSketch) -> RelationSketch:
         raise QueryError(f"cannot merge sketches with configs {a.config} and {b.config}")
     if a.relation != b.relation:
         raise QueryError(f"cannot merge sketches of relations {a.relation} and {b.relation}")
-    out = RelationSketch(a.relation, a.config, a.graph, a.hashes)
-    out.counters = a.counters + b.counters
+    out = RelationSketch(a.relation, a.config, a.graph, a.hashes, a.counters + b.counters)
     if max(np.abs(sk.counters).max() for sk in (a, b, out)) >= COUNTER_LIMIT:
         raise DataError("merged counters reach 2^53 in magnitude; they are exact only below that")
     return out
@@ -212,16 +222,34 @@ def distinct_tuples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct tuples (attribute-ordered rows) and their net frequencies, zeros dropped.
 
-    Distinct tuples come from one `np.unique` over the stacked columns;
+    No structured rows are sorted.  Each column gets a 1-D `np.unique`
+    code, its value's rank among the column's distinct values.  The codes
+    fold left to right into one mixed-radix int64 code per tuple
+    (`code * len(values) + inverse`), and a 1-D `np.unique` after each
+    fold turns the code back into a rank.  Ranks keep each column's value
+    order, so the final ranks number the distinct tuples in lexicographic
+    order; each key is gathered from one row holding its rank.
     `np.bincount` adds each tuple's deltas in stream order.
     """
-    if len(deltas) == 0:
+    n = len(deltas)
+    if n == 0:
         return np.empty((0, len(attrs)), dtype=np.uint64), np.empty(0, dtype=np.float64)
-    stacked = np.stack([np.asarray(columns[u], dtype=np.uint64) for u in attrs], axis=1)
-    keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    sums = np.bincount(inverse.reshape(-1), weights=deltas, minlength=len(keys))
+    cols = [np.asarray(columns[u], dtype=np.uint64) for u in attrs]
+    # A rank entering a fold is below n and a column has d <= n distinct
+    # values, so every folded code stays below n * d <= n^2: no int64
+    # overflow for any n < 3 * 10^9.
+    rank = None
+    for col in cols:
+        values, inverse = np.unique(col, return_inverse=True)
+        if rank is None:
+            rank = inverse
+        else:
+            rank = np.unique(rank * np.int64(len(values)) + inverse, return_inverse=True)[1]
+    sums = np.bincount(rank, weights=deltas)
+    row = np.empty(len(sums), dtype=np.intp)
+    row[rank] = np.arange(n)
     keep = sums != 0.0
-    return keys[keep], sums[keep]
+    return np.stack([col[row[keep]] for col in cols], axis=1), sums[keep]
 
 
 def group_tuples(
@@ -229,9 +257,11 @@ def group_tuples(
 ) -> dict[tuple[int, ...], float]:
     """Net frequency of each distinct tuple as a dict, zeros dropped.
 
-    The keys are zipped from one Python list per column of
-    `distinct_tuples`, which holds less memory at once than a list of
-    per-tuple lists.
+    `distinct_tuples` groups the rows by per-column codes folded into one
+    int64 code per tuple and re-ranked after each fold (a code stays below
+    n^2, so it cannot overflow for n < 3 * 10^9).  The keys are zipped from one
+    Python list per column of its result, which holds less memory at once
+    than a list of per-tuple lists.
     """
     keys, sums = distinct_tuples(columns, attrs, deltas)
     key_tuples = zip(*(column.tolist() for column in keys.T))

@@ -20,10 +20,11 @@ from joinsketch.bench import (
     write_bench_csv,
 )
 from joinsketch.errors import QueryError
+from joinsketch.joingraph import build_join_graph, parse_query
 from joinsketch.oracle import materialize
 from joinsketch.sketch import TupleUpdate, updates_to_columns
 
-from conftest import multiway_graph, turnstile_stream, write_chain3_workload
+from conftest import chain3_query_doc, multiway_graph, turnstile_stream, write_chain3_workload
 
 
 class TestFreqsFromColumns:
@@ -151,6 +152,18 @@ class TestRunBench:
         assert kinds.count("row") == 4
         assert kinds.count("summary") == 2
         assert kinds.count("slope") == 1
+
+
+@pytest.mark.parametrize("run", ["bench", "throughput"])
+def test_zero_reps_rejected_before_any_source_is_read(tmp_path, run):
+    # The sources do not exist: reading one would raise DataError.
+    sources = {f"R{k}": str(tmp_path / f"missing{k}.csv") for k in range(3)}
+    graph = build_join_graph(parse_query(chain3_query_doc(sources)))
+    with pytest.raises(QueryError, match="repetition count l must be >= 1, got 0"):
+        if run == "bench":
+            run_bench(graph, [16], trials=1, master_seed=0, methods=["conv"], l=0)
+        else:
+            run_throughput(graph, [16], ["conv"], l=0)
 
 
 class TestThroughput:

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from joinsketch import cli
 from joinsketch.cli import EXIT_DATA, EXIT_QUERY, EXIT_USAGE, main
 from joinsketch.ingest import read_stream
 from joinsketch.joingraph import build_join_graph, load_query
@@ -201,6 +202,20 @@ class TestEstimateCommand:
         code = main(["estimate", "--sketches", out, "--query", str(other_q)])
         assert code == EXIT_QUERY
 
+    def test_loaded_grid_of_the_wrong_shape_is_query_error(
+        self, multiway_env, monkeypatch, caplog
+    ):
+        # A loaded grid is handed to its sketch as is, after a shape check.
+        tmp_path, query = multiway_env
+        out = str(tmp_path / "s.jsk")
+        main(["sketch", "--query", query, "--m", "8", "--out", out])
+        config, relations = load_sketch_file(out)
+        relations[1] = (relations[1][0], relations[1][1][:, :4])
+        monkeypatch.setattr(cli, "load_sketch_file", lambda path: (config, relations))
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert main(["estimate", "--sketches", out, "--query", query]) == EXIT_QUERY
+        assert "has shape (5, 4), expected (5, 8)" in caplog.text
+
 
 class TestExactCommand:
     def test_single_join_toy(self, tmp_path, capsys):
@@ -245,7 +260,7 @@ class TestExactCommand:
         assert main(["exact", "--query", str(q)]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
-    @pytest.mark.parametrize("path", ["auto", "nested", "hash"])
+    @pytest.mark.parametrize("path", ["auto", "nested"])
     def test_string_keys_filters_nulls_and_deletions(self, tmp_path, capsys, path):
         # A str chain with a status filter, NULL join cells and __delta
         # deletions, against the per-tuple fold of read_stream.
@@ -282,6 +297,44 @@ class TestExactCommand:
         assert expected != 0 and any(v < 0 for f in freqs for v in f.values())
         assert main(["exact", "--query", str(q), "--path", path]) == 0
         assert capsys.readouterr().out.strip() == str(int(expected))
+
+    def test_hash_path_is_usage_error(self, tmp_path):
+        # The hash join is `--path auto`; it has no second name.
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--query", str(tmp_path / "q.json"), "--path", "hash"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_three_join_columns_auto_matches_nested(self, tmp_path, capsys):
+        # A relation joined on three columns folds three per-column codes
+        # (two re-rankings); no benchmark workload has one.
+        rng = np.random.default_rng(53)
+        layout = {"A": ["x"], "B": ["p", "q", "s"], "C": ["y"], "D": ["z"]}
+        sources = {}
+        for name, cols in layout.items():
+            src = tmp_path / f"{name.lower()}.csv"
+            rows = [
+                ",".join([*(str(int(v)) for v in rng.integers(0, 4, size=len(cols))),
+                          str(int(rng.choice([-1, 1, 2])))])
+                for _ in range(40)
+            ]
+            src.write_text(",".join([*cols, "__delta"]) + "\n" + "\n".join(rows) + "\n")
+            sources[name] = str(src)
+        doc = {
+            "relations": [
+                {"name": name, "source": sources[name],
+                 "join_columns": [f"{c}:int" for c in cols]}
+                for name, cols in layout.items()
+            ],
+            "joins": [["A.x", "B.p"], ["B.q", "C.y"], ["B.s", "D.z"]],
+        }
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        printed = []
+        for path in ("auto", "nested"):
+            assert main(["exact", "--query", str(q), "--path", path]) == 0
+            printed.append(capsys.readouterr().out.strip())
+        assert printed[0] == printed[1]
+        assert printed[0] != "0"
 
 
 class TestBadSourceData:
@@ -382,8 +435,11 @@ class TestBenchCommand:
             ("bench", ["--trials", "0"], "trials must be >= 1, got 0"),
             ("bench", ["--methods", "conv,ams,conv"], "a method is listed twice"),
             ("throughput", ["--methods", "ams,ams"], "a method is listed twice"),
+            ("bench", ["--reps", "0"], "repetition count l must be >= 1, got 0"),
+            ("throughput", ["--reps", "0"], "repetition count l must be >= 1, got 0"),
         ],
-        ids=["zero-trials", "bench-repeated-method", "throughput-repeated-method"],
+        ids=["zero-trials", "bench-repeated-method", "throughput-repeated-method",
+             "bench-zero-reps", "throughput-zero-reps"],
     )
     def test_bad_sweep_is_rejected_before_any_source_is_read(
         self, tmp_path, caplog, command, flags, message

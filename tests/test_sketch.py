@@ -17,6 +17,7 @@ from joinsketch.sketch import (
     TupleUpdate,
     build_sketch,
     bulk_update,
+    distinct_tuples,
     merge,
     tuple_bin,
     tuple_sign,
@@ -271,6 +272,62 @@ class TestBulkUpdate:
             updates_to_columns([TupleUpdate(0, {0: 1})], graph, 1)
         with pytest.raises(DataError, match="cover attributes"):
             updates_to_columns([TupleUpdate(1, {1: 1})], graph, 1)
+
+
+def _stacked_distinct_tuples(columns, attrs, deltas):
+    """The structured-row grouping that `distinct_tuples` replaced, kept
+    as its reference: one `np.unique(axis=0)` over the stacked columns."""
+    if len(deltas) == 0:
+        return np.empty((0, len(attrs)), dtype=np.uint64), np.empty(0, dtype=np.float64)
+    stacked = np.stack([np.asarray(columns[u], dtype=np.uint64) for u in attrs], axis=1)
+    keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    sums = np.bincount(inverse.reshape(-1), weights=deltas, minlength=len(keys))
+    keep = sums != 0.0
+    return keys[keep], sums[keep]
+
+
+def _tuple_batch(case):
+    """(columns, attrs, deltas) for one grouping case."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    width = {"empty": 2, "one": 1, "two": 2, "three": 3, "four": 4}.get(case, 3)
+    n = 0 if case == "empty" else 500
+    # Attribute ids out of order: keys follow `attrs`, not the dict.
+    attrs = tuple(range(width, 0, -1))
+    columns = {u: rng.integers(0, 6, size=n).astype(np.uint64) for u in attrs}
+    deltas = rng.choice([-1.0, 1.0, 2.0], size=n)
+    if case == "high-bit":
+        top = np.array([2**63, 2**63 + 5, 2**64 - 1, 7, 0], dtype=np.uint64)
+        columns = {u: top[rng.integers(0, len(top), size=n)] for u in attrs}
+    elif case == "cancelling":
+        # Every row appears once with +d and once with -d, except the last ten.
+        half = {u: col[: n // 2] for u, col in columns.items()}
+        columns = {u: np.concatenate([col, col[::-1]]) for u, col in half.items()}
+        deltas = np.concatenate([deltas[: n // 2], -deltas[: n // 2][::-1]])
+        deltas[-10:] = 3.0
+    elif case == "fractional":
+        deltas = rng.random(n) * rng.choice([-1.0, 1.0], size=n) / 3.0
+    return columns, attrs, deltas
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "one", "two", "three", "four", "high-bit", "cancelling", "fractional"]
+)
+def test_distinct_tuples_matches_the_stacked_unique(case):
+    columns, attrs, deltas = _tuple_batch(case)
+    keys, sums = distinct_tuples(columns, attrs, deltas)
+    ref_keys, ref_sums = _stacked_distinct_tuples(columns, attrs, deltas)
+    assert keys.dtype == ref_keys.dtype == np.uint64
+    assert keys.shape == ref_keys.shape
+    assert np.array_equal(keys, ref_keys)  # same rows in the same order
+    assert sums.dtype == ref_sums.dtype
+    assert sums.tobytes() == ref_sums.tobytes()
+    if case == "high-bit":
+        assert keys.max() >= 2**63
+    if case == "cancelling":
+        rows = {tuple(int(columns[u][i]) for u in attrs) for i in range(len(deltas))}
+        assert 0 < len(keys) < len(rows)
+    if case in ("three", "four"):
+        assert len(keys) > 6  # the batch had tuples to fold past the first column
 
 
 class TestDirectSumOracle:
