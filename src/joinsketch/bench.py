@@ -25,7 +25,7 @@ from .ingest import read_columns
 from .joingraph import JoinGraph, traversal_plan
 from .mersenne import mix64
 from .oracle import exact_cardinality
-from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, bulk_update, group_tuples
+from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, bulk_update, distinct_tuples
 
 BENCH_SCHEMA = "joinsketch-bench-v1"
 
@@ -148,9 +148,10 @@ def build_sketches(
 
 
 def freqs_from_columns(graph: JoinGraph, columns_by_relation: list[Columns]):
-    """Materialize frequency maps (for the exact oracle) from columns."""
+    """Each relation's (sorted distinct keys, nonzero sums) pair, the exact
+    oracle's frequency format, from columns."""
     return [
-        group_tuples(columns, graph.omega[rel], deltas)
+        distinct_tuples(columns, graph.omega[rel], deltas)
         for rel, (columns, deltas) in enumerate(columns_by_relation)
     ]
 

@@ -33,7 +33,7 @@ from .hashing import derive_hash_set  # noqa: F401
 from .ingest import read_columns, read_stream  # noqa: F401
 from .joingraph import build_join_graph, load_query, traversal_plan
 from .oracle import exact_cardinality, materialize  # noqa: F401
-from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, group_tuples
+from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, distinct_tuples
 from .sketchfile import load_sketch_file, save_sketch_file
 
 logger = logging.getLogger("joinsketch")
@@ -188,7 +188,7 @@ def cmd_exact(args) -> int:
     for rel in range(graph.r):
         # One relation's columns at a time keeps only one set in memory.
         columns, deltas = read_columns(graph, rel)
-        freqs.append(group_tuples(columns, graph.omega[rel], deltas))
+        freqs.append(distinct_tuples(columns, graph.omega[rel], deltas))
     value = exact_cardinality(freqs, graph, path=args.path)
     print(int(value) if float(value).is_integer() else value)
     return 0

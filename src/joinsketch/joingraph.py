@@ -63,7 +63,9 @@ def _split_annotation(name: str, where: str) -> tuple[str, str | None]:
     return base, ann
 
 
-def _parse_endpoint(text: str, names: Mapping[str, int], where: str) -> tuple[int, str]:
+def _parse_endpoint(
+    text: str, names: Mapping[str, int], relations: list[RelationDecl], where: str
+) -> tuple[int, str]:
     if not isinstance(text, str) or "." not in text:
         raise QueryError(f"{where}: join endpoint must look like 'Relation.column', got {text!r}")
     rel, _, col = text.partition(".")
@@ -71,6 +73,8 @@ def _parse_endpoint(text: str, names: Mapping[str, int], where: str) -> tuple[in
         raise QueryError(f"{where}: unknown relation {rel!r}")
     if not col:
         raise QueryError(f"{where}: empty column name in {text!r}")
+    if col not in relations[names[rel]].join_columns:
+        raise QueryError(f"{where}: {rel}.{col} is not a declared join column")
     return names[rel], col
 
 
@@ -136,8 +140,8 @@ def parse_query(doc: str | Mapping) -> QuerySpec:
         where = f"joins[{jidx}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise QueryError(f"{where}: expected a pair of endpoints")
-        left = _parse_endpoint(pair[0], names, where)
-        right = _parse_endpoint(pair[1], names, where)
+        left = _parse_endpoint(pair[0], names, relations, where)
+        right = _parse_endpoint(pair[1], names, relations, where)
         declared_used.add(left)
         declared_used.add(right)
         if left[0] == right[0]:
@@ -148,8 +152,6 @@ def parse_query(doc: str | Mapping) -> QuerySpec:
             if copy_name in names:
                 raise QueryError(f"{where}: relation name {copy_name!r} collides with a self-join copy")
             col = right[1]
-            if col not in original.join_columns:
-                raise QueryError(f"{where}: {original.name}.{col} is not a declared join column")
             copy = RelationDecl(
                 name=copy_name,
                 source=original.source,
@@ -163,15 +165,11 @@ def parse_query(doc: str | Mapping) -> QuerySpec:
             right = (names[copy_name], col)
         joins.append((left, right))
 
-    # Validate endpoints against declarations (pre-expansion names already
-    # resolved; here we check columns and record which are referenced).
+    # Check joined column types and record which columns are referenced
+    # (after self-join expansion).
     referenced: set[tuple[int, str]] = set()
     for jidx, (left, right) in enumerate(joins):
-        for rel_idx, col in (left, right):
-            decl = relations[rel_idx]
-            if col not in decl.join_columns:
-                raise QueryError(f"joins[{jidx}]: {decl.name}.{col} is not a declared join column")
-            referenced.add((rel_idx, col))
+        referenced.update((left, right))
         lt = relations[left[0]].column_types[left[1]]
         rt = relations[right[0]].column_types[right[1]]
         if lt != rt:

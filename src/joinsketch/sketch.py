@@ -252,22 +252,6 @@ def distinct_tuples(
     return np.stack([col[row[keep]] for col in cols], axis=1), sums[keep]
 
 
-def group_tuples(
-    columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    """Net frequency of each distinct tuple as a dict, zeros dropped.
-
-    `distinct_tuples` groups the rows by per-column codes folded into one
-    int64 code per tuple and re-ranked after each fold (a code stays below
-    n^2, so it cannot overflow for n < 3 * 10^9).  The keys are zipped from one
-    Python list per column of its result, which holds less memory at once
-    than a list of per-tuple lists.
-    """
-    keys, sums = distinct_tuples(columns, attrs, deltas)
-    key_tuples = zip(*(column.tolist() for column in keys.T))
-    return dict(zip(key_tuples, sums.tolist()))
-
-
 def build_sketch(
     updates: Iterable[TupleUpdate],
     graph: JoinGraph,

@@ -294,7 +294,7 @@ class TestExactCommand:
         freqs = [materialize(reader, graph, rel) for rel, reader in enumerate(readers)]
         expected = exact_cardinality(freqs, graph, path="nested")
         assert all(r.rows_emitted < r.rows_read for r in readers)
-        assert expected != 0 and any(v < 0 for f in freqs for v in f.values())
+        assert expected != 0 and any((sums < 0).any() for _, sums in freqs)
         assert main(["exact", "--query", str(q), "--path", path]) == 0
         assert capsys.readouterr().out.strip() == str(int(expected))
 

@@ -2,23 +2,37 @@
 
 import gc
 import weakref
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from joinsketch.errors import BudgetError, QueryError
+from joinsketch.errors import BudgetError, DataError, QueryError
+from joinsketch.joingraph import build_join_graph, parse_query, traversal_plan
 from joinsketch.oracle import exact_cardinality, frequency_norms, materialize
-from joinsketch.sketch import TupleUpdate
+from joinsketch.sketch import TupleUpdate, distinct_tuples
 
 from conftest import chain3_graph, multiway_graph, random_graph, two_rel_graph
 
 
+def freq_of(freq, width=1):
+    """The (keys, sums) pair of a {key tuple: frequency} dict."""
+    keys = list(freq)
+    width = len(keys[0]) if keys else width
+    columns = {p: np.array([k[p] for k in keys], dtype=np.uint64) for p in range(width)}
+    deltas = np.array(list(freq.values()), dtype=np.float64)
+    return distinct_tuples(columns, tuple(range(width)), deltas)
+
+
 def freq_single(values):
-    """Frequency map for a single-attribute relation given a value list."""
-    out = {}
-    for v in values:
-        out[(v,)] = out.get((v,), 0.0) + 1.0
-    return out
+    """The (keys, sums) pair of a single-attribute relation given a value list."""
+    return distinct_tuples({0: np.array(values, dtype=np.uint64)}, (0,), np.ones(len(values)))
+
+
+def as_dict(freq):
+    """{key tuple: frequency} of a (keys, sums) pair, in row order."""
+    keys, sums = freq
+    return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
 
 
 class TestExactCardinality:
@@ -31,16 +45,16 @@ class TestExactCardinality:
 
     def test_empty_relation_gives_zero(self):
         graph = two_rel_graph()
-        freqs = [freq_single([1, 2]), {}]
+        freqs = [freq_single([1, 2]), freq_of({})]
         assert exact_cardinality(freqs, graph) == 0.0
 
     def test_multiway_all_ones_single_tuple(self):
         graph = multiway_graph()
         freqs = [
-            {(1,): 1.0},
-            {(1, 1): 1.0},
-            {(1,): 1.0},
-            {(1,): 1.0},
+            freq_of({(1,): 1.0}),
+            freq_of({(1, 1): 1.0}),
+            freq_of({(1,): 1.0}),
+            freq_of({(1,): 1.0}),
         ]
         assert exact_cardinality(freqs, graph, path="nested") == 1.0
         assert exact_cardinality(freqs, graph, path="auto") == 1.0
@@ -56,23 +70,21 @@ class TestExactCardinality:
                 for _ in range(int(rng.integers(1, 12))):
                     key = tuple(int(v) for v in rng.integers(0, 4, size=width))
                     freq[key] = freq.get(key, 0.0) + float(rng.integers(1, 3))
-                freqs.append(freq)
+                freqs.append(freq_of(freq))
             nested = exact_cardinality(freqs, graph, path="nested")
             assert exact_cardinality(freqs, graph, path="auto") == nested
 
     def test_tuple_order_invariance(self):
         graph = two_rel_graph()
-        a = freq_single([3, 1, 2, 1])
-        b = freq_single([2, 2, 1, 3])
-        forward = exact_cardinality([a, b], graph)
-        reordered = exact_cardinality(
-            [dict(reversed(list(a.items()))), dict(reversed(list(b.items())))], graph
-        )
+        a = [3, 1, 2, 1]
+        b = [2, 2, 1, 3]
+        forward = exact_cardinality([freq_single(a), freq_single(b)], graph)
+        reordered = exact_cardinality([freq_single(a[::-1]), freq_single(b[::-1])], graph)
         assert forward == reordered
 
     def test_turnstile_weights(self):
         graph = two_rel_graph()
-        freqs = [{(1,): 2.0, (2,): -1.0}, {(1,): 3.0, (2,): 5.0}]
+        freqs = [freq_of({(1,): 2.0, (2,): -1.0}), freq_of({(1,): 3.0, (2,): 5.0})]
         # 2*3 + (-1)*5 = 1
         assert exact_cardinality(freqs, graph, path="nested") == 1.0
         assert exact_cardinality(freqs, graph, path="auto") == 1.0
@@ -81,7 +93,7 @@ class TestExactCardinality:
         graph = chain3_graph()
         freqs = [
             freq_single([1, 1]),
-            {(1, 7): 3.0, (2, 7): 1.0},
+            freq_of({(1, 7): 3.0, (2, 7): 1.0}),
             freq_single([7, 7, 7]),
         ]
         # R0 matches (1,7) with weight 2*3, R2 contributes 3 per match: 18
@@ -90,17 +102,14 @@ class TestExactCardinality:
 
     def test_hash_join_frees_maps_without_the_cycle_collector(self):
         # The hash join must not leave a reference cycle (such as a
-        # recursive closure) holding the frequency maps.
-        class WeakFreq(dict):
-            pass  # a plain dict cannot be weakly referenced
-
+        # recursive closure) holding the frequency arrays.
         graph = chain3_graph()
         freqs = [
-            WeakFreq(freq_single([1, 1])),
-            WeakFreq({(1, 7): 3.0, (2, 7): 1.0}),
-            WeakFreq(freq_single([7, 7, 7])),
+            freq_single([1, 1]),
+            freq_of({(1, 7): 3.0, (2, 7): 1.0}),
+            freq_single([7, 7, 7]),
         ]
-        middle = weakref.ref(freqs[1])
+        middle = weakref.ref(freqs[1][0])
         gc.collect()
         gc.disable()
         try:
@@ -112,7 +121,7 @@ class TestExactCardinality:
 
     def test_nested_budget_guard(self):
         graph = two_rel_graph()
-        big = {(i,): 1.0 for i in range(20_000)}
+        big = freq_single(list(range(20_000)))
         with pytest.raises(BudgetError):
             exact_cardinality([big, big], graph, path="nested")
 
@@ -124,6 +133,82 @@ class TestExactCardinality:
             exact_cardinality([freq_single([1]), freq_single([1])], graph, path=path)
 
 
+def _dict_hash_join(freqs, graph):
+    """The hash join over {key tuple: frequency} dicts that the array
+    walk replaced, kept as its reference: one Python loop per key."""
+    return sum(_dict_subtree(traversal_plan(graph, "auto"), freqs, graph).values(), 0.0)
+
+
+def _dict_subtree(node, freqs, graph):
+    omega = graph.omega[node.relation]
+    entry = omega.index(node.attr)
+    child_maps = [
+        (omega.index(other), _dict_subtree(child, freqs, graph))
+        for other, children in node.cross_groups
+        for child in children
+    ]
+    child_maps += [(entry, _dict_subtree(child, freqs, graph)) for child in node.hadamard_children]
+    out = defaultdict(float)
+    for key, weight in freqs[node.relation].items():
+        acc = weight
+        for p, cmap in child_maps:
+            acc *= cmap.get(key[p], 0.0)
+            if acc == 0.0:
+                break
+        if acc != 0.0:
+            out[key[entry]] += acc
+    return out
+
+
+def three_column_graph():
+    """A relation joined on three columns, entered at one of them: its
+    other two are cross-correlation groups."""
+    doc = {
+        "relations": [
+            {"name": "A", "source": "a.csv", "join_columns": ["a:int"]},
+            {"name": "C", "source": "c.csv", "join_columns": ["a:int", "b:int", "c:int"]},
+            {"name": "B", "source": "b.csv", "join_columns": ["b:int"]},
+            {"name": "D", "source": "d.csv", "join_columns": ["c:int", "e:int"]},
+            {"name": "E", "source": "e.csv", "join_columns": ["e:int"]},
+        ],
+        "joins": [["A.a", "C.a"], ["C.b", "B.b"], ["C.c", "D.c"], ["D.e", "E.e"]],
+    }
+    return build_join_graph(parse_query(doc))
+
+
+_VALUES = np.array([*range(10), 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+
+
+def _random_freqs(rng, graph):
+    """Pairs with fractional deltas, keys of 2^63 and above, and rows
+    whose deltas cancel to zero."""
+    freqs = []
+    for rel in range(graph.r):
+        omega = graph.omega[rel]
+        n = int(rng.integers(1, 40))
+        columns = {u: _VALUES[rng.integers(0, len(_VALUES), size=n)] for u in omega}
+        deltas = rng.normal(size=n) / 3.0
+        # The first third of the rows is inserted again with negated deltas.
+        k = n // 3
+        columns = {u: np.concatenate([col, col[:k][::-1]]) for u, col in columns.items()}
+        deltas = np.concatenate([deltas, -deltas[:k][::-1]])
+        freqs.append(distinct_tuples(columns, omega, deltas))
+    return freqs
+
+
+def test_hash_join_is_bit_equal_to_the_dict_walk():
+    rng = np.random.default_rng(10)
+    graphs = [three_column_graph()] + [random_graph(rng) for _ in range(150)]
+    assert max(len(omega) for omega in graphs[0].omega) == 3
+    nonzero = 0
+    for graph in graphs:
+        freqs = _random_freqs(rng, graph)
+        total = exact_cardinality(freqs, graph, path="auto")
+        assert total == _dict_hash_join([as_dict(f) for f in freqs], graph)
+        nonzero += total != 0.0
+    assert nonzero > 100, nonzero  # most instances join something
+
+
 class TestFrequencyNorms:
     def test_small_example(self):
         assert frequency_norms(freq_single([1, 1, 2])) == 5.0
@@ -132,7 +217,11 @@ class TestFrequencyNorms:
         assert frequency_norms(freq_single(list(range(17)))) == 17.0
 
     def test_empty(self):
-        assert frequency_norms({}) == 0.0
+        assert frequency_norms(freq_of({})) == 0.0
+
+    def test_iterable_of_floats(self):
+        assert frequency_norms(float(f) for f in (2, -1, 3)) == 14.0
+        assert frequency_norms((3.0, 4.0)) == 25.0  # a tuple of floats, not a pair
 
 
 class TestMaterialize:
@@ -144,5 +233,27 @@ class TestMaterialize:
             TupleUpdate(0, {0: 9}, 1.0),
             TupleUpdate(0, {0: 9}, -1.0),
         ]
-        freq = materialize(updates, graph, 0)
-        assert freq == {(5,): 2.0}
+        keys, sums = materialize(updates, graph, 0)
+        assert keys.dtype == np.uint64 and keys.tolist() == [[5]]
+        assert sums.tolist() == [2.0]
+
+    def test_rows_come_in_lexicographic_order(self):
+        graph = chain3_graph()
+        updates = [
+            TupleUpdate(1, {1: 2, 2: -1}, 0.5),
+            TupleUpdate(1, {1: 1, 2: 9}, 1.0),
+            TupleUpdate(1, {1: 2, 2: 3}, 2.0),
+        ]
+        keys, sums = materialize(updates, graph, 1)
+        assert keys.tolist() == [[1, 9], [2, 3], [2, 2**64 - 1]]
+        assert sums.tolist() == [1.0, 2.0, 0.5]
+
+    def test_tuple_missing_an_attribute_is_data_error(self):
+        graph = chain3_graph()
+        with pytest.raises(DataError, match="cover attributes"):
+            materialize([TupleUpdate(1, {1: 4}, 1.0)], graph, 1)
+
+    def test_tuple_of_another_relation_is_data_error(self):
+        graph = two_rel_graph()
+        with pytest.raises(DataError, match="contains a tuple for relation 1"):
+            materialize([TupleUpdate(1, {1: 4}, 1.0)], graph, 0)

@@ -4,7 +4,9 @@ Its LayerProbe swaps module attributes (``cli.estimate``,
 ``bench.bulk_update``, ``sketch.bin_eval_vec``, ...) for timing wrappers,
 and its setup_probe.py derives each method's hash functions in a fresh
 interpreter.  These tests fail when a name either of them uses is
-deleted or renamed, or when a layer stops being called through it.
+deleted or renamed, or when a layer stops being called through it.  Its
+workload generator's truth also checks `joinsketch exact` here, on
+every workload.
 """
 
 import json
@@ -80,3 +82,27 @@ def test_setup_probe_runs(tmp_path, method):
     assert proc.returncode == 0, proc.stderr
     setup_s, reference_s = (float(v) for v in proc.stdout.split())
     assert setup_s > 0.0 and reference_s > 0.0
+
+
+@pytest.mark.parametrize(
+    "name", ["chain3-int", "star4-wide", "chain3-str-turnstile", "chain3-ams"]
+)
+def test_exact_matches_every_workloads_truth(tmp_path, monkeypatch, capsys, name):
+    # perfbench marks a round failed when `exact` misses the generator's
+    # join size; this checks the oracle against every workload's truth
+    # without running the benchmark.
+    from joinsketch.ingest import read_stream
+    from joinsketch.joingraph import build_join_graph, load_query
+    from joinsketch.oracle import frequency_norms, materialize
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    out = tmp_path / "w"
+    truth = workloads.generate(name, 3, str(out))
+    query = str(out / "query.json")
+    assert main(["exact", "--query", query]) == 0
+    assert capsys.readouterr().out.strip() == str(truth["join_size"])
+    graph = build_join_graph(load_query(query))
+    norms = [frequency_norms(materialize(read_stream(graph, k), graph, k)) for k in range(graph.r)]
+    assert norms == truth["f2"]

@@ -2,12 +2,16 @@
 
 A nested function that calls itself by name holds its own closure cell,
 a reference cycle: everything it closes over (a join graph, counter
-grids, frequency maps) then lives until the cyclic garbage collector
+grids, frequency arrays) then lives until the cyclic garbage collector
 runs.  Recursion belongs in module-level functions.
 
 `np.unique` with an `axis` sorts whole rows as structured records, about
 ten times slower than grouping by per-column codes with 1-D
 `np.unique` calls (`sketch.distinct_tuples`).
+
+Every imported name is used: a leftover import of a deleted helper is
+dead code that still ties two modules together.  Names that exist only
+to be patched from outside carry `# noqa: F401`.
 """
 
 import ast
@@ -103,3 +107,80 @@ def test_finds_np_unique_with_an_axis():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_np_unique_with_an_axis_in_the_package(path):
     assert unique_with_axis(path.read_text(encoding="utf-8")) == []
+
+
+def _annotations(tree: ast.AST):
+    """Every annotation expression of a module: arguments, returns and
+    annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every imported name the module never reads.
+
+    A name counts as read when it appears as a bare name anywhere in the
+    module, inside a string annotation, or in `__all__`; `__future__`
+    imports and statements with a `# noqa: F401` line are exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                found.append((name, node.lineno))
+    return sorted(found)
+
+
+def test_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from collections import defaultdict\n"
+        "from typing import TYPE_CHECKING, Iterable, Mapping\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .sketch import (\n"
+        "    distinct_tuples,\n"
+        "    group_tuples,\n"
+        ")\n"
+        "from .ingest import read_stream  # noqa: F401\n"
+        "from .errors import QueryError\n"
+        "__all__ = ['QueryError']\n"
+        "if TYPE_CHECKING:\n"
+        "    from .joingraph import JoinGraph, PlanNode\n"
+        "def keys(xs: Iterable[int], graph: 'JoinGraph') -> np.ndarray:\n"
+        "    'A PlanNode in a docstring is not a use.'\n"
+        "    return distinct_tuples(xs)\n"
+    )
+    assert unused_imports(source) == [
+        ("Mapping", 3), ("PlanNode", 14), ("defaultdict", 2), ("group_tuples", 6), ("os", 5)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import_in_the_package(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
