@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ams import AmsSignFamilies, ams_bulk_update, ams_estimate, warm_families
+from .ams import ams_bulk_update, ams_estimate
 from .errors import QueryError
 from .estimator import estimate
 from .hashing import derive_hash_set
@@ -120,16 +120,10 @@ def read_all_columns(graph: JoinGraph) -> list[Columns]:
 
 
 def hashes_and_update(config: SketchConfig, graph: JoinGraph):
-    """The hash object all relation sketches of `config` share, and its bulk update.
-
-    Conv: one HashSet.  AMS: one AmsSignFamilies, derived here, outside any
-    update; a family depends only on (seed, edge, repetition).
-    """
-    if config.method == METHOD_CONV:
-        return derive_hash_set(config, graph), bulk_update
-    families = AmsSignFamilies(config, graph)
-    warm_families(families)
-    return families, ams_bulk_update
+    """The HashSet all relation sketches of `config` share, derived outside
+    any update, and the method's bulk update."""
+    bulk = bulk_update if config.method == METHOD_CONV else ams_bulk_update
+    return derive_hash_set(config, graph), bulk
 
 
 def build_sketches(

@@ -7,14 +7,18 @@ functions are degree-1 polynomials (2-wise independent, output in
 and one bin function is shared by all attributes of a join-graph
 component, so equal values land in equal bins across relations.
 
-All coefficients derive deterministically from the master seed, keyed by
-(kind, identity, repetition); two engines given the same seed and query
-produce bit-identical hash sets.
+`derive_hash_set` is the one place hash functions come from, for both
+methods.  Under an ams config it also draws each (edge, repetition)'s
+m-member sign family for the dense AMS sketch, continuing the stream
+that yields the edge's conv sign hash.  All coefficients derive
+deterministically from the master seed, keyed by (kind, identity,
+repetition); two engines given the same seed and query produce
+bit-identical hash sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,6 +27,7 @@ from .errors import QueryError
 from .mersenne import (
     derive_state,
     field_elements,
+    field_elements_vec,
     mod_p,
     poly_eval,
     poly_eval_vec,
@@ -31,6 +36,9 @@ from .mersenne import (
 if TYPE_CHECKING:  # pragma: no cover
     from .joingraph import JoinGraph
     from .sketch import SketchConfig
+
+METHOD_CONV = "conv"
+METHOD_AMS = "ams"
 
 KIND_SIGN = 1
 KIND_BIN = 2
@@ -60,15 +68,23 @@ class HashSet:
     """All hash functions for one (query, config) pair.
 
     Holds one SignHash per (join edge, repetition) and one BinHash per
-    (graph component, repetition).
+    (graph component, repetition).  An ams hash set also holds, per
+    (join edge, repetition), the (m, 4) uint64 coefficients of the AMS
+    sign family, one cubic per counter; a conv hash set holds none.
     """
 
     signs: dict[tuple[int, int, int], SignHash]
     bins: dict[tuple[int, int], BinHash]
+    families: dict[tuple[int, int, int], np.ndarray] = field(default_factory=dict)
 
     def sign_for(self, u: int, v: int, rep: int) -> SignHash:
         lo, hi = (u, v) if u < v else (v, u)
         return self.signs[(lo, hi, rep)]
+
+    def coefficients(self, u: int, v: int, rep: int) -> np.ndarray:
+        """The AMS sign family of edge (u, v) in repetition `rep`."""
+        lo, hi = (u, v) if u < v else (v, u)
+        return self.families[(lo, hi, rep)]
 
     def bin_for(self, component: int, rep: int) -> BinHash:
         return self.bins[(component, rep)]
@@ -79,7 +95,12 @@ def derive_hash_set(config: "SketchConfig", graph: "JoinGraph") -> HashSet:
 
     Coefficients come from counter-mode expansion of the seed keyed on
     (kind, edge or component id, repetition), so the result is a pure
-    function of (seed, graph, m, l).
+    function of (seed, graph, m, l, method).  An ams config also draws
+    each edge's m x 4 family coefficients from the edge's sign stream,
+    so family member 0 is the conv sign hash and the two methods agree
+    exactly at m=1.  They could differ only if one of the first four
+    draws hit the value p (probability about 2^-59 per family): the
+    scalar and vector draws replace a rejected value differently.
     """
     if not graph.edges:
         raise QueryError("query has no join edges")
@@ -88,16 +109,19 @@ def derive_hash_set(config: "SketchConfig", graph: "JoinGraph") -> HashSet:
 
     signs: dict[tuple[int, int, int], SignHash] = {}
     bins: dict[tuple[int, int], BinHash] = {}
+    families: dict[tuple[int, int, int], np.ndarray] = {}
     for rep in range(config.l):
         for u, v in graph.edges:
             state = derive_state(config.seed, KIND_SIGN, u, v, rep)
             coeffs = field_elements(state, 4)
             signs[(u, v, rep)] = SignHash(coeffs, (u, v), rep)
+            if config.method == METHOD_AMS:
+                families[(u, v, rep)] = field_elements_vec(state, config.m * 4).reshape(config.m, 4)
         for comp in range(graph.n_components):
             state = derive_state(config.seed, KIND_BIN, comp, 0, rep)
             coeffs = field_elements(state, 2)
             bins[(comp, rep)] = BinHash(coeffs, comp, rep, config.m)
-    return HashSet(signs=signs, bins=bins)
+    return HashSet(signs=signs, bins=bins, families=families)
 
 
 _MASK64 = (1 << 64) - 1

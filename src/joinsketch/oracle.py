@@ -56,15 +56,15 @@ def exact_cardinality(freqs: list[Freq], graph: JoinGraph, path: str = "auto") -
     `path` picks the implementation: "auto" (the hash join over the
     rooted plan) or "nested" (the budgeted reference).
     """
+    if path not in ("auto", "nested"):
+        raise QueryError(f"unknown oracle path {path!r}")
     if len(freqs) != graph.r:
         raise QueryError(f"expected {graph.r} relations, got {len(freqs)}")
     if any(len(sums) == 0 for _, sums in freqs):
         return 0.0
     if path == "nested":
         return _nested_loop(freqs, graph)
-    if path == "auto":
-        return _hash_join(freqs, graph)
-    raise QueryError(f"unknown oracle path {path!r}")
+    return _hash_join(freqs, graph)
 
 
 def _nested_loop(freqs: list[Freq], graph: JoinGraph) -> float:

@@ -19,11 +19,17 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, QueryError
-from .hashing import HashSet, bin_eval, bin_eval_vec, sign_eval, sign_eval_vec
+from .hashing import (
+    METHOD_AMS,
+    METHOD_CONV,
+    HashSet,
+    bin_eval,
+    bin_eval_vec,
+    sign_eval,
+    sign_eval_vec,
+)
 from .joingraph import JoinGraph
 
-METHOD_CONV = "conv"
-METHOD_AMS = "ams"
 # float64 holds every integer of magnitude below 2^53 exactly, so integer
 # deltas keep every counter and every partial sum exact below this bound.
 COUNTER_LIMIT = 1 << 53
@@ -60,12 +66,11 @@ class RelationSketch:
     """An l x m grid of real counters for one relation.
 
     Single-writer during ingestion; sketches sharing a config merge by
-    counter addition.  `hashes` is the method's hash object (a HashSet
-    for conv, AmsSignFamilies for ams), or None for sketches loaded from
-    a file, as neither estimator reads hash functions.  `counters` hands
-    over an existing l x m grid (a loaded or merged one) in place of a
-    fresh zero grid.  `touched_cells` counts counter writes for the
-    update-cost instrumentation.
+    counter addition.  `hashes` is the config's HashSet, or None for
+    sketches loaded from a file, as neither estimator reads hash
+    functions.  `counters` hands over an existing l x m grid (a loaded
+    or merged one) in place of a fresh zero grid.  `touched_cells`
+    counts counter writes for the update-cost instrumentation.
     """
 
     def __init__(

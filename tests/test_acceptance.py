@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from joinsketch.ams import ams_estimate, ams_sketch, ams_update, warm_families
+from joinsketch.ams import ams_estimate, ams_sketch, ams_update
 from joinsketch.bench import build_sketches, freqs_from_columns, run_bench
 from joinsketch.estimator import (
     circ_convolve,
@@ -271,7 +271,6 @@ class TestCriterion6UpdateCost:
         def time_ams(m, n=10, repeats=2):
             config = SketchConfig(m=m, l=5, seed=7, method="ams")
             sk = ams_sketch(0, config, graph)
-            warm_families(sk.hashes)
             updates = [TupleUpdate(0, {0: int(x)}, 1.0) for x in rng.integers(0, 1 << 62, size=n)]
             best = float("inf")
             for _ in range(repeats):

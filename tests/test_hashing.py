@@ -132,6 +132,18 @@ class TestDeriveHashSet:
         hs = derive_hash_set(SketchConfig(m=32, l=1, seed=5), graph)
         assert all(h.m == 32 for h in hs.bins.values())
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64 - 1])
+    def test_ams_families_extend_the_conv_sign_stream(self, seed):
+        graph = build_join_graph(parse_query(multiway_query_doc()))
+        conv = derive_hash_set(SketchConfig(m=8, l=3, seed=seed), graph)
+        ams = derive_hash_set(SketchConfig(m=8, l=3, seed=seed, method="ams"), graph)
+        assert conv.families == {}
+        assert set(ams.families) == set(conv.signs)
+        for (u, v, rep), sign in conv.signs.items():
+            family = ams.coefficients(v, u, rep)
+            assert family.shape == (8, 4) and family.dtype == np.uint64
+            assert tuple(int(c) for c in family[0]) == sign.coefficients
+
 
 class TestStatisticalQuality:
     """Empirical checks of the advertised independence properties."""

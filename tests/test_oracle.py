@@ -132,6 +132,11 @@ class TestExactCardinality:
         with pytest.raises(QueryError, match="unknown oracle path"):
             exact_cardinality([freq_single([1]), freq_single([1])], graph, path=path)
 
+    def test_unknown_path_is_rejected_before_the_empty_shortcut(self):
+        empty = freq_single([])
+        with pytest.raises(QueryError, match="unknown oracle path"):
+            exact_cardinality([empty, empty], two_rel_graph(), path="bogus")
+
 
 def _dict_hash_join(freqs, graph):
     """The hash join over {key tuple: frequency} dicts that the array

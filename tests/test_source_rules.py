@@ -12,6 +12,10 @@ ten times slower than grouping by per-column codes with 1-D
 Every imported name is used: a leftover import of a deleted helper is
 dead code that still ties two modules together.  Names that exist only
 to be patched from outside carry `# noqa: F401`.
+
+Hash functions come from the seed in one place, `hashing.derive_hash_set`:
+no other module reads the seed-expansion functions that `mersenne.py`
+defines, so two methods cannot derive one family two ways.
 """
 
 import ast
@@ -184,3 +188,50 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import_in_the_package(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+SEED_EXPANSION = {"derive_state", "field_elements", "field_elements_vec"}
+
+
+def seed_expansion_uses(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every import, call or other read of a
+    seed-expansion function; their definitions do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update((a.name, node.lineno) for a in node.names if a.name in SEED_EXPANSION)
+        elif isinstance(node, ast.Name) and node.id in SEED_EXPANSION:
+            found.add((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in SEED_EXPANSION:
+            found.add((node.attr, node.lineno))
+    return sorted(found)
+
+
+def test_finds_a_seed_expansion_use():
+    source = (
+        "from .mersenne import (\n"
+        "    BLOCK_ELEMENTS,\n"
+        "    derive_state,\n"
+        ")\n"
+        "from . import mersenne\n"
+        "def derive_state_twice(seed):\n"
+        "    'field_elements in a docstring is not a use.'\n"
+        "    state = derive_state(seed, 1)\n"
+        "    draw = mersenne.field_elements_vec\n"
+        "    return draw(state, 4), mersenne.field_elements(state, 4)\n"
+        "def field_elements(state, count):\n"
+        "    return state\n"
+    )
+    assert seed_expansion_uses(source) == [
+        ("derive_state", 1), ("derive_state", 8), ("field_elements", 10),
+        ("field_elements_vec", 9),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "hashing.py"),
+    ids=lambda p: p.name,
+)
+def test_only_hashing_expands_the_seed(path):
+    assert seed_expansion_uses(path.read_text(encoding="utf-8")) == []
