@@ -15,15 +15,27 @@ newline, and tokenized one of two ways:
   quote, CR or NUL byte, sends the whole file there.  It is the path for
   quoted cells and CRLF lines.
 
+Every plain block is decoded, which checks that it is UTF-8, but split
+into str cells only when a filter, a str column or the int fallback
+needs them.  The int cells of a plain block (joined `int` columns, and
+`__delta` while no filter or str column has split the block) are parsed
+by a numpy kernel straight from the block's bytes (vectorized parsing as
+in Mühlbauer et al., "Instant Loading for Main Memory Databases", PVLDB
+2013).  A column of a block whose cells are not all 1 to 18 ASCII digits
+after an optional '-' (an empty cell, a space, a sign '+', 19 digits or
+more) falls back to the str cells, as does every block that csv.reader
+tokenizes.
+
 Both tokenizers feed one column assembler.  Per block, it runs each
 filter predicate over the distinct cells of its column, in predicate
 order, on the rows still passing; drops rows with an empty (NULL) joined
-cell, as NULL never joins; canonicalizes each distinct cell text of a
-joined column once per read, and parses each distinct `__delta` text
-once.  Integers keep their two's-complement bit pattern; strings map
-through a fixed FNV-1a hash, so equal strings always produce equal
-items without any cross-relation dictionary.  Bulk sketching takes the
-assembled arrays, and the per-tuple API iterates over them.
+cell, as NULL never joins; canonicalizes each distinct str cell text of
+a joined column once per read, and parses each distinct `__delta` text
+once, unless the int kernel took the column.  Integers keep their
+two's-complement bit pattern; strings map through a fixed FNV-1a hash,
+so equal strings always produce equal items without any cross-relation
+dictionary.  Bulk sketching takes the assembled arrays, and the
+per-tuple API iterates over them.
 """
 
 from __future__ import annotations
@@ -53,12 +65,16 @@ DELTA_COLUMN = "__delta"
 # enough that ingest holds one block's cells, not the file's.  Blocks of
 # 8 to 64 KiB ingested equally fast; the peak memory grows with the block.
 BLOCK_BYTES = 1 << 14
-_NEWLINE = ord("\n")
+_NEWLINE, _COMMA, _MINUS, _ZERO = b"\n,-0"
 # Every byte but a comma, a newline and the bytes only csv.reader handles.
 _CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
+# Digits an int cell may have for the numpy kernel: 10^18 - 1 < 2^63, so
+# a longer cell, which may be out of range, is left to `canonicalize`.
+_KERNEL_DIGITS = 18
 
-# A block's row count and its cells at a header position.
-_Batch = tuple[int, Callable[[int], list]]
+# A block's row count, its cells at a header position, and for a plain
+# block, the int kernel at a header position (None if it falls back).
+_Batch = tuple[int, Callable[[int], list], Callable[[int], np.ndarray | None] | None]
 
 
 def fnv1a64(data: bytes) -> int:
@@ -75,7 +91,9 @@ def _parse_int(text: str) -> int:
     separators ("1_0") and non-ASCII digits, and a wider range, all of
     which would join silently under a wrong 64-bit item.  A text of at
     most 19 characters is always in range, so only longer ones pay for
-    the big-int comparison.
+    the big-int comparison.  This is the reference for the numpy kernel
+    of plain blocks (`_PlainBlock.ints`) and parses every int cell that
+    the kernel does not.
     """
     value = int(text)
     in_range = len(text) <= 19 or _INT_MIN <= value <= _MASK64
@@ -150,16 +168,76 @@ def _blocks(fh) -> Iterator[tuple[int, bytes]]:
         yield offset, carry
 
 
-def _plain(block: bytes, width: int) -> bool:
-    """Whether splitting at commas and newlines reads `block`, whole lines
-    ending in a newline, as csv.reader does: no quote, CR or NUL byte, no
-    blank line, and width - 1 commas on every line."""
+def _plain_rows(block: bytes, width: int) -> int:
+    """The lines of `block`, whole lines ending in a newline, if splitting
+    at commas and newlines reads it as csv.reader does, else 0.  It does if
+    the block has no quote, CR or NUL byte, no blank line, and width - 1
+    commas on every line."""
     # Left with its commas, newlines and special bytes only, a plain block
     # is one line pattern repeated; a blank line breaks it unless width is 1.
     structure = block.translate(None, _CELL_TEXT)
-    if structure != (b"," * (width - 1) + b"\n") * (len(structure) // width):
-        return False
-    return width > 1 or not (block[0] == _NEWLINE or b"\n\n" in block)
+    rows = len(structure) // width
+    if structure != (b"," * (width - 1) + b"\n") * rows:
+        return 0
+    return rows if width > 1 or not (block[0] == _NEWLINE or b"\n\n" in block) else 0
+
+
+class _PlainBlock:
+    """A plain block's cells: split into str on first use, or parsed as
+    int items by a numpy kernel, one column at a time."""
+
+    def __init__(self, block: bytes, width: int, rows: int):
+        self.text = block.decode("utf-8")  # checks every block is UTF-8
+        self.block = block
+        self.width = width
+        self.rows = rows
+        self._cells: list[str] | None = None
+        self._ends: np.ndarray | None = None
+
+    def split(self) -> list[str]:
+        if self._cells is None:
+            self._cells = self.text.replace("\n", ",").split(",")
+            self._cells.pop()  # the empty text after the final newline
+        return self._cells
+
+    def cells(self, at: int) -> list[str]:
+        return self.split()[at :: self.width]
+
+    def ints(self, at: int) -> np.ndarray | None:
+        """Column `at` as uint64 items, as `canonicalize` gives them, or None
+        unless every cell is 1 to 18 ASCII digits after an optional '-'.
+
+        Each digit position, up to the longest cell of the column, is one
+        gather from the block for every cell, most significant first: items
+        times 10 plus the digit.  Eighteen digits cannot wrap, and a '-'
+        negates in uint64, which gives the two's-complement pattern.
+        """
+        data = np.frombuffer(self.block, np.uint8)
+        if self._ends is None:
+            separators = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
+            # The separator before each cell; the first cell's is at -1.
+            self._ends = np.concatenate(([-1], separators))
+        ends = self._ends
+        start, end = ends[at : -1 : self.width] + 1, ends[at + 1 :: self.width]
+        negative = data[start] == _MINUS
+        digits = end - start - negative
+        shortest, longest = int(digits.min()), int(digits.max())
+        if shortest < 1 or longest > _KERNEL_DIGITS:
+            return None
+        items = np.zeros(self.rows, np.uint64)
+        for k in range(longest - 1, -1, -1):
+            # Digit k from the right.  A cell of k digits or fewer reads a byte
+            # before it as a leading zero; before the block's first byte, the
+            # index wraps to its end, as the block holds a longer cell.
+            digit = data[end - (k + 1)] - _ZERO  # wraps below "0"
+            if k >= shortest:
+                digit *= digits > k
+            if digit.max() > 9:
+                return None
+            items *= 10
+            items += digit
+        np.negative(items, out=items, where=negative)
+        return items
 
 
 def _tokenize(fh) -> Iterator[list[str] | _Batch]:
@@ -168,32 +246,32 @@ def _tokenize(fh) -> Iterator[list[str] | _Batch]:
     first = next(blocks, (0, b""))[1]
     head, newline, rest = first.partition(b"\n")
     width = head.count(b",") + 1
-    if not _plain(head + b"\n", width):
+    if not _plain_rows(head + b"\n", width):
         yield from _csv_tokenize(fh, 0, with_header=True)
         return
     header = head.decode("utf-8").split(",")
-    _check_cell_length(head, header)
+    _check_cell_length(head, lambda: header)
     yield header
     for offset, block in chain([(len(head) + len(newline), rest)], blocks):
         if not block:
             continue
         if block[-1] != _NEWLINE:  # the last line of a file without a final newline
             block += b"\n"
-        if not _plain(block, width):
+        rows = _plain_rows(block, width)
+        if not rows:
             yield from _csv_tokenize(fh, offset, with_header=False)
             return
-        cells = block.decode("utf-8").replace("\n", ",").split(",")
-        cells.pop()  # the empty text after the final newline
-        _check_cell_length(block, cells)
-        yield len(cells) // width, lambda at, cells=cells: cells[at::width]
+        plain = _PlainBlock(block, width, rows)
+        _check_cell_length(block, plain.split)
+        yield plain.rows, plain.cells, plain.ints
 
 
-def _check_cell_length(block: bytes, cells: list[str]) -> None:
+def _check_cell_length(block: bytes, cells: Callable[[], list[str]]) -> None:
     """Raise csv.reader's error for a cell longer than csv.field_size_limit(),
     so that both tokenizers accept the same cells.  A cell is no longer
-    than the bytes of its block, so only a longer block is searched."""
+    than the bytes of its block, so only a longer block is split."""
     limit = csv.field_size_limit()
-    if len(block) > limit and max(map(len, cells)) > limit:
+    if len(block) > limit and max(map(len, cells())) > limit:
         raise csv.Error(f"field larger than field limit ({limit})")
 
 
@@ -229,12 +307,25 @@ def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _B
 
 
 def _row_batch(rows: list[list[str]]) -> _Batch:
-    return len(rows), lambda at: [row[at] if at < len(row) else None for row in rows]
+    return len(rows), lambda at: [row[at] if at < len(row) else None for row in rows], None
 
 
 def _take(cells: list, kept) -> list:
     """The cells of the rows in `kept`, positions in ascending order."""
     return cells if len(kept) == len(cells) else list(map(cells.__getitem__, kept))
+
+
+def _at(values: np.ndarray, kept) -> np.ndarray:
+    """A block's values at the rows in `kept`, positions in ascending order."""
+    return values if len(kept) == len(values) else values[np.fromiter(kept, np.intp, len(kept))]
+
+
+def _abs_sum(values: np.ndarray) -> int:
+    """The exact sum of |values| for int64 values of at most 18 digits:
+    the high and low 32 bits of each are summed apart, so neither wraps."""
+    magnitudes = np.abs(values).view(np.uint64)
+    high, low = magnitudes >> 32, magnitudes & 0xFFFFFFFF
+    return (int(high.sum()) << 32) + int(low.sum())
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -268,9 +359,10 @@ class StreamReader:
         """Parse the source into uint64 item arrays keyed by attribute id,
         and float64 deltas.
 
-        `canonicalize` runs once per distinct cell text of a column; each
-        column has its own cache, as one text maps to different items
-        under different column types.
+        The int kernel parses the int columns of a plain block, and its
+        `__delta` column while the block is not split.  Otherwise `canonicalize` runs once per distinct cell text
+        of a column; each column has its own cache, as one text maps to
+        different items under different column types.
         """
         try:
             fh = open(self.path, "rb")
@@ -305,7 +397,7 @@ class StreamReader:
         delta_of: dict[str | None, int] = {}
         delta_sum = 0
 
-        for n, column in tokens:
+        for n, column, ints in tokens:
             first_row = self.rows_read  # data rows before this block
             self.rows_read += n
             kept = range(n)  # block positions of the rows still passing
@@ -318,26 +410,47 @@ class StreamReader:
             self.rows_filtered += n - len(kept)
 
             # Join columns in declared order: a row leaves at its first NULL
-            # cell, so its later cells are never canonicalized.
+            # cell, so its later cells are never canonicalized.  A column the
+            # int kernel parses has no NULL cell; it keeps the whole block's
+            # items, taken at the kept rows once the NULL cells are known.
             passed = len(kept)
-            joined: list[list[str]] = []
+            joined: list[list[str] | np.ndarray] = []
             for at, col_type, cache in joins:
+                parsed = ints(at) if ints and col_type == "int" else None
+                if parsed is not None:
+                    joined.append(parsed)
+                    continue
                 cells = _take(column(at), kept)
                 if not all(cells):
                     whole = list(map(bool, cells))
                     kept = list(compress(kept, whole))
                     cells = list(compress(cells, whole))
-                    joined = [list(compress(done, whole)) for done in joined]
+                    joined = [
+                        done if isinstance(done, np.ndarray) else list(compress(done, whole))
+                        for done in joined
+                    ]
                 for cell in dict.fromkeys(cells):
                     if cell not in cache:
                         cache[cell] = canonicalize(cell, col_type)
                 joined.append(cells)
             self.rows_null += passed - len(kept)
-            for (_, _, cache), cells, out in zip(joins, joined, items):
-                out.append(np.fromiter(map(cache.__getitem__, cells), np.uint64, len(cells)))
+            for (_, _, cache), done, out in zip(joins, joined, items):
+                if isinstance(done, np.ndarray):
+                    out.append(_at(done, kept))
+                else:
+                    out.append(np.fromiter(map(cache.__getitem__, done), np.uint64, len(done)))
 
+            # Once a filter or a str column has split the block into str
+            # cells, the few distinct texts of a __delta column parse through
+            # the cache as fast as the kernel, so the kernel takes it only in
+            # a block not yet split.
+            split = filters or any(isinstance(done, list) for done in joined)
             if delta_at is None:
                 deltas.append(np.ones(len(kept)))
+            elif ints and not split and (parsed := ints(delta_at)) is not None:
+                values = _at(parsed.view(np.int64), kept)
+                delta_sum += _abs_sum(values)
+                deltas.append(values.astype(np.float64))
             else:
                 cells = _take(column(delta_at), kept)
                 counts = Counter(cells)
@@ -351,13 +464,13 @@ class StreamReader:
                                 f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
                             ) from exc
                 delta_sum += sum(abs(delta_of[cell]) * c for cell, c in counts.items())
-                if delta_sum >= COUNTER_LIMIT:
-                    raise DataError(
-                        f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
-                        f"{self.rows_read} data rows; counters are exact only below that"
-                    )
                 values = map(delta_of.__getitem__, cells)
                 deltas.append(np.fromiter(values, np.float64, len(cells)))
+            if delta_sum >= COUNTER_LIMIT:
+                raise DataError(
+                    f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
+                    f"{self.rows_read} data rows; counters are exact only below that"
+                )
             self.rows_emitted += len(kept)
 
         attrs = [attr for attr, _ in self._attr_cols]

@@ -2,6 +2,9 @@
 delta column support, and single-pass instrumentation."""
 
 import csv
+import io
+import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -81,6 +84,162 @@ class TestCanonicalize:
 
     def test_empty_string_hash_defined(self):
         assert canonicalize("", "str") == 0xCBF29CE484222325
+
+
+# Int cells at the edges of the numpy kernel of plain blocks, which takes
+# 1 to 18 ASCII digits after an optional "-" and leaves the rest to
+# canonicalize: zero, signs, leading zeros, the 64-bit range and the texts
+# that int() reads but an int cell must not.
+_INT_EDGE_CELLS = [
+    "0", "-0", "007", "999999999999999999", "-999999999999999999",
+    str(2**63 - 1), str(-(2**63)), str(2**64 - 1), str(2**64), str(-(2**63) - 1),
+    "1234567890123456789", "00000000000000000007", "99999999999999999999",
+    "+5", " 5", "5 ", "1_0", "\u0663", "-", "--5", "5-", "",
+]
+_KERNEL_CELL = re.compile(r"-?[0-9]{1,18}")
+
+
+def _kernel_cells(rng, count, longest=18):
+    """Random int cells the kernel takes: 1 to `longest` digits, leading
+    zeros included, a third of them negative."""
+    return [
+        ("-" if rng.random() < 0.3 else "") + "".join(rng.choice(list("0123456789"), size=digits))
+        for digits in rng.integers(1, longest + 1, size=count)
+    ]
+
+
+def _canonical(cell):
+    try:
+        return canonicalize(cell, "int")
+    except DataError as exc:
+        return str(exc)
+
+
+_LAYOUTS = {"alone": 1, "mixed": 64, "one-block": 1 << 16}  # BLOCK_BYTES
+
+
+class TestIntKernel:
+    """Plain-block int cells give canonicalize's items bit for bit and its
+    DataError text, whether the kernel or the fallback reads them."""
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("edge", _INT_EDGE_CELLS, ids=ascii)
+    def test_join_cells_match_canonicalize(self, tmp_path, monkeypatch, edge, layout):
+        import joinsketch.ingest as ingest
+
+        rng = np.random.default_rng(len(edge))
+        cells = _kernel_cells(rng, 30)
+        cells.insert(int(rng.integers(0, 31)), edge)
+        graph = _two_rel_doc(tmp_path, "x\n" + "\n".join(cells) + "\n")
+        # An empty cell is a blank line here: not a row.
+        expected = [_canonical(cell) for cell in cells if cell]
+        calls = []
+
+        def counted(text, col_type):
+            calls.append(text)
+            return canonicalize(text, col_type)
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        if any(isinstance(item, str) for item in expected):
+            with pytest.raises(DataError) as exc:
+                read_columns(graph, 0)
+            assert str(exc.value) == _canonical(edge)
+        else:
+            columns, _ = read_columns(graph, 0)
+            assert columns[0].dtype == np.uint64
+            assert columns[0].tobytes() == np.array(expected, dtype=np.uint64).tobytes()
+        if _KERNEL_CELL.fullmatch(edge):
+            assert calls == []
+        elif layout == "alone" and edge:
+            assert calls == [edge]  # only the edge's own block falls back
+        elif edge:
+            assert edge in calls and set(calls) <= set(cells)
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize(
+        "edge",
+        [pytest.param(cell, id=ascii(cell)) for cell in _INT_EDGE_CELLS]
+        + [
+            # Cells whose |delta| sum reaches 2^53 at the third.
+            pytest.param("4503599627370496,4503599627370495,1", id="sum-reaches-2^53"),
+            # 19 kernel cells whose sum is 2^64 + 5, which a uint64 sum wraps to 5.
+            pytest.param(
+                ",".join(["999999999999999999"] * 18 + ["446744073709551639"]),
+                id="sum-wraps-uint64",
+            ),
+        ],
+    )
+    def test_delta_cells_match_parse_int(self, tmp_path, monkeypatch, edge, layout):
+        import joinsketch.ingest as ingest
+
+        rng = np.random.default_rng(len(edge))
+        cells = _kernel_cells(rng, 30, longest=4)
+        at = int(rng.integers(0, 31))
+        cells[at:at] = edge.split(",")
+        graph = _two_rel_doc(tmp_path, "x,__delta\n" + "".join(f"1,{cell}\n" for cell in cells))
+        src = graph.spec.relations[0].source
+        bad, values = None, []
+        for row, cell in enumerate(cells, 1):
+            try:
+                values.append(ingest._parse_int(cell.strip()))
+            except ValueError:
+                bad = f"{src}: bad __delta value {cell!r} at data row {row}"
+                break
+        sums = accumulate(map(abs, values))
+        over = next((row for row, total in enumerate(sums, 1) if total >= 2**53), None)
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
+        if bad is None and over is None:
+            _, deltas = read_columns(graph, 0)
+            assert deltas.tobytes() == np.array(values, dtype=np.float64).tobytes()
+            return
+        with pytest.raises(DataError) as exc:
+            read_columns(graph, 0)
+        if bad is not None:
+            assert str(exc.value) == bad
+            return
+        # The error comes at the end of the block that reaches 2^53.
+        message = re.fullmatch(
+            re.escape(f"{src}: |__delta| values sum to 2^53 or more in the first ")
+            + r"(\d+)"
+            + re.escape(" data rows; counters are exact only below that"),
+            str(exc.value),
+        )
+        low, high = {
+            "alone": (over, over),
+            "mixed": (over, len(cells)),
+            "one-block": (len(cells), len(cells)),
+        }[layout]
+        assert low <= int(message.group(1)) <= high
+
+    def test_delta_kernel_runs_on_a_block_not_yet_split(self, tmp_path, monkeypatch):
+        import joinsketch.ingest as ingest
+
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_int(text)
+
+        parse_int = ingest._parse_int
+        monkeypatch.setattr(ingest, "_parse_int", counted)
+        rows = "".join(f"{tag},{i % 3},{i % 2 * 2 - 1}\n" for i, tag in enumerate("abcabc"))
+        # Int columns only: the kernel parses k and __delta, and no cell is split.
+        graph = _two_rel_doc(tmp_path, "s,k,__delta\n" + rows, columns="k:int")
+        columns, deltas = read_columns(graph, 0)
+        assert calls == []
+        assert deltas.tolist() == [-1.0, 1.0] * 3
+        # A str filter splits the block, and __delta goes through the cache.
+        graph = _two_rel_doc(
+            tmp_path,
+            "s,k,__delta\n" + rows,
+            columns="k:int",
+            filters=[{"column": "s", "op": "!=", "value": "b"}],
+        )
+        columns, deltas = read_columns(graph, 0)
+        assert sorted(calls) == ["-1", "1"]
+        assert (columns[0].tolist(), deltas.tolist()) == ([0, 2, 0, 2], [-1.0, -1.0, 1.0, 1.0])
 
 
 class TestApplyFilters:
@@ -330,13 +489,20 @@ class TestColumnsMatchStream:
             return canonicalize(text, col_type)
 
         monkeypatch.setattr(ingest, "canonicalize", counted)
-        graph = self._graph(
-            tmp_path,
-            "status,k,s\n" + "active,12,12\nactive,7,12\nactive,12,ab\n" * 5,
-        )
-        columns, _ = read_columns(graph, 0)
-        assert sorted(calls) == [("12", "int"), ("12", "str"), ("7", "int"), ("ab", "str")]
+        text = "status,k,s\n" + "active,12,12\nactive,7,12\nactive,12,ab\n" * 5
+        columns, _ = read_columns(self._graph(tmp_path, text), 0)
+        # The int kernel parses the k cells of a plain block: no call for them.
+        assert sorted(calls) == [("12", "str"), ("ab", "str")]
         assert columns[0].tolist() == [12, 7, 12] * 5
+
+        # One cell the kernel does not take sends the block's k column to
+        # canonicalize, once per distinct cell.
+        calls.clear()
+        columns, _ = read_columns(self._graph(tmp_path, text + "active,+5,ab\n"), 0)
+        assert sorted(calls) == [
+            ("+5", "int"), ("12", "int"), ("12", "str"), ("7", "int"), ("ab", "str")
+        ]
+        assert columns[0].tolist() == [12, 7, 12] * 5 + [5]
 
     def test_short_row_missing_a_filter_cell(self, tmp_path):
         graph = self._graph(tmp_path, "k,s,status\n1,a,active\n2,b\n")
@@ -399,7 +565,8 @@ _TOKENIZER_FILTERS = [
 ]
 
 
-def _tokenizer_graph(tmp_path, name, text, filters=_TOKENIZER_FILTERS):
+def _tokenizer_graph(tmp_path, name, text, filters=_TOKENIZER_FILTERS, with_j=False):
+    """A joins B on k:int and C on s:str, and with `with_j`, D on j:int."""
     src = tmp_path / name
     src.write_bytes(text.encode("utf-8"))
     doc = {
@@ -407,13 +574,13 @@ def _tokenizer_graph(tmp_path, name, text, filters=_TOKENIZER_FILTERS):
             {
                 "name": "A",
                 "source": str(src),
-                "join_columns": ["k:int", "s:str"],
+                "join_columns": ["k:int", "s:str"] + ["j:int"] * with_j,
                 "filters": filters,
             },
             {"name": "B", "source": "b.csv", "join_columns": ["y:int"]},
             {"name": "C", "source": "c.csv", "join_columns": ["z:str"]},
-        ],
-        "joins": [["A.k", "B.y"], ["A.s", "C.z"]],
+        ] + [{"name": "D", "source": "d.csv", "join_columns": ["w:int"]}] * with_j,
+        "joins": [["A.k", "B.y"], ["A.s", "C.z"]] + [["A.j", "D.w"]] * with_j,
     }
     return build_join_graph(parse_query(doc))
 
@@ -493,9 +660,26 @@ class TestTokenizers:
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 40)  # about two lines
         monkeypatch.setattr(ingest, "canonicalize", counted)
         assert _read_outcome(graph) == whole
-        assert sorted(calls) == sorted(
-            {(str(i % 5), "int") for i in range(40)} | {(f"s{i}", "str") for i in range(3)}
-        )
+        str_calls = {(f"s{i}", "str") for i in range(3)}
+        int_calls = {(str(i % 5), "int") for i in range(40)}
+        # The int kernel parses every k cell of a plain block.
+        assert sorted(calls) == sorted(str_calls if form == "plain" else str_calls | int_calls)
+
+        # "+4" is a fallback cell: only the k column of its plain block goes to
+        # canonicalize, once per distinct cell of the rows that pass the filter.
+        fallback_rows = rows[:9] + [rows[9].replace(",4,", ",+4,")] + rows[10:]
+        text = _TOKENIZER_HEADER + "\n".join(fallback_rows) + "\n"
+        graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text))
+        calls.clear()
+        assert _read_outcome(graph) == whole
+        if form == "plain":
+            block = next(b for _, b in ingest._blocks(io.BytesIO(text.encode())) if b"+4" in b)
+            lines = [line.split(",") for line in block.decode().splitlines()]
+            fallback = {(cells[2], "int") for cells in lines if cells[0] == "active"}
+            assert ("+4", "int") in fallback and len(fallback) < len(int_calls)
+            assert sorted(calls) == sorted(str_calls | fallback)
+        else:
+            assert sorted(calls) == sorted(str_calls | int_calls | {("+4", "int")})
 
         rows[30] = rows[30].rsplit(",", 1)[0] + ",bad"
         text = _TOKENIZER_HEADER + "\n".join(rows) + "\n"
@@ -573,8 +757,11 @@ def test_matches_row_at_a_time_reference(tmp_path, monkeypatch):
     rng = np.random.default_rng(2026)
     filters = [{"column": "status", "op": "!=", "value": "off"},
                {"column": "k", "op": ">", "value": 0}]
+    # j mixes cells the int kernel takes with fallback cells; so does __delta.
     pools = {"status": ["on", "off", ""], "k": ["1", "2", "-3", " 4", ""],
-             "__delta": ["1", "-1", "2"], "s": ["a", "b,c", "\u00e9", ""]}
+             "__delta": ["1", "-1", "2", "007", "-12", " 3", "+2"],
+             "s": ["a", "b,c", "\u00e9", ""],
+             "j": ["7", "-12", "007", " 4", "+5", "1234567890123456789", ""]}
     for trial in range(60):
         # A short row still has its filter and delta cells; its s cell is NULL.
         names = list(pools)
@@ -590,7 +777,7 @@ def test_matches_row_at_a_time_reference(tmp_path, monkeypatch):
             lines.append(",".join(f'"{c}"' if "," in c else c for c in cells))
         newline = "\r\n" if rng.random() < 0.2 else "\n"
         text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
-        graph = _tokenizer_graph(tmp_path, f"r{trial}.csv", text, filters)
+        graph = _tokenizer_graph(tmp_path, f"r{trial}.csv", text, filters, with_j=True)
         monkeypatch.setattr(ingest, "BLOCK_BYTES", int(rng.choice([7, 16, 64, 1 << 16])))
         reader = read_stream(graph, 0)
         columns, deltas = reader.read()
@@ -599,3 +786,22 @@ def test_matches_row_at_a_time_reference(tmp_path, monkeypatch):
             np.testing.assert_array_equal(columns[u], expected_columns[u])
         np.testing.assert_array_equal(deltas, expected_deltas)
         assert reader.rows_emitted == len(expected_deltas)
+
+
+@pytest.mark.parametrize("form", ["plain", "csv"])
+def test_bad_int_cell_of_a_dropped_row_is_never_parsed(tmp_path, form):
+    # Row 2 fails the status filter and row 3 has a NULL s before its j
+    # cell; neither row's bad k, j or __delta cell is read.
+    text = (
+        "status,n,k,s,__delta,j\n"
+        "active,1,1,a,1,2\n"
+        "closed,1,4x,a,two,4x\n"
+        "active,1,3,,two,+4x\n"
+        "active,1,-5,b,-1,6\n"
+    )
+    text = text if form == "plain" else _csv_only(text)
+    graph = _tokenizer_graph(tmp_path, "a.csv", text, with_j=True)
+    columns, deltas, counts = _read_outcome(graph)
+    assert columns == {0: [1, (1 << 64) - 5], 1: [fnv1a64(b"a"), fnv1a64(b"b")], 2: [2, 6]}
+    assert deltas == [1.0, -1.0]
+    assert counts == (4, 2, 1, 1)
