@@ -16,22 +16,21 @@ newline, and tokenized one of two ways:
   quoted cells and CRLF lines.
 
 Every plain block is decoded, which checks that it is UTF-8, but split
-into str cells only when a filter, a str column or the int fallback
-needs them.  The int cells of a plain block (joined `int` columns, and
-`__delta` while no filter or str column has split the block) are parsed
-by a numpy kernel straight from the block's bytes (vectorized parsing as
-in Mühlbauer et al., "Instant Loading for Main Memory Databases", PVLDB
-2013).  A column of a block whose cells are not all 1 to 18 ASCII digits
-after an optional '-' (an empty cell, a space, a sign '+', 19 digits or
-more) falls back to the str cells, as does every block that csv.reader
-tokenizes.
+into str cells only when a filter, a str column, `__delta` or the int
+fallback needs them.  The joined `int` columns of a plain block are
+parsed by a numpy kernel straight from the block's bytes (vectorized
+parsing as in Mühlbauer et al., "Instant Loading for Main Memory
+Databases", PVLDB 2013).  A column of a block whose cells are not all 1
+to 18 ASCII digits after an optional '-' (an empty cell, a space, a sign
+'+', 19 digits or more) falls back to the str cells, as does every
+block that csv.reader tokenizes.
 
 Both tokenizers feed one column assembler.  Per block, it runs each
 filter predicate over the distinct cells of its column, in predicate
 order, on the rows still passing; drops rows with an empty (NULL) joined
-cell, as NULL never joins; canonicalizes each distinct str cell text of
-a joined column once per read, and parses each distinct `__delta` text
-once, unless the int kernel took the column.  Integers keep their
+cell, as NULL never joins; canonicalizes each distinct cell text of a
+joined column once per read, bar the cells the int kernel parsed; and
+parses each distinct `__delta` text once.  Integers keep their
 two's-complement bit pattern; strings map through a fixed FNV-1a hash,
 so equal strings always produce equal items without any cross-relation
 dictionary.  Bulk sketching takes the assembled arrays, and the
@@ -320,14 +319,6 @@ def _at(values: np.ndarray, kept) -> np.ndarray:
     return values if len(kept) == len(values) else values[np.fromiter(kept, np.intp, len(kept))]
 
 
-def _abs_sum(values: np.ndarray) -> int:
-    """The exact sum of |values| for int64 values of at most 18 digits:
-    the high and low 32 bits of each are summed apart, so neither wraps."""
-    magnitudes = np.abs(values).view(np.uint64)
-    high, low = magnitudes >> 32, magnitudes & 0xFFFFFFFF
-    return (int(high.sum()) << 32) + int(low.sum())
-
-
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
@@ -359,9 +350,9 @@ class StreamReader:
         """Parse the source into uint64 item arrays keyed by attribute id,
         and float64 deltas.
 
-        The int kernel parses the int columns of a plain block, and its
-        `__delta` column while the block is not split.  Otherwise `canonicalize` runs once per distinct cell text
-        of a column; each column has its own cache, as one text maps to
+        The int kernel parses the joined int columns of a plain block.
+        Otherwise `canonicalize` runs once per distinct cell text of a
+        column; each column has its own cache, as one text maps to
         different items under different column types.
         """
         try:
@@ -440,17 +431,8 @@ class StreamReader:
                 else:
                     out.append(np.fromiter(map(cache.__getitem__, done), np.uint64, len(done)))
 
-            # Once a filter or a str column has split the block into str
-            # cells, the few distinct texts of a __delta column parse through
-            # the cache as fast as the kernel, so the kernel takes it only in
-            # a block not yet split.
-            split = filters or any(isinstance(done, list) for done in joined)
             if delta_at is None:
                 deltas.append(np.ones(len(kept)))
-            elif ints and not split and (parsed := ints(delta_at)) is not None:
-                values = _at(parsed.view(np.int64), kept)
-                delta_sum += _abs_sum(values)
-                deltas.append(values.astype(np.float64))
             else:
                 cells = _take(column(delta_at), kept)
                 counts = Counter(cells)
@@ -464,13 +446,13 @@ class StreamReader:
                                 f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
                             ) from exc
                 delta_sum += sum(abs(delta_of[cell]) * c for cell, c in counts.items())
+                if delta_sum >= COUNTER_LIMIT:
+                    raise DataError(
+                        f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
+                        f"{self.rows_read} data rows; counters are exact only below that"
+                    )
                 values = map(delta_of.__getitem__, cells)
                 deltas.append(np.fromiter(values, np.float64, len(cells)))
-            if delta_sum >= COUNTER_LIMIT:
-                raise DataError(
-                    f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
-                    f"{self.rows_read} data rows; counters are exact only below that"
-                )
             self.rows_emitted += len(kept)
 
         attrs = [attr for attr, _ in self._attr_cols]

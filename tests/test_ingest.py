@@ -4,7 +4,6 @@ delta column support, and single-pass instrumentation."""
 import csv
 import io
 import re
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -99,12 +98,12 @@ _INT_EDGE_CELLS = [
 _KERNEL_CELL = re.compile(r"-?[0-9]{1,18}")
 
 
-def _kernel_cells(rng, count, longest=18):
-    """Random int cells the kernel takes: 1 to `longest` digits, leading
-    zeros included, a third of them negative."""
+def _kernel_cells(rng, count):
+    """Random int cells the kernel takes: 1 to 18 digits, leading zeros
+    included, a third of them negative."""
     return [
         ("-" if rng.random() < 0.3 else "") + "".join(rng.choice(list("0123456789"), size=digits))
-        for digits in rng.integers(1, longest + 1, size=count)
+        for digits in rng.integers(1, 19, size=count)
     ]
 
 
@@ -155,91 +154,6 @@ class TestIntKernel:
             assert calls == [edge]  # only the edge's own block falls back
         elif edge:
             assert edge in calls and set(calls) <= set(cells)
-
-    @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize(
-        "edge",
-        [pytest.param(cell, id=ascii(cell)) for cell in _INT_EDGE_CELLS]
-        + [
-            # Cells whose |delta| sum reaches 2^53 at the third.
-            pytest.param("4503599627370496,4503599627370495,1", id="sum-reaches-2^53"),
-            # 19 kernel cells whose sum is 2^64 + 5, which a uint64 sum wraps to 5.
-            pytest.param(
-                ",".join(["999999999999999999"] * 18 + ["446744073709551639"]),
-                id="sum-wraps-uint64",
-            ),
-        ],
-    )
-    def test_delta_cells_match_parse_int(self, tmp_path, monkeypatch, edge, layout):
-        import joinsketch.ingest as ingest
-
-        rng = np.random.default_rng(len(edge))
-        cells = _kernel_cells(rng, 30, longest=4)
-        at = int(rng.integers(0, 31))
-        cells[at:at] = edge.split(",")
-        graph = _two_rel_doc(tmp_path, "x,__delta\n" + "".join(f"1,{cell}\n" for cell in cells))
-        src = graph.spec.relations[0].source
-        bad, values = None, []
-        for row, cell in enumerate(cells, 1):
-            try:
-                values.append(ingest._parse_int(cell.strip()))
-            except ValueError:
-                bad = f"{src}: bad __delta value {cell!r} at data row {row}"
-                break
-        sums = accumulate(map(abs, values))
-        over = next((row for row, total in enumerate(sums, 1) if total >= 2**53), None)
-
-        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
-        if bad is None and over is None:
-            _, deltas = read_columns(graph, 0)
-            assert deltas.tobytes() == np.array(values, dtype=np.float64).tobytes()
-            return
-        with pytest.raises(DataError) as exc:
-            read_columns(graph, 0)
-        if bad is not None:
-            assert str(exc.value) == bad
-            return
-        # The error comes at the end of the block that reaches 2^53.
-        message = re.fullmatch(
-            re.escape(f"{src}: |__delta| values sum to 2^53 or more in the first ")
-            + r"(\d+)"
-            + re.escape(" data rows; counters are exact only below that"),
-            str(exc.value),
-        )
-        low, high = {
-            "alone": (over, over),
-            "mixed": (over, len(cells)),
-            "one-block": (len(cells), len(cells)),
-        }[layout]
-        assert low <= int(message.group(1)) <= high
-
-    def test_delta_kernel_runs_on_a_block_not_yet_split(self, tmp_path, monkeypatch):
-        import joinsketch.ingest as ingest
-
-        calls = []
-
-        def counted(text):
-            calls.append(text)
-            return parse_int(text)
-
-        parse_int = ingest._parse_int
-        monkeypatch.setattr(ingest, "_parse_int", counted)
-        rows = "".join(f"{tag},{i % 3},{i % 2 * 2 - 1}\n" for i, tag in enumerate("abcabc"))
-        # Int columns only: the kernel parses k and __delta, and no cell is split.
-        graph = _two_rel_doc(tmp_path, "s,k,__delta\n" + rows, columns="k:int")
-        columns, deltas = read_columns(graph, 0)
-        assert calls == []
-        assert deltas.tolist() == [-1.0, 1.0] * 3
-        # A str filter splits the block, and __delta goes through the cache.
-        graph = _two_rel_doc(
-            tmp_path,
-            "s,k,__delta\n" + rows,
-            columns="k:int",
-            filters=[{"column": "s", "op": "!=", "value": "b"}],
-        )
-        columns, deltas = read_columns(graph, 0)
-        assert sorted(calls) == ["-1", "1"]
-        assert (columns[0].tolist(), deltas.tolist()) == ([0, 2, 0, 2], [-1.0, -1.0, 1.0, 1.0])
 
 
 class TestApplyFilters:
