@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .sketch import (
     TupleUpdate,
     _check_tuple,
     distinct_tuples,
-    updates_to_columns,
 )
 
 
@@ -101,18 +99,6 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
             block_weights = weights[block]
             counters += block_weights.sum() - 2.0 * (block_weights @ parity.astype(np.float64))
     sk.touched_cells += config.l * config.m * n
-
-
-def ams_build(
-    updates: Iterable[TupleUpdate],
-    graph: JoinGraph,
-    config: SketchConfig,
-    relation: int,
-) -> RelationSketch:
-    """Build an AMS sketch from a stream of tuple updates."""
-    sk = ams_sketch(relation, config, graph)
-    ams_bulk_update(sk, *updates_to_columns(updates, graph, relation))
-    return sk
 
 
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:

@@ -47,20 +47,6 @@ class EstimateReport:
         }
 
 
-def circ_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Circular convolution: out[j] = sum_i x[i] * y[(j - i) mod m].
-
-    Computed by real FFT (`rfft`/`irfft`).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    spec = np.fft.rfft(x)
-    spec *= np.fft.rfft(y)
-    return np.fft.irfft(spec, n=len(x))
-
-
 def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Circular cross-correlation: out[j] = sum_i x[i] * y[(j + i) mod m].
 

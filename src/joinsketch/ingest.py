@@ -4,8 +4,8 @@ A source is read as bytes, in blocks of about BLOCK_BYTES that end at a
 newline, and tokenized one of two ways:
 
 - a *plain* block (no quote, CR or NUL byte, no blank line, and exactly
-  width - 1 commas on every line, width being the header's) is split at
-  commas and newlines in one pass, and column i of the block is every
+  width - 1 commas on every line, width being the header's): one pass
+  finds its commas and newlines, and column i of the block is every
   width-th cell from i; a cell longer than `csv.field_size_limit()` is
   an error here too, with csv.reader's message;
 - from the first block that is not plain to the end of the file,
@@ -15,34 +15,44 @@ newline, and tokenized one of two ways:
   quote, CR or NUL byte, sends the whole file there.  It is the path for
   quoted cells and CRLF lines.
 
-Every plain block is decoded, which checks that it is UTF-8, but split
-into str cells only when a filter, a str column, `__delta` or the int
-fallback needs them.  The joined `int` columns of a plain block are
-parsed by a numpy kernel straight from the block's bytes (vectorized
-parsing as in Mühlbauer et al., "Instant Loading for Main Memory
-Databases", PVLDB 2013).  A column of a block whose cells are not all 1
-to 18 ASCII digits after an optional '-' (an empty cell, a space, a sign
-'+', 19 digits or more) falls back to the str cells, as does every
-block that csv.reader tokenizes.
+Every plain block is decoded, which checks that it is UTF-8.  numpy
+kernels then read its columns straight from the block's bytes, through
+one index of its separators (vectorized parsing as in Mühlbauer et al.,
+"Instant Loading for Main Memory Databases", PVLDB 2013):
 
-Both tokenizers feed one column assembler.  Per block, it runs each
-filter predicate over the distinct cells of its column, in predicate
-order, on the rows still passing; drops rows with an empty (NULL) joined
-cell, as NULL never joins; canonicalizes each distinct cell text of a
-joined column once per read, bar the cells the int kernel parsed; and
-parses each distinct `__delta` text once.  Integers keep their
-two's-complement bit pattern; strings map through a fixed FNV-1a hash,
-so equal strings always produce equal items without any cross-relation
-dictionary.  Bulk sketching takes the assembled arrays, and the
-per-tuple API iterates over them.
+- a joined `str` column is hashed with FNV-1a over each cell's UTF-8
+  bytes, one byte position at a time for the cells that still have one;
+  an empty cell is NULL;
+- a str `=` or `!=` filter compares each cell's bytes with the UTF-8
+  encoding of its value, never a hash; an empty cell passes neither;
+- a joined `int` column and `__delta` are parsed one digit position at
+  a time, if every cell of the block's column is 1 to 18 ASCII digits
+  after an optional '-'.
+
+A column the kernels decline (an int cell with a space, a '+', no digit
+or 19 digits or more, and any int filter) is read from the block split
+into str cells, for that block only, as is every block that csv.reader
+tokenizes.  A block no column declines is never split.
+
+Both tokenizers feed one column assembler, where a kernel column and a
+str-cell column alike come back as block-length uint64 arrays plus a
+mask of the rows they keep.  Per block, it runs the filters in predicate
+order; then the joined columns in declared order, dropping a row at its
+first empty (NULL) cell, as NULL never joins; then `__delta`.  The str
+path reads only the rows still kept, so a bad cell in a row already
+dropped is never parsed, and it parses each distinct cell text of a
+column once per read.  Integers keep their two's-complement bit
+pattern; strings map through a fixed FNV-1a hash, so equal strings
+always produce equal items without any cross-relation dictionary.  Bulk
+sketching takes the assembled arrays, and the per-tuple API iterates
+over them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -70,14 +80,14 @@ _CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
 # Digits an int cell may have for the numpy kernel: 10^18 - 1 < 2^63, so
 # a longer cell, which may be out of range, is left to `canonicalize`.
 _KERNEL_DIGITS = 18
+# Once fewer str cells than this still have bytes to hash, each numpy step
+# costs more than finishing those cells one byte at a time in Python; a
+# single long cell would otherwise cost one numpy step per byte.
+_FEW_CELLS = 16
 
-# A block's row count, its cells at a header position, and for a plain
-# block, the int kernel at a header position (None if it falls back).
-_Batch = tuple[int, Callable[[int], list], Callable[[int], np.ndarray | None] | None]
 
-
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
+def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
+    """FNV-1a of `data`; `h` is the hash of the bytes before it, if any."""
     for byte in data:
         h = ((h ^ byte) * FNV_PRIME) & _MASK64
     return h
@@ -114,7 +124,13 @@ def canonicalize(text: str, col_type: str) -> int:
 
 
 def apply_filters(row: dict[str, str], predicates: list[FilterPredicate]) -> bool:
-    """Conjunction of all predicates; empty cells (NULL) satisfy none."""
+    """Conjunction of all predicates; empty cells (NULL) satisfy none.
+
+    The row-at-a-time reference that the tests hold `StreamReader` to; the
+    reader itself filters whole blocks.  It stays in the package because
+    the benchmark's per-layer probe patches it by name, as it does
+    `canonicalize`.
+    """
     return all(_passes(p, row.get(p.column)) for p in predicates)
 
 
@@ -182,8 +198,9 @@ def _plain_rows(block: bytes, width: int) -> int:
 
 
 class _PlainBlock:
-    """A plain block's cells: split into str on first use, or parsed as
-    int items by a numpy kernel, one column at a time."""
+    """A plain block's columns, read by numpy kernels from the block's bytes
+    through one separator index, or split into str cells for a column that
+    a kernel declines."""
 
     def __init__(self, block: bytes, width: int, rows: int):
         self.text = block.decode("utf-8")  # checks every block is UTF-8
@@ -191,7 +208,10 @@ class _PlainBlock:
         self.width = width
         self.rows = rows
         self._cells: list[str] | None = None
-        self._ends: np.ndarray | None = None
+        self._data = np.frombuffer(block, np.uint8)
+        separators = np.flatnonzero((self._data == _COMMA) | (self._data == _NEWLINE))
+        # The separator before each cell; the first cell's is at -1.
+        self._ends = np.concatenate(([-1], separators))
 
     def split(self) -> list[str]:
         if self._cells is None:
@@ -202,22 +222,31 @@ class _PlainBlock:
     def cells(self, at: int) -> list[str]:
         return self.split()[at :: self.width]
 
+    def _bounds(self, at: int) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets of the first byte of each cell of column `at`, and of the
+        separator after it."""
+        return self._ends[at : -1 : self.width] + 1, self._ends[at + 1 :: self.width]
+
+    def items(self, at: int, col_type: str) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """Column `at` as `canonicalize` gives its items, and which cells are
+        not empty (None if all are), or None if the kernel of `col_type`
+        declines the column."""
+        if col_type == "str":
+            return self.hashes(at)
+        items = self.ints(at)
+        return None if items is None else (items, None)
+
     def ints(self, at: int) -> np.ndarray | None:
-        """Column `at` as uint64 items, as `canonicalize` gives them, or None
-        unless every cell is 1 to 18 ASCII digits after an optional '-'.
+        """Column `at` as uint64 items, or None unless every cell is 1 to 18
+        ASCII digits after an optional '-'.
 
         Each digit position, up to the longest cell of the column, is one
         gather from the block for every cell, most significant first: items
         times 10 plus the digit.  Eighteen digits cannot wrap, and a '-'
         negates in uint64, which gives the two's-complement pattern.
         """
-        data = np.frombuffer(self.block, np.uint8)
-        if self._ends is None:
-            separators = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
-            # The separator before each cell; the first cell's is at -1.
-            self._ends = np.concatenate(([-1], separators))
-        ends = self._ends
-        start, end = ends[at : -1 : self.width] + 1, ends[at + 1 :: self.width]
+        data = self._data
+        start, end = self._bounds(at)
         negative = data[start] == _MINUS
         digits = end - start - negative
         shortest, longest = int(digits.min()), int(digits.max())
@@ -237,6 +266,73 @@ class _PlainBlock:
             items += digit
         np.negative(items, out=items, where=negative)
         return items
+
+    def hashes(self, at: int) -> tuple[np.ndarray, np.ndarray]:
+        """FNV-1a of the UTF-8 bytes of each cell of column `at`, and which
+        cells are not empty.
+
+        The cells are sorted longest first, so the cells that still have a
+        byte at position k are a prefix of that order, and each position
+        updates only them: the work is the column's bytes, not its rows
+        times its longest cell.  The last few cells finish in Python.
+        """
+        start, end = self._bounds(at)
+        length = end - start
+        order = np.argsort(length, kind="stable")[::-1]
+        first, last = start[order], end[order]
+        # live[k]: the cells longer than k bytes.
+        live = (self.rows - np.cumsum(np.bincount(length))[:-1]).tolist()
+        hashes = np.full(self.rows, FNV_OFFSET, np.uint64)
+        k = 0
+        while k < len(live) and live[k] >= _FEW_CELLS:
+            h = hashes[: live[k]]
+            h ^= self._data[first[: live[k]] + k]
+            h *= FNV_PRIME  # wraps modulo 2^64
+            k += 1
+        if k < len(live):
+            few = live[k]
+            spans = zip(first[:few].tolist(), last[:few].tolist(), hashes[:few].tolist())
+            hashes[:few] = [fnv1a64(self.block[a + k : b], h) for a, b, h in spans]
+        items = np.empty_like(hashes)
+        items[order] = hashes
+        return items, length > 0
+
+    def matches(self, at: int, p: FilterPredicate) -> np.ndarray | None:
+        """Which cells of column `at` pass a str `=` or `!=` predicate, or
+        None for any other predicate.  A cell equals the value when its
+        bytes are the value's UTF-8 encoding; an empty cell passes none."""
+        if p.col_type != "str" or p.op not in ("=", "!="):
+            return None
+        start, end = self._bounds(at)
+        # A lone surrogate keeps its bytes, which no UTF-8 cell has.
+        value = p.value.encode("utf-8", "surrogatepass")
+        same = end - start == len(value)
+        rows = np.flatnonzero(same)
+        if value and len(rows):
+            window = self._data[start[rows, None] + np.arange(len(value))]
+            same[rows] = (window == np.frombuffer(value, np.uint8)).all(axis=1)
+        return (same if p.op == "=" else ~same) & (end > start)
+
+
+class _RowBatch:
+    """Rows that csv.reader tokenized: every column is read from str cells."""
+
+    def __init__(self, rows: list[list[str]]):
+        self.rows = len(rows)
+        self._rows = rows
+
+    def cells(self, at: int) -> list[str | None]:
+        """Column `at`, None for a row too short to have it."""
+        return [row[at] if at < len(row) else None for row in self._rows]
+
+    def items(self, at: int, col_type: str) -> None:
+        return None
+
+    def matches(self, at: int, p: FilterPredicate) -> None:
+        return None
+
+
+_Batch = _PlainBlock | _RowBatch
 
 
 def _tokenize(fh) -> Iterator[list[str] | _Batch]:
@@ -262,7 +358,7 @@ def _tokenize(fh) -> Iterator[list[str] | _Batch]:
             return
         plain = _PlainBlock(block, width, rows)
         _check_cell_length(block, plain.split)
-        yield plain.rows, plain.cells, plain.ints
+        yield plain
 
 
 def _check_cell_length(block: bytes, cells: Callable[[], list[str]]) -> None:
@@ -299,24 +395,83 @@ def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _B
         if row:
             rows.append(row)
         if rows and fed >= BLOCK_BYTES:
-            yield _row_batch(rows)
+            yield _RowBatch(rows)
             rows, fed = [], 0
     if rows:
-        yield _row_batch(rows)
+        yield _RowBatch(rows)
 
 
-def _row_batch(rows: list[list[str]]) -> _Batch:
-    return len(rows), lambda at: [row[at] if at < len(row) else None for row in rows], None
+# The str path: what a batch's kernels decline is read from its str cells,
+# only in the rows still kept, and each distinct cell text of a column is
+# parsed once per read.  Each returns block-length arrays, as the kernels do.
 
 
-def _take(cells: list, kept) -> list:
-    """The cells of the rows in `kept`, positions in ascending order."""
-    return cells if len(kept) == len(cells) else list(map(cells.__getitem__, kept))
+def _cells_at(batch: _Batch, at: int, rows: np.ndarray) -> list[str | None]:
+    """The str cells of column `at` in `rows`, positions in ascending order."""
+    cells = batch.cells(at)
+    return cells if len(rows) == len(cells) else list(map(cells.__getitem__, rows.tolist()))
 
 
-def _at(values: np.ndarray, kept) -> np.ndarray:
-    """A block's values at the rows in `kept`, positions in ascending order."""
-    return values if len(kept) == len(values) else values[np.fromiter(kept, np.intp, len(kept))]
+def _filter_cells(batch: _Batch, at: int, keep: np.ndarray, p: FilterPredicate,
+                  verdict: dict) -> np.ndarray:
+    """Which rows in `keep` pass `p` on their cell at `at`."""
+    rows = np.flatnonzero(keep)
+    cells = _cells_at(batch, at, rows)
+    for cell in dict.fromkeys(cells):
+        if cell not in verdict:
+            verdict[cell] = _passes(p, cell)
+    passed = np.zeros(batch.rows, bool)
+    passed[rows] = np.fromiter(map(verdict.__getitem__, cells), bool, len(cells))
+    return passed
+
+
+def _canonical_cells(batch: _Batch, at: int, keep: np.ndarray, col_type: str,
+                     cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The items of the rows in `keep` at `at`, and which of those rows have
+    a cell there that is not empty (NULL)."""
+    rows = np.flatnonzero(keep)
+    cells = _cells_at(batch, at, rows)
+    present = np.zeros(batch.rows, bool)
+    present[rows] = np.fromiter(map(bool, cells), bool, len(cells))
+    cells = list(filter(None, cells))
+    for cell in dict.fromkeys(cells):
+        if cell not in cache:
+            cache[cell] = canonicalize(cell, col_type)
+    items = np.zeros(batch.rows, np.uint64)
+    items[present] = np.fromiter(map(cache.__getitem__, cells), np.uint64, len(cells))
+    return items, present
+
+
+def _delta_cells(batch: _Batch, at: int, keep: np.ndarray, first_row: int,
+                 delta_of: dict, path: str) -> np.ndarray:
+    """The deltas of the rows in `keep`, as uint64 two's-complement patterns.
+    A value of magnitude 2^53 or more is clipped to 2^53: the bound on the
+    sum of magnitudes fails either way, and clipped, every value fits int64."""
+    rows = np.flatnonzero(keep)
+    cells = _cells_at(batch, at, rows)
+    for cell in dict.fromkeys(cells):
+        if cell not in delta_of:
+            try:
+                value = _parse_int(cell.strip())
+            except (ValueError, AttributeError) as exc:
+                row = first_row + 1 + int(rows[cells.index(cell)])
+                raise DataError(
+                    f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
+                ) from exc
+            delta_of[cell] = max(-COUNTER_LIMIT, min(value, COUNTER_LIMIT)) & _MASK64
+    values = np.zeros(batch.rows, np.uint64)
+    values[rows] = np.fromiter(map(delta_of.__getitem__, cells), np.uint64, len(cells))
+    return values
+
+
+def _abs_sum(values: np.ndarray) -> int:
+    """The exact sum of |values| of an int64 array whose values are below
+    2^60 in magnitude, as an int: a sum that could pass 2^63 is taken in
+    Python ints instead of wrapping."""
+    magnitudes = np.abs(values)
+    if int(magnitudes.max(initial=0)) * len(values) < 1 << 63:
+        return int(magnitudes.sum())
+    return sum(magnitudes.tolist())
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -350,10 +505,11 @@ class StreamReader:
         """Parse the source into uint64 item arrays keyed by attribute id,
         and float64 deltas.
 
-        The int kernel parses the joined int columns of a plain block.
-        Otherwise `canonicalize` runs once per distinct cell text of a
-        column; each column has its own cache, as one text maps to
-        different items under different column types.
+        The numpy kernels read the columns of a plain block.  For a column
+        they decline, and in every block csv.reader tokenizes,
+        `canonicalize` runs once per distinct cell text of a column; each
+        column has its own cache, as one text maps to different items under
+        different column types.
         """
         try:
             fh = open(self.path, "rb")
@@ -388,71 +544,47 @@ class StreamReader:
         delta_of: dict[str | None, int] = {}
         delta_sum = 0
 
-        for n, column, ints in tokens:
+        for batch in tokens:
             first_row = self.rows_read  # data rows before this block
-            self.rows_read += n
-            kept = range(n)  # block positions of the rows still passing
+            self.rows_read += batch.rows
+            keep = np.ones(batch.rows, bool)  # the rows still passing
             for p, at, verdict in filters:
-                cells = _take(column(at), kept)
-                for cell in dict.fromkeys(cells):
-                    if cell not in verdict:
-                        verdict[cell] = _passes(p, cell)
-                kept = list(compress(kept, map(verdict.__getitem__, cells)))
-            self.rows_filtered += n - len(kept)
+                passed = batch.matches(at, p)
+                keep &= _filter_cells(batch, at, keep, p, verdict) if passed is None else passed
+            passing = int(np.count_nonzero(keep))
+            self.rows_filtered += batch.rows - passing
 
             # Join columns in declared order: a row leaves at its first NULL
-            # cell, so its later cells are never canonicalized.  A column the
-            # int kernel parses has no NULL cell; it keeps the whole block's
-            # items, taken at the kept rows once the NULL cells are known.
-            passed = len(kept)
-            joined: list[list[str] | np.ndarray] = []
+            # cell, so the str path never reads its later cells.
+            joined = []
             for at, col_type, cache in joins:
-                parsed = ints(at) if ints and col_type == "int" else None
-                if parsed is not None:
-                    joined.append(parsed)
-                    continue
-                cells = _take(column(at), kept)
-                if not all(cells):
-                    whole = list(map(bool, cells))
-                    kept = list(compress(kept, whole))
-                    cells = list(compress(cells, whole))
-                    joined = [
-                        done if isinstance(done, np.ndarray) else list(compress(done, whole))
-                        for done in joined
-                    ]
-                for cell in dict.fromkeys(cells):
-                    if cell not in cache:
-                        cache[cell] = canonicalize(cell, col_type)
-                joined.append(cells)
-            self.rows_null += passed - len(kept)
-            for (_, _, cache), done, out in zip(joins, joined, items):
-                if isinstance(done, np.ndarray):
-                    out.append(_at(done, kept))
-                else:
-                    out.append(np.fromiter(map(cache.__getitem__, done), np.uint64, len(done)))
+                got = batch.items(at, col_type)
+                values, present = got or _canonical_cells(batch, at, keep, col_type, cache)
+                if present is not None:
+                    keep &= present
+                joined.append(values)
+            kept = np.flatnonzero(keep)
+            self.rows_null += passing - len(kept)
+            whole = len(kept) == batch.rows
+            for values, out in zip(joined, items):
+                out.append(values if whole else values[kept])
 
             if delta_at is None:
                 deltas.append(np.ones(len(kept)))
             else:
-                cells = _take(column(delta_at), kept)
-                counts = Counter(cells)
-                for cell in counts:
-                    if cell not in delta_of:
-                        try:
-                            delta_of[cell] = _parse_int(cell.strip())
-                        except (ValueError, AttributeError) as exc:
-                            row = first_row + 1 + kept[cells.index(cell)]
-                            raise DataError(
-                                f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
-                            ) from exc
-                delta_sum += sum(abs(delta_of[cell]) * c for cell, c in counts.items())
+                got = batch.items(delta_at, "int")
+                if got is None:
+                    values = _delta_cells(batch, delta_at, keep, first_row, delta_of, path)
+                else:
+                    values = got[0]
+                values = values[kept].view(np.int64)
+                delta_sum += _abs_sum(values)
                 if delta_sum >= COUNTER_LIMIT:
                     raise DataError(
                         f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
                         f"{self.rows_read} data rows; counters are exact only below that"
                     )
-                values = map(delta_of.__getitem__, cells)
-                deltas.append(np.fromiter(values, np.float64, len(cells)))
+                deltas.append(values.astype(np.float64))
             self.rows_emitted += len(kept)
 
         attrs = [attr for attr, _ in self._attr_cols]

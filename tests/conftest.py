@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from joinsketch.ams import ams_bulk_update, ams_sketch
 from joinsketch.joingraph import JoinGraph, build_join_graph, parse_query
-from joinsketch.sketch import TupleUpdate
+from joinsketch.sketch import RelationSketch, SketchConfig, TupleUpdate, updates_to_columns
 
 
 def multiway_query_doc(sources: dict[str, str] | None = None) -> dict:
@@ -182,3 +183,28 @@ def patch_sketch_header(path, field: str, value: int) -> None:
     data = bytearray(Path(path).read_bytes())
     struct.pack_into(fmt, data, offset, value)
     Path(path).write_bytes(bytes(data))
+
+
+def circ_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Circular convolution by real FFT: out[j] = sum_i x[i] * y[(j - i) mod m].
+
+    The estimator only cross-correlates; the tests convolve to check a
+    sketch's counters and the FFT kernel against direct sums.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    spec = np.fft.rfft(x)
+    spec *= np.fft.rfft(y)
+    return np.fft.irfft(spec, n=len(x))
+
+
+def ams_build(
+    updates, graph: JoinGraph, config: SketchConfig, relation: int
+) -> RelationSketch:
+    """An AMS sketch of a relation from tuple updates or a `read_stream`
+    reader, by the bulk update that `joinsketch sketch --method ams` runs."""
+    sk = ams_sketch(relation, config, graph)
+    ams_bulk_update(sk, *updates_to_columns(updates, graph, relation))
+    return sk

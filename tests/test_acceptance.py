@@ -11,7 +11,6 @@ import pytest
 from joinsketch.ams import ams_estimate, ams_sketch, ams_update
 from joinsketch.bench import build_sketches, freqs_from_columns, run_bench
 from joinsketch.estimator import (
-    circ_convolve,
     combine_sketches,
     estimate,
     naive_estimate,
@@ -31,6 +30,7 @@ from joinsketch.sketch import (
 
 from conftest import (
     chain3_graph,
+    circ_convolve,
     multiway_graph,
     random_graph,
     random_sketch_grids,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from joinsketch.ams import (
-    ams_build,
     ams_bulk_update,
     ams_estimate,
     ams_sketch,
@@ -22,7 +21,7 @@ from joinsketch.sketch import (
     updates_to_columns,
 )
 
-from conftest import chain3_graph, multiway_graph, turnstile_stream, two_rel_graph
+from conftest import ams_build, chain3_graph, multiway_graph, turnstile_stream, two_rel_graph
 
 
 def signs(coeffs, x):

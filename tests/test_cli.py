@@ -393,6 +393,17 @@ class TestBadSourceData:
             assert self._run(command, query, tmp_path) == EXIT_DATA
         assert "sum to 2^53 or more" in caplog.text
 
+    @pytest.mark.parametrize("command", ["exact", "sketch"])
+    def test_delta_sum_past_int64_in_one_plain_block(self, tmp_path, caplog, command):
+        # Twelve 18-digit deltas sum past 2^63: an int64 sum would wrap below 2^53.
+        query = self._query(tmp_path, "x,__delta\n" + "5,999999999999999999\n" * 12)
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert self._run(command, query, tmp_path) == EXIT_DATA
+        assert (
+            f"{tmp_path / 'a.csv'}: |__delta| values sum to 2^53 or more in the first 12 "
+            "data rows; counters are exact only below that"
+        ) in caplog.text
+
     @pytest.mark.parametrize("deltas, code", [((2**52, 1 - 2**52), 0), ((2**52, -(2**52)), 3)])
     def test_delta_sum_bound_is_2_to_the_53(self, tmp_path, capsys, deltas, code):
         rows = "".join(f"5,{d}\n" for d in deltas)

@@ -10,7 +10,6 @@ import pytest
 
 from joinsketch.errors import BudgetError, QueryError
 from joinsketch.estimator import (
-    circ_convolve,
     circ_cross_correlate,
     combine_sketches,
     estimate,
@@ -20,7 +19,13 @@ from joinsketch.estimator import (
 from joinsketch.joingraph import traversal_plan
 from joinsketch.sketch import RelationSketch, SketchConfig
 
-from conftest import multiway_graph, random_graph, random_sketch_grids, two_rel_graph
+from conftest import (
+    circ_convolve,
+    multiway_graph,
+    random_graph,
+    random_sketch_grids,
+    two_rel_graph,
+)
 
 
 def conv_oracle(x, y):

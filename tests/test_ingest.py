@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 
-from joinsketch.ams import ams_build
 from joinsketch.errors import DataError
 from joinsketch.hashing import derive_hash_set
 from joinsketch.ingest import (
@@ -20,6 +19,8 @@ from joinsketch.ingest import (
 )
 from joinsketch.joingraph import FilterPredicate, build_join_graph, parse_query
 from joinsketch.sketch import SketchConfig, build_sketch
+
+from conftest import ams_build
 
 
 def _two_rel_doc(tmp_path, rows_a, columns="x:int", filters=None):
@@ -156,6 +157,111 @@ class TestIntKernel:
             assert edge in calls and set(calls) <= set(cells)
 
 
+# Str cells at the edges of the FNV-1a kernel of plain blocks: empty (NULL),
+# non-ASCII of two, three and four UTF-8 bytes, and longer than 64 bytes.
+_STR_EDGE_CELLS = [
+    "", "\u00e9", "\u65e5\u672c\u8a9e", "\U0001f600", "a" * 65, "\u00e9" * 40,
+    "na\u00efve " * 9, " ", "-", "0",
+]
+_STR_ALPHABET = list("abcdefghijklmnopqrstuvwxyz0123456789 -_.:;!?'/") + ["\u00e9", "\u65e5"]
+
+
+def _str_cells(rng, count):
+    """Random cells of 1 to 20 characters, no comma, quote or line end."""
+    return ["".join(rng.choice(_STR_ALPHABET, size=n)) for n in rng.integers(1, 21, size=count)]
+
+
+def _str_graph(tmp_path, text, filters=()):
+    """A joins C on s:str; the other columns of `text` are not joined."""
+    src = tmp_path / "a.csv"
+    src.write_bytes(text.encode("utf-8"))
+    doc = {
+        "relations": [
+            {"name": "A", "source": str(src), "join_columns": ["s:str"],
+             "filters": list(filters)},
+            {"name": "C", "source": "c.csv", "join_columns": ["z:str"]},
+        ],
+        "joins": [["A.s", "C.z"]],
+    }
+    return build_join_graph(parse_query(doc))
+
+
+class TestStrKernel:
+    """Plain-block str cells give fnv1a64 of their UTF-8 bytes bit for bit,
+    an empty cell drops its row, and str filters compare bytes; no str
+    cell of a plain block goes through canonicalize or _passes."""
+
+    @pytest.fixture()
+    def str_path(self, monkeypatch):
+        """Every call of canonicalize, _passes and csv.reader's tokenizer."""
+        import joinsketch.ingest as ingest
+
+        calls = []
+        for name in ("canonicalize", "_passes", "_csv_tokenize"):
+            original = getattr(ingest, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append((_name,) + args[:2])
+                return _original(*args)
+
+            monkeypatch.setattr(ingest, name, counted)
+        return calls
+
+    # few=1 hashes every byte position in numpy; the default leaves the
+    # last cells of a block to Python, and a block of fewer rows all of them.
+    @pytest.mark.parametrize("few", [1, None], ids=["numpy", "numpy-then-python"])
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("edge", _STR_EDGE_CELLS, ids=ascii)
+    def test_join_cells_match_fnv1a64(self, tmp_path, monkeypatch, str_path, edge, layout, few):
+        import joinsketch.ingest as ingest
+
+        if few:
+            monkeypatch.setattr(ingest, "_FEW_CELLS", few)
+        rng = np.random.default_rng(len(edge))
+        cells = _str_cells(rng, 30) + ["", "x" * int(rng.integers(64, 200))]
+        rng.shuffle(cells)
+        cells.insert(int(rng.integers(0, 33)), edge)
+        # The row number in a second column keeps an empty s cell a row.
+        text = "s,n\n" + "".join(f"{cell},{i}\n" for i, cell in enumerate(cells))
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
+        reader = read_stream(_str_graph(tmp_path, text), 0)
+        columns, deltas = reader.read()
+        expected = [fnv1a64(cell.encode("utf-8")) for cell in cells if cell]
+        assert columns[0].dtype == np.uint64
+        assert columns[0].tobytes() == np.array(expected, dtype=np.uint64).tobytes()
+        assert deltas.tolist() == [1.0] * len(expected)
+        assert (reader.rows_read, reader.rows_null) == (len(cells), cells.count(""))
+        assert str_path == []
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("op", ["=", "!="])
+    @pytest.mark.parametrize(
+        "value",
+        ["active", "", "\u00e9", "e\u0301", "\u65e5\u672c", "\U0001f600", "act", "y" * 70,
+         "\ud800"],
+        ids=ascii,
+    )
+    def test_str_filters_compare_bytes(self, tmp_path, monkeypatch, str_path, op, value,
+                                       layout):
+        import joinsketch.ingest as ingest
+
+        # Prefixes, extensions, the composed and decomposed e-acute, and empty cells.
+        pool = ["active", "activ", "actives", "", "\u00e9", "e\u0301", "\u65e5\u672c",
+                "\u65e5", "\U0001f600", "y" * 70, "y" * 71, "act"]
+        rng = np.random.default_rng(7)
+        rows = [(str(rng.choice(pool)), f"s{i}") for i in range(60)]
+        text = "status,s\n" + "".join(f"{status},{s}\n" for status, s in rows)
+        predicate = {"column": "status", "op": op, "value": value}
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
+        reader = read_stream(_str_graph(tmp_path, text, [predicate]), 0)
+        columns, _ = reader.read()
+        assert str_path == []
+        decl_filter = FilterPredicate("status", op, value, "str")
+        kept = [s for status, s in rows if apply_filters({"status": status}, [decl_filter])]
+        assert columns[0].tolist() == [fnv1a64(s.encode()) for s in kept]
+        assert reader.rows_filtered == len(rows) - len(kept)
+
+
 class TestApplyFilters:
     def test_empty_conjunction_is_true(self):
         assert apply_filters({"x": "1"}, []) is True
@@ -234,6 +340,17 @@ class TestReadStream:
         graph = _two_rel_doc(tmp_path, f"x,__delta\n1,{delta}\n")
         with pytest.raises(DataError, match="__delta"):
             list(read_stream(graph, 0))
+
+    # Deltas the int kernel declines, at and past 2^63: as int64 bit patterns
+    # they would read as small negatives and pass the 2^53 bound.
+    @pytest.mark.parametrize("delta", [" 18446744073709551615", "+9223372036854775808",
+                                       " 9007199254740992", "-9223372036854775808 "])
+    @pytest.mark.parametrize("form", ["plain", "csv"])
+    def test_huge_delta_fails_the_bound(self, tmp_path, delta, form):
+        text = f"x,__delta\n1,1\n2,{delta}\n"
+        graph = _two_rel_doc(tmp_path, text if form == "plain" else _csv_only(text))
+        with pytest.raises(DataError, match="values sum to 2\\^53 or more in the first 2 data rows"):
+            read_columns(graph, 0)
 
     def test_missing_declared_column(self, tmp_path):
         graph = _two_rel_doc(tmp_path, "z\n1\n")
@@ -405,17 +522,21 @@ class TestColumnsMatchStream:
         monkeypatch.setattr(ingest, "canonicalize", counted)
         text = "status,k,s\n" + "active,12,12\nactive,7,12\nactive,12,ab\n" * 5
         columns, _ = read_columns(self._graph(tmp_path, text), 0)
-        # The int kernel parses the k cells of a plain block: no call for them.
-        assert sorted(calls) == [("12", "str"), ("ab", "str")]
+        # The kernels read every cell of a plain block: no call at all.
+        assert calls == []
         assert columns[0].tolist() == [12, 7, 12] * 5
+        plain = columns
 
-        # One cell the kernel does not take sends the block's k column to
-        # canonicalize, once per distinct cell.
+        # csv.reader's cells go to canonicalize, once per distinct cell of a column.
+        columns, _ = read_columns(self._graph(tmp_path, _csv_only(text)), 0)
+        assert sorted(calls) == [("12", "int"), ("12", "str"), ("7", "int"), ("ab", "str")]
+        assert all(np.array_equal(columns[u], plain[u]) for u in plain)
+
+        # One cell the int kernel does not take sends the block's k column to
+        # canonicalize, once per distinct cell; the s column stays with its kernel.
         calls.clear()
         columns, _ = read_columns(self._graph(tmp_path, text + "active,+5,ab\n"), 0)
-        assert sorted(calls) == [
-            ("+5", "int"), ("12", "int"), ("12", "str"), ("7", "int"), ("ab", "str")
-        ]
+        assert sorted(calls) == [("+5", "int"), ("12", "int"), ("7", "int")]
         assert columns[0].tolist() == [12, 7, 12] * 5 + [5]
 
     def test_short_row_missing_a_filter_cell(self, tmp_path):
@@ -576,8 +697,8 @@ class TestTokenizers:
         assert _read_outcome(graph) == whole
         str_calls = {(f"s{i}", "str") for i in range(3)}
         int_calls = {(str(i % 5), "int") for i in range(40)}
-        # The int kernel parses every k cell of a plain block.
-        assert sorted(calls) == sorted(str_calls if form == "plain" else str_calls | int_calls)
+        # The kernels read every k and s cell of a plain block.
+        assert sorted(calls) == ([] if form == "plain" else sorted(str_calls | int_calls))
 
         # "+4" is a fallback cell: only the k column of its plain block goes to
         # canonicalize, once per distinct cell of the rows that pass the filter.
@@ -591,7 +712,7 @@ class TestTokenizers:
             lines = [line.split(",") for line in block.decode().splitlines()]
             fallback = {(cells[2], "int") for cells in lines if cells[0] == "active"}
             assert ("+4", "int") in fallback and len(fallback) < len(int_calls)
-            assert sorted(calls) == sorted(str_calls | fallback)
+            assert sorted(calls) == sorted(fallback)
         else:
             assert sorted(calls) == sorted(str_calls | int_calls | {("+4", "int")})
 
@@ -645,24 +766,35 @@ class TestTokenizers:
 
 def _reference_read(graph, relation):
     """Row-at-a-time reference: csv.DictReader rows, apply_filters, then
-    canonicalize each joined cell until the first NULL, then the delta."""
+    canonicalize each joined cell until the first NULL, then the delta.
+    Also the rows read, filtered, NULL-dropped and emitted."""
     decl = graph.spec.relations[relation]
     attrs = [(graph.attr_id(relation, col), col) for col in decl.join_columns]
     columns, deltas = {u: [] for u, _ in attrs}, []
+    counts = {"read": 0, "filtered": 0, "null": 0}
     with open(decl.source, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
+            counts["read"] += 1
             if not apply_filters(row, decl.filters):
+                counts["filtered"] += 1
                 continue
             values = {}
             for u, col in attrs:
                 if not row.get(col):
+                    counts["null"] += 1
                     break
                 values[u] = canonicalize(row[col], decl.column_types[col])
             else:
                 for u, item in values.items():
                     columns[u].append(item)
                 deltas.append(float(int(row.get("__delta") or 1)))
-    return {u: np.array(v, dtype=np.uint64) for u, v in columns.items()}, np.array(deltas)
+    counts = (counts["read"], len(deltas), counts["filtered"], counts["null"])
+    columns = {u: np.array(v, dtype=np.uint64) for u, v in columns.items()}
+    return columns, np.array(deltas), counts
+
+
+def _quote(cell):
+    return f'"{cell}"' if "," in cell else cell
 
 
 def test_matches_row_at_a_time_reference(tmp_path, monkeypatch):
@@ -670,36 +802,50 @@ def test_matches_row_at_a_time_reference(tmp_path, monkeypatch):
 
     rng = np.random.default_rng(2026)
     filters = [{"column": "status", "op": "!=", "value": "off"},
-               {"column": "k", "op": ">", "value": 0}]
+               {"column": "k", "op": ">", "value": 0},
+               {"column": "tag", "op": "=", "value": "\u65e5\u672c"}]
     # j mixes cells the int kernel takes with fallback cells; so does __delta.
+    # s mixes quoted commas, non-ASCII and long cells; tag's "=" filter
+    # passes one value, not its prefix or its extension.
     pools = {"status": ["on", "off", ""], "k": ["1", "2", "-3", " 4", ""],
+             "tag": ["\u65e5\u672c", "\u65e5\u672c", "\u65e5", "\u65e5\u672c\u8a9e", ""],
              "__delta": ["1", "-1", "2", "007", "-12", " 3", "+2"],
-             "s": ["a", "b,c", "\u00e9", ""],
+             "s": ["a", "b,c", "\u00e9", "", "\u65e5\u672c\u8a9e", "\U0001f600", "x" * 70,
+                   "\u00e9" * 40],
              "j": ["7", "-12", "007", " 4", "+5", "1234567890123456789", ""]}
     for trial in range(60):
         # A short row still has its filter and delta cells; its s cell is NULL.
         names = list(pools)
-        lines = [",".join(names)]
+        rows = [names]
         for _ in range(int(rng.integers(0, 40))):
             shape = rng.random()
             if shape < 0.03:
-                lines.append("")
+                rows.append(None)  # a blank line
                 continue
-            width = len(names) if shape < 0.9 else int(rng.integers(2, len(names) + 3))
-            cells = [str(rng.choice(pools.get(name, ["x"])))
-                     for name in (names + ["extra"] * 2)[:width]]
-            lines.append(",".join(f'"{c}"' if "," in c else c for c in cells))
+            width = len(names) if shape < 0.9 else int(rng.integers(4, len(names) + 3))
+            rows.append([str(rng.choice(pools.get(name, ["x"])))
+                         for name in (names + ["extra"] * 2)[:width]])
         newline = "\r\n" if rng.random() < 0.2 else "\n"
-        text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
-        graph = _tokenizer_graph(tmp_path, f"r{trial}.csv", text, filters, with_j=True)
+        end = newline if rng.random() < 0.8 else ""
+        lines = [",".join(map(_quote, row)) if row else "" for row in rows]
+        text = newline.join(lines) + end
+        # The same rows with every cell quoted and CRLF line ends: csv.reader's alone.
+        quoted = "\r\n".join(",".join(f'"{c}"' for c in row) if row else "" for row in rows)
         monkeypatch.setattr(ingest, "BLOCK_BYTES", int(rng.choice([7, 16, 64, 1 << 16])))
-        reader = read_stream(graph, 0)
-        columns, deltas = reader.read()
-        expected_columns, expected_deltas = _reference_read(graph, 0)
-        for u in expected_columns:
-            np.testing.assert_array_equal(columns[u], expected_columns[u])
-        np.testing.assert_array_equal(deltas, expected_deltas)
-        assert reader.rows_emitted == len(expected_deltas)
+        outcomes = []
+        for name, form in ((f"r{trial}.csv", text), (f"q{trial}.csv", quoted + end)):
+            graph = _tokenizer_graph(tmp_path, name, form, filters, with_j=True)
+            reader = read_stream(graph, 0)
+            columns, deltas = reader.read()
+            expected_columns, expected_deltas, expected_counts = _reference_read(graph, 0)
+            for u in expected_columns:
+                np.testing.assert_array_equal(columns[u], expected_columns[u])
+            np.testing.assert_array_equal(deltas, expected_deltas)
+            counts = (reader.rows_read, reader.rows_emitted, reader.rows_filtered,
+                      reader.rows_null)
+            assert counts == expected_counts
+            outcomes.append(counts)
+        assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("form", ["plain", "csv"])

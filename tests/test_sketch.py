@@ -9,7 +9,6 @@ import pytest
 
 from joinsketch.cli import EXIT_DATA, main
 from joinsketch.errors import DataError, QueryError
-from joinsketch.estimator import circ_convolve
 from joinsketch.hashing import bin_eval, derive_hash_set, sign_eval
 from joinsketch.sketch import (
     RelationSketch,
@@ -27,6 +26,7 @@ from joinsketch.sketch import (
 from joinsketch.sketchfile import load_sketch_file, save_sketch_file
 
 from conftest import (
+    circ_convolve,
     multiway_graph,
     patch_sketch_header,
     turnstile_stream,
