@@ -406,17 +406,17 @@ def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _B
 # parsed once per read.  Each returns block-length arrays, as the kernels do.
 
 
-def _cells_at(batch: _Batch, at: int, rows: np.ndarray) -> list[str | None]:
-    """The str cells of column `at` in `rows`, positions in ascending order."""
+def _kept_cells(batch: _Batch, at: int, keep: np.ndarray) -> tuple[np.ndarray, list]:
+    """The rows in `keep`, ascending, and their str cells of column `at`."""
+    rows = np.flatnonzero(keep)
     cells = batch.cells(at)
-    return cells if len(rows) == len(cells) else list(map(cells.__getitem__, rows.tolist()))
+    return rows, cells if len(rows) == len(cells) else list(map(cells.__getitem__, rows.tolist()))
 
 
 def _filter_cells(batch: _Batch, at: int, keep: np.ndarray, p: FilterPredicate,
                   verdict: dict) -> np.ndarray:
     """Which rows in `keep` pass `p` on their cell at `at`."""
-    rows = np.flatnonzero(keep)
-    cells = _cells_at(batch, at, rows)
+    rows, cells = _kept_cells(batch, at, keep)
     for cell in dict.fromkeys(cells):
         if cell not in verdict:
             verdict[cell] = _passes(p, cell)
@@ -429,8 +429,7 @@ def _canonical_cells(batch: _Batch, at: int, keep: np.ndarray, col_type: str,
                      cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """The items of the rows in `keep` at `at`, and which of those rows have
     a cell there that is not empty (NULL)."""
-    rows = np.flatnonzero(keep)
-    cells = _cells_at(batch, at, rows)
+    rows, cells = _kept_cells(batch, at, keep)
     present = np.zeros(batch.rows, bool)
     present[rows] = np.fromiter(map(bool, cells), bool, len(cells))
     cells = list(filter(None, cells))
@@ -447,8 +446,7 @@ def _delta_cells(batch: _Batch, at: int, keep: np.ndarray, first_row: int,
     """The deltas of the rows in `keep`, as uint64 two's-complement patterns.
     A value of magnitude 2^53 or more is clipped to 2^53: the bound on the
     sum of magnitudes fails either way, and clipped, every value fits int64."""
-    rows = np.flatnonzero(keep)
-    cells = _cells_at(batch, at, rows)
+    rows, cells = _kept_cells(batch, at, keep)
     for cell in dict.fromkeys(cells):
         if cell not in delta_of:
             try:
