@@ -17,13 +17,10 @@ one matrix product.  It stays Theta(m) per distinct tuple.
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import numpy as np
 
 from .errors import QueryError
-from .estimator import EstimateReport, _check_sketches
+from .estimator import EstimateReport, _check_sketches, repetition_report
 from .hashing import derive_hash_set
 from .joingraph import JoinGraph
 from .mersenne import BLOCK_ELEMENTS, sign_parity_table
@@ -104,16 +101,9 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:
     """Mean-of-products estimate per repetition, median across repetitions."""
     _check_sketches(sketches, graph, METHOD_AMS)
-    config = sketches[0].config
-    start = time.perf_counter()
-    per_rep: list[float] = []
-    for rep in range(config.l):
+
+    def estimate_rep(rep: int) -> float:
         stacked = np.stack([sk.counters[rep] for sk in sketches])
-        per_rep.append(float(np.prod(stacked, axis=0).mean()))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return EstimateReport(
-        method=METHOD_AMS,
-        per_repetition=tuple(per_rep),
-        median=float(statistics.median(per_rep)),
-        infer_ms=elapsed_ms,
-    )
+        return float(np.prod(stacked, axis=0).mean())
+
+    return repetition_report(METHOD_AMS, sketches[0].config.l, estimate_rep)

@@ -14,6 +14,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -141,9 +142,10 @@ def build_sketches(
     return sketches
 
 
-def freqs_from_columns(graph: JoinGraph, columns_by_relation: list[Columns]):
+def freqs_from_columns(graph: JoinGraph, columns_by_relation: Iterable[Columns]):
     """Each relation's (sorted distinct keys, nonzero sums) pair, the exact
-    oracle's frequency format, from columns."""
+    oracle's frequency format, from columns in relation order.  Given a
+    generator, it holds one relation's columns at a time."""
     return [
         distinct_tuples(columns, graph.omega[rel], deltas)
         for rel, (columns, deltas) in enumerate(columns_by_relation)

@@ -19,6 +19,7 @@ import numpy as np
 from .ams import ams_estimate
 from .bench import (
     build_sketches,
+    freqs_from_columns,
     parse_m_sweep,
     read_all_columns,
     run_bench,
@@ -33,7 +34,7 @@ from .hashing import derive_hash_set  # noqa: F401
 from .ingest import read_columns, read_stream  # noqa: F401
 from .joingraph import build_join_graph, load_query, traversal_plan
 from .oracle import exact_cardinality, materialize  # noqa: F401
-from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, distinct_tuples
+from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig
 from .sketchfile import load_sketch_file, save_sketch_file
 
 logger = logging.getLogger("joinsketch")
@@ -184,12 +185,8 @@ def _rebind(graph, config, stored):
 
 def cmd_exact(args) -> int:
     graph = _load_graph(args.query)
-    freqs = []
-    for rel in range(graph.r):
-        # One relation's columns at a time keeps only one set in memory.
-        columns, deltas = read_columns(graph, rel)
-        freqs.append(distinct_tuples(columns, graph.omega[rel], deltas))
-    value = exact_cardinality(freqs, graph, path=args.path)
+    columns = (read_columns(graph, rel) for rel in range(graph.r))
+    value = exact_cardinality(freqs_from_columns(graph, columns), graph, path=args.path)
     print(int(value) if float(value).is_integer() else value)
     return 0
 

@@ -17,6 +17,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from math import ceil
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +46,24 @@ class EstimateReport:
             "median": self.median,
             "infer_ms": self.infer_ms,
         }
+
+
+def repetition_report(
+    method: str, l: int, estimate_rep: Callable[[int], float], path: str = ""
+) -> EstimateReport:
+    """Time `estimate_rep` over repetitions 0 to l - 1 and report the
+    estimates with their median; with an even repetition count the median
+    is the mean of the two middle values."""
+    start = time.perf_counter()
+    per_rep = [estimate_rep(rep) for rep in range(l)]
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return EstimateReport(
+        method=method,
+        per_repetition=tuple(per_rep),
+        median=float(statistics.median(per_rep)),
+        infer_ms=elapsed_ms,
+        path=path,
+    )
 
 
 def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -133,8 +152,7 @@ def estimate(
     """Estimate the query cardinality from conv sketches.
 
     Computes one estimate per repetition (FFT combination or the naive
-    sum, per `path`) and reports their median; with an even repetition
-    count the median is the mean of the two middle values.
+    sum, per `path`) and reports their median.
     """
     _check_sketches(sketches, graph, METHOD_CONV)
     if path not in ("fft", "naive"):
@@ -142,22 +160,12 @@ def estimate(
     if plan is None:
         plan = traversal_plan(graph, "auto")
 
-    config = sketches[0].config
-    start = time.perf_counter()
-    per_rep: list[float] = []
-    for rep in range(config.l):
+    def estimate_rep(rep: int) -> float:
         if path == "fft":
-            per_rep.append(float(combine_sketches(plan, sketches, rep).sum()))
-        else:
-            per_rep.append(naive_estimate(sketches, graph, rep))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return EstimateReport(
-        method=METHOD_CONV,
-        per_repetition=tuple(per_rep),
-        median=float(statistics.median(per_rep)),
-        infer_ms=elapsed_ms,
-        path=path,
-    )
+            return float(combine_sketches(plan, sketches, rep).sum())
+        return naive_estimate(sketches, graph, rep)
+
+    return repetition_report(METHOD_CONV, sketches[0].config.l, estimate_rep, path)
 
 
 def required_bins(epsilon: float, r: int, norm_product: float) -> int:

@@ -49,8 +49,6 @@ class SignHash:
     """Degree-3 polynomial hash mapping items to {-1, +1}."""
 
     coefficients: tuple[int, int, int, int]
-    edge: tuple[int, int]
-    repetition: int
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,6 @@ class BinHash:
     """Degree-1 polynomial hash mapping items to [0, m)."""
 
     coefficients: tuple[int, int]
-    component: int
-    repetition: int
     m: int
 
 
@@ -104,8 +100,6 @@ def derive_hash_set(config: "SketchConfig", graph: "JoinGraph") -> HashSet:
     """
     if not graph.edges:
         raise QueryError("query has no join edges")
-    if graph.n_components < 1:
-        raise QueryError("query has no join-graph components")
 
     signs: dict[tuple[int, int, int], SignHash] = {}
     bins: dict[tuple[int, int], BinHash] = {}
@@ -114,13 +108,13 @@ def derive_hash_set(config: "SketchConfig", graph: "JoinGraph") -> HashSet:
         for u, v in graph.edges:
             state = derive_state(config.seed, KIND_SIGN, u, v, rep)
             coeffs = field_elements(state, 4)
-            signs[(u, v, rep)] = SignHash(coeffs, (u, v), rep)
+            signs[(u, v, rep)] = SignHash(coeffs)
             if config.method == METHOD_AMS:
                 families[(u, v, rep)] = field_elements_vec(state, config.m * 4).reshape(config.m, 4)
         for comp in range(graph.n_components):
             state = derive_state(config.seed, KIND_BIN, comp, 0, rep)
             coeffs = field_elements(state, 2)
-            bins[(comp, rep)] = BinHash(coeffs, comp, rep, config.m)
+            bins[(comp, rep)] = BinHash(coeffs, config.m)
     return HashSet(signs=signs, bins=bins, families=families)
 
 

@@ -26,26 +26,28 @@ one index of its separators (vectorized parsing as in Mühlbauer et al.,
 - a str `=` or `!=` filter compares each cell's bytes with the UTF-8
   encoding of its value, never a hash; an empty cell passes neither;
 - a joined `int` column and `__delta` are parsed one digit position at
-  a time, if every cell of the block's column is 1 to 18 ASCII digits
-  after an optional '-'.
+  a time, if every cell of the block's column is empty or 1 to 18 ASCII
+  digits after an optional '-'; an empty cell is NULL.
 
-A column the kernels decline (an int cell with a space, a '+', no digit
-or 19 digits or more, and any int filter) is read from the block split
-into str cells, for that block only, as is every block that csv.reader
-tokenizes.  A block no column declines is never split.
+A column the kernels decline (an int cell with a space, a '+', 19
+digits or more, or a lone '-', and any int filter) is read from the
+block split into str cells, for that block only, as is every block that
+csv.reader tokenizes, and so is a `__delta` column with an empty cell,
+which is an error in a kept row.  A block no column declines is never
+split.
 
 Both tokenizers feed one column assembler, where a kernel column and a
 str-cell column alike come back as block-length uint64 arrays plus a
 mask of the rows they keep.  Per block, it runs the filters in predicate
 order; then the joined columns in declared order, dropping a row at its
-first empty (NULL) cell, as NULL never joins; then `__delta`.  The str
-path reads only the rows still kept, so a bad cell in a row already
-dropped is never parsed, and it parses each distinct cell text of a
-column once per read.  Integers keep their two's-complement bit
-pattern; strings map through a fixed FNV-1a hash, so equal strings
-always produce equal items without any cross-relation dictionary.  Bulk
-sketching takes the assembled arrays, and the per-tuple API iterates
-over them.
+first empty (NULL) cell, as NULL never joins; then `__delta`, as
+float64 from parse to sketch.  The str path reads only the rows still
+kept, so a bad cell in a row already dropped is never parsed, and it
+parses each distinct cell text of a column once per read.  Integers
+keep their two's-complement bit pattern; strings map through a fixed
+FNV-1a hash, so equal strings always produce equal items without any
+cross-relation dictionary.  Bulk sketching takes the assembled arrays,
+and the per-tuple API iterates over them.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DataError, QueryError
-from .joingraph import FilterPredicate, JoinGraph
+from .joingraph import FILTER_OPS, FilterPredicate, JoinGraph
 from .sketch import COUNTER_LIMIT, TupleUpdate
 
 _MASK64 = (1 << 64) - 1
@@ -149,23 +151,7 @@ def _passes(p: FilterPredicate, cell: str | None) -> bool:
             ) from exc
     else:
         left = cell
-    return _compare(left, p.op, p.value)
-
-
-def _compare(left, op: str, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise QueryError(f"unknown operator {op!r}")
+    return FILTER_OPS[p.op](left, p.value)
 
 
 def _blocks(fh) -> Iterator[tuple[int, bytes]]:
@@ -231,14 +217,12 @@ class _PlainBlock:
         """Column `at` as `canonicalize` gives its items, and which cells are
         not empty (None if all are), or None if the kernel of `col_type`
         declines the column."""
-        if col_type == "str":
-            return self.hashes(at)
-        items = self.ints(at)
-        return None if items is None else (items, None)
+        return self.hashes(at) if col_type == "str" else self.ints(at)
 
-    def ints(self, at: int) -> np.ndarray | None:
-        """Column `at` as uint64 items, or None unless every cell is 1 to 18
-        ASCII digits after an optional '-'.
+    def ints(self, at: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """Column `at` as uint64 items, an empty cell as 0, and which cells
+        are not empty (None if all are); or None unless every cell is empty
+        or 1 to 18 ASCII digits after an optional '-'.
 
         Each digit position, up to the longest cell of the column, is one
         gather from the block for every cell, most significant first: items
@@ -250,8 +234,13 @@ class _PlainBlock:
         negative = data[start] == _MINUS
         digits = end - start - negative
         shortest, longest = int(digits.min()), int(digits.max())
-        if shortest < 1 or longest > _KERNEL_DIGITS:
+        if longest > _KERNEL_DIGITS:
             return None
+        present = None
+        if shortest < 1:
+            present = digits > 0
+            if (negative & ~present).any():  # a lone '-'
+                return None
         items = np.zeros(self.rows, np.uint64)
         for k in range(longest - 1, -1, -1):
             # Digit k from the right.  A cell of k digits or fewer reads a byte
@@ -265,7 +254,7 @@ class _PlainBlock:
             items *= 10
             items += digit
         np.negative(items, out=items, where=negative)
-        return items
+        return items, present
 
     def hashes(self, at: int) -> tuple[np.ndarray, np.ndarray]:
         """FNV-1a of the UTF-8 bytes of each cell of column `at`, and which
@@ -443,9 +432,7 @@ def _canonical_cells(batch: _Batch, at: int, keep: np.ndarray, col_type: str,
 
 def _delta_cells(batch: _Batch, at: int, keep: np.ndarray, first_row: int,
                  delta_of: dict, path: str) -> np.ndarray:
-    """The deltas of the rows in `keep`, as uint64 two's-complement patterns.
-    A value of magnitude 2^53 or more is clipped to 2^53: the bound on the
-    sum of magnitudes fails either way, and clipped, every value fits int64."""
+    """The float64 deltas of the rows in `keep`."""
     rows, cells = _kept_cells(batch, at, keep)
     for cell in dict.fromkeys(cells):
         if cell not in delta_of:
@@ -456,20 +443,10 @@ def _delta_cells(batch: _Batch, at: int, keep: np.ndarray, first_row: int,
                 raise DataError(
                     f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {row}"
                 ) from exc
-            delta_of[cell] = max(-COUNTER_LIMIT, min(value, COUNTER_LIMIT)) & _MASK64
-    values = np.zeros(batch.rows, np.uint64)
-    values[rows] = np.fromiter(map(delta_of.__getitem__, cells), np.uint64, len(cells))
+            delta_of[cell] = float(value)
+    values = np.zeros(batch.rows)
+    values[rows] = np.fromiter(map(delta_of.__getitem__, cells), np.float64, len(cells))
     return values
-
-
-def _abs_sum(values: np.ndarray) -> int:
-    """The exact sum of |values| of an int64 array whose values are below
-    2^60 in magnitude, as an int: a sum that could pass 2^63 is taken in
-    Python ints instead of wrapping."""
-    magnitudes = np.abs(values)
-    if int(magnitudes.max(initial=0)) * len(values) < 1 << 63:
-        return int(magnitudes.sum())
-    return sum(magnitudes.tolist())
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -539,8 +516,8 @@ class StreamReader:
         joins = [(position[col], decl.column_types[col], {}) for _, col in self._attr_cols]
         items: list[list[np.ndarray]] = [[] for _ in joins]
         deltas: list[np.ndarray] = []
-        delta_of: dict[str | None, int] = {}
-        delta_sum = 0
+        delta_of: dict[str | None, float] = {}
+        delta_sum = 0.0
 
         for batch in tokens:
             first_row = self.rows_read  # data rows before this block
@@ -570,19 +547,24 @@ class StreamReader:
             if delta_at is None:
                 deltas.append(np.ones(len(kept)))
             else:
+                # An empty cell is an error in a kept row only, with its row
+                # number: the str path finds both.
                 got = batch.items(delta_at, "int")
-                if got is None:
-                    values = _delta_cells(batch, delta_at, keep, first_row, delta_of, path)
+                if got is None or got[1] is not None:
+                    values = _delta_cells(batch, delta_at, keep, first_row, delta_of, path)[kept]
                 else:
-                    values = got[0]
-                values = values[kept].view(np.int64)
-                delta_sum += _abs_sum(values)
+                    values = got[0][kept].view(np.int64).astype(np.float64)
+                # A magnitude below 2^53 is exact in float64 and one of 2^53 or
+                # more rounds to 2^53 or more.  Rounding is monotone and every
+                # term is non-negative, so any float64 summation order reaches
+                # 2^53 exactly when the integer sum does.
+                delta_sum += float(np.abs(values).sum())
                 if delta_sum >= COUNTER_LIMIT:
                     raise DataError(
                         f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
                         f"{self.rows_read} data rows; counters are exact only below that"
                     )
-                deltas.append(values.astype(np.float64))
+                deltas.append(values)
             self.rows_emitted += len(kept)
 
         attrs = [attr for attr, _ in self._attr_cols]

@@ -16,12 +16,17 @@ and descending along a join edge marks a Hadamard step.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import QueryError, UnsupportedQueryError
 
-FILTER_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# Each filter operator and the comparison it applies to a cell and the value.
+FILTER_OPS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 ORDER_OPS = frozenset({"<", "<=", ">", ">="})
 
 
@@ -206,8 +211,8 @@ def _parse_filters(raw, types: dict[str, str], where: str) -> list[FilterPredica
             raise QueryError(f"{loc}: missing column")
         col, ann = _split_annotation(raw_col, loc)
         op = entry.get("op")
-        if op not in FILTER_OPS:
-            raise QueryError(f"{loc}: malformed predicate, op must be one of {FILTER_OPS}")
+        if not isinstance(op, str) or op not in FILTER_OPS:
+            raise QueryError(f"{loc}: malformed predicate, op must be one of {tuple(FILTER_OPS)}")
         value = entry.get("value")
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise QueryError(f"{loc}: value must be an integer or string scalar")

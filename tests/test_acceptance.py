@@ -138,12 +138,12 @@ class TestCriterion1GoldenConvolution:
         config = SketchConfig(m=m, l=1, seed=0, method="conv")
         hashes = HashSet(
             signs={
-                (0, 1, 0): SignHash((0, 0, 0, 1), (0, 1), 0),  # constant odd -> -1
-                (2, 3, 0): SignHash((0, 0, 0, 0), (2, 3), 0),  # constant even -> +1
+                (0, 1, 0): SignHash((0, 0, 0, 1)),  # constant odd -> -1
+                (2, 3, 0): SignHash((0, 0, 0, 0)),  # constant even -> +1
             },
             bins={
-                (0, 0): BinHash((0, 2), 0, 0, m),  # every item to bin 2
-                (1, 0): BinHash((0, 3), 1, 0, m),  # every item to bin 3
+                (0, 0): BinHash((0, 2), m),  # every item to bin 2
+                (1, 0): BinHash((0, 3), m),  # every item to bin 3
             },
         )
         sk = RelationSketch(1, config, graph, hashes)

@@ -45,7 +45,7 @@ class TestAmsUpdate:
         sk = ams_sketch(0, config, graph)
         coeffs = sk.hashes.coefficients(0, 1, 0)
         for j in range(8):
-            h = SignHash(tuple(int(c) for c in coeffs[j]), (0, 1), 0)
+            h = SignHash(tuple(int(c) for c in coeffs[j]))
             got = signs(coeffs, 12345)[j]
             assert int(got) == sign_eval(h, 12345)
 

@@ -21,12 +21,12 @@ from joinsketch.sketch import SketchConfig
 from conftest import multiway_query_doc
 
 
-def _sign(coeffs, edge=(0, 1), rep=0):
-    return SignHash(tuple(coeffs), edge, rep)
+def _sign(coeffs):
+    return SignHash(tuple(coeffs))
 
 
-def _bin(coeffs, m, comp=0, rep=0):
-    return BinHash(tuple(coeffs), comp, rep, m)
+def _bin(coeffs, m):
+    return BinHash(tuple(coeffs), m)
 
 
 class TestSignEval:

@@ -156,6 +156,40 @@ class TestIntKernel:
         elif edge:
             assert edge in calls and set(calls) <= set(cells)
 
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("edge", ["7", "-"])
+    def test_empty_cells_are_null(self, tmp_path, monkeypatch, edge, layout):
+        # A second column makes an empty x cell a row, not a blank line.
+        import joinsketch.ingest as ingest
+
+        rng = np.random.default_rng(11)
+        cells = _kernel_cells(rng, 30)
+        for at in (0, 5, 6, 7, 19, len(cells) + 4):
+            cells.insert(at, "")
+        cells.insert(int(rng.integers(0, len(cells) + 1)), edge)
+        graph = _two_rel_doc(
+            tmp_path, "x,i\n" + "".join(f"{cell},{i}\n" for i, cell in enumerate(cells))
+        )
+        calls = []
+
+        def counted(text, col_type):
+            calls.append(text)
+            return canonicalize(text, col_type)
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        reader = read_stream(graph, 0)
+        if edge == "-":
+            with pytest.raises(DataError) as exc:
+                reader.read()
+            assert str(exc.value) == _canonical(edge)
+            return
+        columns, _ = reader.read()
+        expected = [_canonical(cell) for cell in cells if cell]
+        assert columns[0].tobytes() == np.array(expected, dtype=np.uint64).tobytes()
+        assert (reader.rows_read, reader.rows_null) == (len(cells), 6)
+        assert calls == []
+
 
 # Str cells at the edges of the FNV-1a kernel of plain blocks: empty (NULL),
 # non-ASCII of two, three and four UTF-8 bytes, and longer than 64 bytes.
@@ -350,6 +384,35 @@ class TestReadStream:
         text = f"x,__delta\n1,1\n2,{delta}\n"
         graph = _two_rel_doc(tmp_path, text if form == "plain" else _csv_only(text))
         with pytest.raises(DataError, match="values sum to 2\\^53 or more in the first 2 data rows"):
+            read_columns(graph, 0)
+
+    # |__delta| sums at the 2^53 bound, in one block and one row per block:
+    # float64 deltas reach the bound exactly when the integer sum does.
+    @pytest.mark.parametrize("deltas", [
+        [str(2**53 - 1)],
+        [str(2**52), str(2**52 - 1)],
+        [str(2**53)],
+        [str(2**53 - 1), "-1"],
+        [str(2**52), str(2**52)],
+        ["+" + str(2**53)],
+        [str(2**64 - 1)],
+        [str(-(2**63))],
+    ], ids=ascii)
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    @pytest.mark.parametrize("form", ["plain", "csv"])
+    def test_delta_bound(self, tmp_path, monkeypatch, form, block, deltas):
+        import joinsketch.ingest as ingest
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        text = "x,__delta\n" + "".join(f"{k},{d}\n" for k, d in enumerate(deltas))
+        graph = _two_rel_doc(tmp_path, text if form == "plain" else _csv_only(text))
+        sums = np.cumsum([abs(int(d)) for d in deltas], dtype=object)
+        if sums[-1] < 2**53:
+            _, got = read_columns(graph, 0)
+            assert got.tolist() == [int(d) for d in deltas]
+            return
+        rows = 1 + int(np.argmax(sums >= 2**53)) if block == 1 else len(deltas)
+        with pytest.raises(DataError, match=f"2\\^53 or more in the first {rows} data rows"):
             read_columns(graph, 0)
 
     def test_missing_declared_column(self, tmp_path):
@@ -865,3 +928,26 @@ def test_bad_int_cell_of_a_dropped_row_is_never_parsed(tmp_path, form):
     assert columns == {0: [1, (1 << 64) - 5], 1: [fnv1a64(b"a"), fnv1a64(b"b")], 2: [2, 6]}
     assert deltas == [1.0, -1.0]
     assert counts == (4, 2, 1, 1)
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16])
+@pytest.mark.parametrize("form", ["plain", "csv"])
+def test_empty_delta_cell_is_an_error_in_a_kept_row_only(tmp_path, monkeypatch, form, block):
+    import joinsketch.ingest as ingest
+
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    # Row 2 fails the status filter and row 3 has a NULL s.
+    text = (
+        "status,n,k,s,__delta\n"
+        "active,1,1,a,1\n"
+        "closed,1,2,a,\n"
+        "active,1,3,,\n"
+        "active,1,4,b,-1\n"
+    )
+    graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text))
+    columns, deltas, counts = _read_outcome(graph)
+    assert deltas == [1.0, -1.0]
+    assert counts == (4, 2, 1, 1)
+    text += "active,1,5,c,\nactive,1,6,d,1\n"
+    graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text))
+    assert _read_outcome(graph) == ("error", "<path>: bad __delta value '' at data row 5")

@@ -93,11 +93,15 @@ class TestParseQuery:
         with pytest.raises(QueryError, match="mismatched types"):
             parse_query(doc)
 
-    def test_malformed_predicate_op(self):
+    @pytest.mark.parametrize("op", ["LIKE", ["="], None], ids=ascii)
+    def test_malformed_predicate_op(self, op):
         doc = two_rel_query_doc()
-        doc["relations"][0]["filters"] = [{"column": "x", "op": "LIKE", "value": "a"}]
-        with pytest.raises(QueryError, match="malformed predicate"):
+        doc["relations"][0]["filters"] = [{"column": "x", "op": op, "value": "a"}]
+        with pytest.raises(QueryError) as exc:
             parse_query(doc)
+        assert str(exc.value).endswith(
+            "malformed predicate, op must be one of ('=', '!=', '<', '<=', '>', '>=')"
+        )
 
     def test_order_comparison_on_string_column(self):
         doc = two_rel_query_doc()
