@@ -1,7 +1,5 @@
 """Command-line surface: sketch, estimate, exact, bench, throughput.
 
-Every flag can also be supplied through an environment variable with the
-JSK_ prefix (flag --m-sweep becomes JSK_M_SWEEP); explicit flags win.
 Exit codes: 1 usage, 2 query document problems, 3 data problems.
 """
 
@@ -10,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 
@@ -55,54 +52,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_default(flag: str):
-    return os.environ.get("JSK_" + flag.upper().replace("-", "_"))
-
-
-def _add(parser, flag: str, required: bool = False, **kwargs):
-    env = _env_default(flag)
-    if env is not None:
-        kwargs["default"] = env
-        required = False
-    parser.add_argument(f"--{flag}", required=required, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="joinsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sketch = sub.add_parser("sketch", help="ingest relation sources and write a sketch file")
-    _add(p_sketch, "query", required=True)
-    _add(p_sketch, "m", required=True, type=int)
-    _add(p_sketch, "reps", default=5, type=int)
-    _add(p_sketch, "seed", default=0, type=int)
-    _add(p_sketch, "out", required=True)
-    _add(p_sketch, "method", default=METHOD_CONV, choices=[METHOD_CONV, METHOD_AMS])
+    p_sketch.add_argument("--query", required=True)
+    p_sketch.add_argument("--m", required=True, type=int)
+    p_sketch.add_argument("--reps", default=5, type=int)
+    p_sketch.add_argument("--seed", default=0, type=int)
+    p_sketch.add_argument("--out", required=True)
+    p_sketch.add_argument("--method", default=METHOD_CONV, choices=[METHOD_CONV, METHOD_AMS])
 
     p_est = sub.add_parser("estimate", help="estimate cardinality from a sketch file")
-    _add(p_est, "sketches", required=True)
-    _add(p_est, "query", required=True)
-    _add(p_est, "path", default="auto", choices=["auto", "fft", "naive"])
+    p_est.add_argument("--sketches", required=True)
+    p_est.add_argument("--query", required=True)
+    p_est.add_argument("--path", default="auto", choices=["auto", "fft", "naive"])
 
     p_exact = sub.add_parser("exact", help="exact cardinality via the oracle")
-    _add(p_exact, "query", required=True)
-    _add(p_exact, "path", default="auto", choices=["auto", "nested"])
+    p_exact.add_argument("--query", required=True)
+    p_exact.add_argument("--path", default="auto", choices=["auto", "nested"])
 
     p_bench = sub.add_parser("bench", help="accuracy/timing sweep, CSV output")
-    _add(p_bench, "query", required=True)
-    _add(p_bench, "m-sweep", required=True)
-    _add(p_bench, "trials", default=30, type=int)
-    _add(p_bench, "seed", default=0, type=int)
-    _add(p_bench, "out", required=True)
-    _add(p_bench, "methods", default=f"{METHOD_CONV},{METHOD_AMS}")
-    _add(p_bench, "reps", default=5, type=int)
+    p_bench.add_argument("--query", required=True)
+    p_bench.add_argument("--m-sweep", required=True)
+    p_bench.add_argument("--trials", default=30, type=int)
+    p_bench.add_argument("--seed", default=0, type=int)
+    p_bench.add_argument("--out", required=True)
+    p_bench.add_argument("--methods", default=f"{METHOD_CONV},{METHOD_AMS}")
+    p_bench.add_argument("--reps", default=5, type=int)
 
     p_tp = sub.add_parser("throughput", help="tuples/second table per (method, m)")
-    _add(p_tp, "query", required=True)
-    _add(p_tp, "m-sweep", required=True)
-    _add(p_tp, "methods", default=f"{METHOD_CONV},{METHOD_AMS}")
-    _add(p_tp, "seed", default=0, type=int)
-    _add(p_tp, "reps", default=5, type=int)
+    p_tp.add_argument("--query", required=True)
+    p_tp.add_argument("--m-sweep", required=True)
+    p_tp.add_argument("--methods", default=f"{METHOD_CONV},{METHOD_AMS}")
+    p_tp.add_argument("--seed", default=0, type=int)
+    p_tp.add_argument("--reps", default=5, type=int)
 
     return parser
 

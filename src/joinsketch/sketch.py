@@ -91,34 +91,6 @@ class RelationSketch:
         self.touched_cells = 0
 
 
-def tuple_sign(graph: JoinGraph, hashes: HashSet, rep: int, t: TupleUpdate) -> int:
-    """Product of edge sign hashes over the tuple's joined attributes."""
-    sign = 1
-    for u in graph.omega[t.relation]:
-        try:
-            x = t.values[u]
-        except KeyError:
-            raise DataError(f"tuple for relation {t.relation} misses attribute {u}") from None
-        for v in graph.gamma[u]:
-            sign *= sign_eval(hashes.sign_for(u, v, rep), x)
-    return sign
-
-
-def tuple_bin(graph: JoinGraph, hashes: HashSet, rep: int, t: TupleUpdate) -> int:
-    """Sum of component bin hashes over the tuple's attributes, mod m."""
-    total = 0
-    m = 1
-    for u in graph.omega[t.relation]:
-        try:
-            x = t.values[u]
-        except KeyError:
-            raise DataError(f"tuple for relation {t.relation} misses attribute {u}") from None
-        h = hashes.bin_for(graph.psi[u], rep)
-        m = h.m
-        total += bin_eval(h, x)
-    return total % m
-
-
 def _check_tuple(graph: JoinGraph, relation: int, found: int, attrs) -> None:
     """Raise DataError unless a tuple of relation `found` over attribute
     ids `attrs` belongs in relation `relation`'s sketch."""
@@ -136,10 +108,15 @@ def update(sk: RelationSketch, t: TupleUpdate) -> None:
     if sk.config.method != METHOD_CONV:
         raise QueryError("update() applies to conv sketches; use ams_update for ams")
     _check_tuple(sk.graph, sk.relation, t.relation, t.values)
+    graph, hashes = sk.graph, sk.hashes
     for rep in range(sk.config.l):
-        j = tuple_bin(sk.graph, sk.hashes, rep, t)
-        s = tuple_sign(sk.graph, sk.hashes, rep, t)
-        sk.counters[rep, j] += s * t.delta
+        j, s = 0, 1
+        for u in graph.omega[sk.relation]:
+            x = t.values[u]
+            j += bin_eval(hashes.bin_for(graph.psi[u], rep), x)
+            for v in graph.gamma[u]:
+                s *= sign_eval(hashes.sign_for(u, v, rep), x)
+        sk.counters[rep, j % sk.config.m] += s * t.delta
     sk.touched_cells += sk.config.l
 
 

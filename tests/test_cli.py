@@ -65,21 +65,34 @@ class TestSketchCommand:
         assert main(["sketch", *flags, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_env_var_supplies_flag(self, multiway_env, monkeypatch):
+    def test_environment_supplies_no_flag(self, multiway_env, monkeypatch, capsys):
+        # JSK_METHOD is outside --method's choices and JSK_PATH=fft is not
+        # an oracle path: neither may reach a command.
         tmp_path, query = multiway_env
+        env = {"JSK_M": "4", "JSK_REPS": "2", "JSK_METHOD": "foo", "JSK_PATH": "fft"}
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
         out = str(tmp_path / "env.jsk")
-        monkeypatch.setenv("JSK_M", "4")
-        monkeypatch.setenv("JSK_REPS", "2")
-        code = main(["sketch", "--query", query, "--seed", "1", "--out", out])
-        assert code == 0
+        assert main(["sketch", "--query", query, "--m", "8", "--seed", "1", "--out", out]) == 0
         config, _ = load_sketch_file(out)
-        assert config.m == 4 and config.l == 2
+        assert (config.m, config.l, config.method) == (8, 5, "conv")
 
-    def test_missing_required_flag_is_usage_error(self, multiway_env):
+        graph = build_join_graph(load_query(query))
+        freqs = [materialize(read_stream(graph, rel), graph, rel) for rel in range(graph.r)]
+        assert main(["exact", "--query", query]) == 0
+        expected = exact_cardinality(freqs, graph)
+        assert capsys.readouterr().out.strip() == str(int(expected))
+
+    @pytest.mark.parametrize("env", [{}, {"JSK_M": "4"}], ids=["plain", "jsk-m-set"])
+    def test_missing_required_flag_is_usage_error(self, multiway_env, monkeypatch, capsys, env):
         _, query = multiway_env
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
         with pytest.raises(SystemExit) as exc:
             main(["sketch", "--query", query])
         assert exc.value.code == EXIT_USAGE
+        usage = capsys.readouterr().err
+        assert " --m M " in usage and "[--m M]" not in usage
 
     def test_bad_query_document_exit_code(self, tmp_path):
         q = tmp_path / "bad.json"

@@ -18,8 +18,6 @@ from joinsketch.sketch import (
     bulk_update,
     distinct_tuples,
     merge,
-    tuple_bin,
-    tuple_sign,
     update,
     updates_to_columns,
 )
@@ -41,65 +39,74 @@ def make_conv(graph, relation, m=8, l=2, seed=3):
     return RelationSketch(relation, config, graph, hashes), hashes
 
 
+def _written_cell(sk, rep):
+    """(bin, value) of the one counter that a one-tuple update wrote in
+    repetition `rep`."""
+    (j,) = np.flatnonzero(sk.counters[rep])
+    return int(j), sk.counters[rep, j]
+
+
+def _relation_1_sign(hashes, rep, x1, x2):
+    """Sign of multiway relation 1's tuple (x1, x2): attribute 1 joins
+    attributes 0 and 3, attribute 2 joins attribute 4."""
+    return (
+        sign_eval(hashes.sign_for(1, 3, rep), x1)
+        * sign_eval(hashes.sign_for(1, 0, rep), x1)
+        * sign_eval(hashes.sign_for(2, 4, rep), x2)
+    )
+
+
 class TestTupleHashing:
     def test_twice_joined_sign_is_three_factor_product(self):
         graph = multiway_graph()
         sk, hashes = make_conv(graph, relation=1, m=16, l=1, seed=11)
-        t = TupleUpdate(relation=1, values={1: 7, 2: 9})
-        expected = (
-            sign_eval(hashes.sign_for(1, 3, 0), 7)
-            * sign_eval(hashes.sign_for(1, 0, 0), 7)
-            * sign_eval(hashes.sign_for(2, 4, 0), 9)
-        )
-        assert tuple_sign(graph, hashes, 0, t) == expected
+        update(sk, TupleUpdate(relation=1, values={1: 7, 2: 9}))
+        assert _written_cell(sk, 0)[1] == _relation_1_sign(hashes, 0, 7, 9)
 
     def test_single_attribute_sign_is_single_factor(self):
         graph = two_rel_graph()
         sk, hashes = make_conv(graph, relation=0, m=16, l=1, seed=11)
-        t = TupleUpdate(relation=0, values={0: 42})
-        assert tuple_sign(graph, hashes, 0, t) == sign_eval(hashes.sign_for(0, 1, 0), 42)
+        update(sk, TupleUpdate(relation=0, values={0: 42}))
+        assert _written_cell(sk, 0)[1] == sign_eval(hashes.sign_for(0, 1, 0), 42)
 
     def test_two_attr_bin_adds_component_hashes(self):
         graph = multiway_graph()
         sk, hashes = make_conv(graph, relation=1, m=8, l=1, seed=5)
-        t = TupleUpdate(relation=1, values={1: 7, 2: 9})
+        update(sk, TupleUpdate(relation=1, values={1: 7, 2: 9}))
         expected = (
             bin_eval(hashes.bin_for(graph.psi[1], 0), 7)
             + bin_eval(hashes.bin_for(graph.psi[2], 0), 9)
         ) % 8
-        assert tuple_bin(graph, hashes, 0, t) == expected
+        assert _written_cell(sk, 0)[0] == expected
 
     def test_m_one_bins_to_zero(self):
         graph = multiway_graph()
-        sk, hashes = make_conv(graph, relation=1, m=1, l=1)
-        t = TupleUpdate(relation=1, values={1: 7, 2: 9})
-        assert tuple_bin(graph, hashes, 0, t) == 0
-
-    def test_missing_attribute_value(self):
-        graph = multiway_graph()
-        sk, hashes = make_conv(graph, relation=1)
-        t = TupleUpdate(relation=1, values={1: 7})
-        with pytest.raises(DataError, match="misses attribute"):
-            tuple_sign(graph, hashes, 0, t)
+        sk, _ = make_conv(graph, relation=1, m=1, l=1)
+        update(sk, TupleUpdate(relation=1, values={1: 7, 2: 9}))
+        assert _written_cell(sk, 0)[0] == 0
 
 
 class TestUpdate:
     def test_single_tuple_grid(self):
         graph = two_rel_graph()
         sk, hashes = make_conv(graph, relation=0, m=8, l=3)
-        t = TupleUpdate(relation=0, values={0: 5}, delta=1.0)
-        update(sk, t)
+        update(sk, TupleUpdate(relation=0, values={0: 5}, delta=1.0))
         for rep in range(3):
-            j = tuple_bin(graph, hashes, rep, t)
-            s = tuple_sign(graph, hashes, rep, t)
             expected = np.zeros(8)
-            expected[j] = s
+            expected[bin_eval(hashes.bin_for(graph.psi[0], rep), 5)] = sign_eval(
+                hashes.sign_for(0, 1, rep), 5
+            )
             np.testing.assert_array_equal(sk.counters[rep], expected)
 
     def test_turnstile_cancellation(self):
         graph = two_rel_graph()
-        sk, _ = make_conv(graph, relation=0, m=8, l=3)
+        sk, hashes = make_conv(graph, relation=0, m=8, l=3)
         update(sk, TupleUpdate(0, {0: 5}, +2.0))
+        for rep in range(3):
+            assert _written_cell(sk, rep) == (
+                bin_eval(hashes.bin_for(graph.psi[0], rep), 5),
+                2 * sign_eval(hashes.sign_for(0, 1, rep), 5),
+            )
         update(sk, TupleUpdate(0, {0: 5}, -2.0))
         assert not sk.counters.any()
 
@@ -126,11 +133,18 @@ class TestUpdate:
         with pytest.raises(DataError):
             update(sk, TupleUpdate(1, {1: 3}, 1.0))
 
-    def test_rejects_extra_attributes(self):
-        graph = two_rel_graph()
-        sk, _ = make_conv(graph, relation=0)
+    @pytest.mark.parametrize(
+        "graph, t",
+        [
+            (two_rel_graph, TupleUpdate(0, {0: 3, 1: 4}, 1.0)),
+            (multiway_graph, TupleUpdate(1, {1: 7})),
+        ],
+        ids=["extra", "missing"],
+    )
+    def test_rejects_extra_attributes(self, graph, t):
+        sk, _ = make_conv(graph(), relation=t.relation)
         with pytest.raises(DataError, match="cover attributes"):
-            update(sk, TupleUpdate(0, {0: 3, 1: 4}, 1.0))
+            update(sk, t)
 
 
 class TestMergeAndLinearity:
@@ -344,7 +358,10 @@ class TestDirectSumOracle:
         ]
         sk = build_sketch(stream, graph, hashes, config, 1)
         for rep in range(3):
-            expected = sum(tuple_sign(graph, hashes, rep, t) * t.delta for t in stream)
+            expected = sum(
+                _relation_1_sign(hashes, rep, t.values[1], t.values[2]) * t.delta
+                for t in stream
+            )
             assert sk.counters[rep, 0] == expected
 
     def test_single_tuple_sketch_is_attr_sketch_convolution(self):

@@ -16,6 +16,10 @@ to be patched from outside carry `# noqa: F401`.
 Hash functions come from the seed in one place, `hashing.derive_hash_set`:
 no other module reads the seed-expansion functions that `mersenne.py`
 defines, so two methods cannot derive one family two ways.
+
+The package does not read the process environment: a run is described
+by its command line and the arguments of the calls it makes, so a stray
+variable cannot change a sketch without showing in the argv.
 """
 
 import ast
@@ -235,3 +239,38 @@ def test_finds_a_seed_expansion_use():
 )
 def test_only_hashing_expands_the_seed(path):
     assert seed_expansion_uses(path.read_text(encoding="utf-8")) == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every `os.environ`, `os.environb` or `os.getenv`
+    attribute and every `from os import` of one of them."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update((a.name, node.lineno) for a in node.names if a.name in ENVIRONMENT_READS)
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            found.add((node.attr, node.lineno))
+    return sorted(found)
+
+
+def test_finds_an_environment_read():
+    source = (
+        "import os\n"
+        "from os import environ, path\n"
+        "from os import getenv as ge\n"
+        "def flag(name):\n"
+        "    'os.environ in a docstring is not a read.'\n"
+        "    raw = os.environb.get(b'JSK_M')\n"
+        "    return os.environ.get(name) or os.getenv(name) or path.join(name)\n"
+    )
+    assert environment_reads(source) == [
+        ("environ", 2), ("environ", 7), ("environb", 6), ("getenv", 3), ("getenv", 7)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_reads_no_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
