@@ -9,7 +9,8 @@ counters of the product of the relation counters, reported as the median
 across repetitions.  Update cost is Theta(m) per repetition, which is
 what the convolution sketch removes.
 
-The bulk update is vectorized: it groups a batch into distinct tuples,
+The bulk update is vectorized: it takes a batch's distinct tuples from
+`sketch.group_tuples`, the grouping the conv sketch and the oracle use,
 evaluates one (distinct values x m) sign-parity table per (edge,
 repetition), and adds each block of distinct tuples to the counters with
 one matrix product.  It stays Theta(m) per distinct tuple.
@@ -30,7 +31,7 @@ from .sketch import (
     SketchConfig,
     TupleUpdate,
     _check_tuple,
-    distinct_tuples,
+    group_tuples,
 )
 
 
@@ -60,10 +61,10 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
     """Grouped update for a batch of tuples (column arrays by attribute).
 
     The counter definition sums over distinct tuples weighted by their
-    net frequency, so folding duplicates with `distinct_tuples` before
-    the Theta(m) work is exact.  Per repetition, each (edge, attribute)
-    pair gets one parity table over the attribute's distinct values; a
-    block of distinct tuples XORs the tables' rows gathered through each
+    net frequency, so folding duplicates with `group_tuples` before the
+    Theta(m) work is exact.  Per repetition, each (edge, attribute) pair
+    gets one parity table over the attribute's distinct values; a block
+    of distinct tuples XORs the tables' rows gathered through each
     attribute's inverse index and adds weights @ (1 - 2 * parity) to the
     counters, computed as sum(weights) - 2 * (weights @ parity).  For
     integer deltas every partial sum is an integer below 2^53, so the
@@ -74,16 +75,13 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
         raise QueryError("ams_bulk_update() applies to ams sketches")
     graph, config, hashes = sk.graph, sk.config, sk.hashes
     omega = graph.omega[sk.relation]
-    keys, weights = distinct_tuples(columns, omega, deltas)
+    groups, weights = group_tuples(columns, omega, deltas)
     n = len(weights)
-    if n == 0:
-        return
-    distinct = [np.unique(keys[:, i], return_inverse=True) for i in range(len(omega))]
     rows = max(1, BLOCK_ELEMENTS // config.m)
     for rep in range(config.l):
         tables = [
             (sign_parity_table(hashes.coefficients(u, v, rep), values), inverse)
-            for u, (values, inverse) in zip(omega, distinct)
+            for u, (values, inverse) in zip(omega, groups)
             for v in graph.gamma[u]
         ]
         (first, first_inverse), *rest = tables

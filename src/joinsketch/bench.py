@@ -120,20 +120,14 @@ def read_all_columns(graph: JoinGraph) -> list[Columns]:
     return [read_columns(graph, rel) for rel in range(graph.r)]
 
 
-def hashes_and_update(config: SketchConfig, graph: JoinGraph):
-    """The HashSet all relation sketches of `config` share, derived outside
-    any update, and the method's bulk update."""
-    bulk = bulk_update if config.method == METHOD_CONV else ams_bulk_update
-    return derive_hash_set(config, graph), bulk
-
-
 def build_sketches(
     graph: JoinGraph,
     config: SketchConfig,
     columns_by_relation: list[Columns],
 ) -> list[RelationSketch]:
     """Build one sketch per relation from pre-read column arrays."""
-    hashes, bulk = hashes_and_update(config, graph)
+    hashes = derive_hash_set(config, graph)
+    bulk = bulk_update if config.method == METHOD_CONV else ams_bulk_update
     sketches: list[RelationSketch] = []
     for rel, (columns, deltas) in enumerate(columns_by_relation):
         sk = RelationSketch(rel, config, graph, hashes)
@@ -322,7 +316,8 @@ def run_throughput(
     for method in methods:
         for m in m_values:
             config = SketchConfig(m=m, l=l, seed=master_seed, method=method)
-            hashes, bulk = hashes_and_update(config, graph)
+            hashes = derive_hash_set(config, graph)
+            bulk = bulk_update if method == METHOD_CONV else ams_bulk_update
             sk = RelationSketch(largest, config, graph, hashes)
             start = time.perf_counter()
             bulk(sk, columns, deltas)

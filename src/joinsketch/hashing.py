@@ -26,7 +26,6 @@ import numpy as np
 from .errors import QueryError
 from .mersenne import (
     derive_state,
-    field_elements,
     field_elements_vec,
     mod_p,
     poly_eval,
@@ -91,12 +90,11 @@ def derive_hash_set(config: "SketchConfig", graph: "JoinGraph") -> HashSet:
 
     Coefficients come from counter-mode expansion of the seed keyed on
     (kind, edge or component id, repetition), so the result is a pure
-    function of (seed, graph, m, l, method).  An ams config also draws
-    each edge's m x 4 family coefficients from the edge's sign stream,
-    so family member 0 is the conv sign hash and the two methods agree
-    exactly at m=1.  They could differ only if one of the first four
-    draws hit the value p (probability about 2^-59 per family): the
-    scalar and vector draws replace a rejected value differently.
+    function of (seed, graph, m, l, method).  Each (edge, repetition)
+    draws one 4 x members block from its sign stream: members is 1 for
+    conv and m for ams, whose family is the whole (m, 4) array.  The
+    sign hash is row 0 of the block, so the two methods agree exactly
+    at m=1.
     """
     if not graph.edges:
         raise QueryError("query has no join edges")
@@ -104,17 +102,17 @@ def derive_hash_set(config: "SketchConfig", graph: "JoinGraph") -> HashSet:
     signs: dict[tuple[int, int, int], SignHash] = {}
     bins: dict[tuple[int, int], BinHash] = {}
     families: dict[tuple[int, int, int], np.ndarray] = {}
+    members = config.m if config.method == METHOD_AMS else 1
     for rep in range(config.l):
         for u, v in graph.edges:
             state = derive_state(config.seed, KIND_SIGN, u, v, rep)
-            coeffs = field_elements(state, 4)
-            signs[(u, v, rep)] = SignHash(coeffs)
+            family = field_elements_vec(state, 4 * members).reshape(members, 4)
+            signs[(u, v, rep)] = SignHash(tuple(family[0].tolist()))
             if config.method == METHOD_AMS:
-                families[(u, v, rep)] = field_elements_vec(state, config.m * 4).reshape(config.m, 4)
+                families[(u, v, rep)] = family
         for comp in range(graph.n_components):
             state = derive_state(config.seed, KIND_BIN, comp, 0, rep)
-            coeffs = field_elements(state, 2)
-            bins[(comp, rep)] = BinHash(coeffs, config.m)
+            bins[(comp, rep)] = BinHash(tuple(field_elements_vec(state, 2).tolist()), config.m)
     return HashSet(signs=signs, bins=bins, families=families)
 
 

@@ -62,18 +62,6 @@ def derive_state(master_seed: int, *words: int) -> int:
     return state
 
 
-def field_elements(state: int, count: int) -> tuple[int, ...]:
-    """Draw uniform elements of [0, p) from a stream state (counter mode)."""
-    out: list[int] = []
-    t = 0
-    while len(out) < count:
-        t += 1
-        v = mix64((state + t * _GOLDEN) & _MASK64) & PRIME
-        if v != PRIME:
-            out.append(v)
-    return tuple(out)
-
-
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)

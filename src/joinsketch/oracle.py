@@ -1,9 +1,9 @@
 """Exact multi-join cardinality on desk-scale data.
 
 One relation's frequencies are the `(keys, sums)` pair that
-`sketch.distinct_tuples` returns: an (n, k) uint64 array of distinct
-attribute-ordered tuples in lexicographic row order, and their float64
-net frequencies with zeros dropped.
+`sketch.distinct_tuples` stacks from the grouping both sketch updates
+use: an (n, k) uint64 array of distinct attribute-ordered tuples in
+lexicographic row order, and their float64 net frequencies, zeros dropped.
 
 Two independent implementations: a hash join that walks the rooted
 traversal plan the FFT estimator walks, with sorted value arrays in

@@ -70,7 +70,8 @@ class RelationSketch:
     sketches loaded from a file, as neither estimator reads hash
     functions.  `counters` hands over an existing l x m grid (a loaded
     or merged one) in place of a fresh zero grid.  `touched_cells`
-    counts counter writes for the update-cost instrumentation.
+    counts counter writes: per tuple for the per-tuple updates, per
+    distinct nonzero tuple of a batch for the bulk updates.
     """
 
     def __init__(
@@ -141,34 +142,31 @@ def bulk_update(
 ) -> None:
     """Vectorized update for a batch of tuples (column arrays by attribute).
 
-    Each attribute column is hashed on its distinct values only
-    (`np.unique`), and the bin and sign of every tuple are gathered back
-    through the inverse index; the signed deltas are then summed per bin
-    with `np.bincount`.  Equivalent to calling update() per tuple: every
-    partial counter sum of integer deltas is itself an integer, so the
-    accumulation order cannot change the result.
+    Folds the batch into its distinct nonzero tuples (`group_tuples`),
+    hashes each attribute on its distinct values, gathers every tuple's
+    bin and sign through the inverse index, and sums the signed net
+    frequencies per bin with `np.bincount`: l counter writes per distinct
+    tuple.  Equivalent to calling update() per tuple, as counters are
+    linear in the net frequencies and every partial sum of integer deltas
+    is an integer, so the accumulation order cannot change the result.
     """
     if sk.config.method != METHOD_CONV:
         raise QueryError("bulk_update() applies to conv sketches; use ams_bulk_update for ams")
     graph, hashes, cfg = sk.graph, sk.hashes, sk.config
-    n = len(deltas)
-    if n == 0:
-        return
-    deltas = np.asarray(deltas, dtype=np.float64)
     omega = graph.omega[sk.relation]
-    distinct = {u: np.unique(columns[u], return_inverse=True) for u in omega}
+    groups, weights = group_tuples(columns, omega, deltas)
+    n = len(weights)
     for rep in range(cfg.l):
         bins = np.zeros(n, dtype=np.uint64)
         signs = np.ones(n, dtype=np.float64)
-        for u in omega:
-            values, inverse = distinct[u]
+        for u, (values, inverse) in zip(omega, groups):
             bins += bin_eval_vec(hashes.bin_for(graph.psi[u], rep), values)[inverse]
             value_signs = np.ones(len(values), dtype=np.float64)
             for v in graph.gamma[u]:
                 value_signs *= sign_eval_vec(hashes.sign_for(u, v, rep), values)
             signs *= value_signs[inverse]
         idx = (bins % np.uint64(cfg.m)).astype(np.int64)
-        sk.counters[rep] += np.bincount(idx, weights=signs * deltas, minlength=cfg.m)
+        sk.counters[rep] += np.bincount(idx, weights=signs * weights, minlength=cfg.m)
     sk.touched_cells += cfg.l * n
 
 
@@ -199,39 +197,48 @@ def updates_to_columns(
     return columns, np.array(deltas, dtype=np.float64)
 
 
-def distinct_tuples(
+def group_tuples(
     columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct tuples (attribute-ordered rows) and their net frequencies, zeros dropped.
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Distinct tuples of nonzero net frequency: the one grouping of a batch.
 
-    No structured rows are sorted.  Each column gets a 1-D `np.unique`
-    code, its value's rank among the column's distinct values.  The codes
-    fold left to right into one mixed-radix int64 code per tuple
-    (`code * len(values) + inverse`), and a 1-D `np.unique` after each
-    fold turns the code back into a rank.  Ranks keep each column's value
-    order, so the final ranks number the distinct tuples in lexicographic
-    order; each key is gathered from one row holding its rank.
-    `np.bincount` adds each tuple's deltas in stream order.
+    Returns, per attribute of `attrs`, `(values, inverse)`: the column's
+    sorted distinct uint64 values and each tuple's index into them; and
+    the tuples' net frequencies.  No structured rows are sorted.  Each
+    column gets a 1-D `np.unique` code, its value's rank among the
+    column's distinct values.  The codes fold left to right into one
+    mixed-radix int64 code per tuple (`code * len(values) + inverse`),
+    and a 1-D `np.unique` after each fold turns the code back into a
+    rank.  Ranks keep each column's value order, so the final ranks
+    number the distinct tuples in lexicographic order.  `np.bincount`
+    adds each tuple's deltas in stream order, and tuples whose deltas
+    cancel to zero are dropped.
     """
     n = len(deltas)
-    if n == 0:
-        return np.empty((0, len(attrs)), dtype=np.uint64), np.empty(0, dtype=np.float64)
     cols = [np.asarray(columns[u], dtype=np.uint64) for u in attrs]
+    groups = [np.unique(col, return_inverse=True) for col in cols]
     # A rank entering a fold is below n and a column has d <= n distinct
     # values, so every folded code stays below n * d <= n^2: no int64
     # overflow for any n < 3 * 10^9.
-    rank = None
-    for col in cols:
-        values, inverse = np.unique(col, return_inverse=True)
-        if rank is None:
-            rank = inverse
-        else:
-            rank = np.unique(rank * np.int64(len(values)) + inverse, return_inverse=True)[1]
-    sums = np.bincount(rank, weights=deltas)
+    rank = groups[0][1]
+    for values, inverse in groups[1:]:
+        rank = np.unique(rank * np.int64(len(values)) + inverse, return_inverse=True)[1]
+    # np.bincount gives int64 for an empty input, float64 otherwise.
+    sums = np.bincount(rank, weights=deltas).astype(np.float64, copy=False)
     row = np.empty(len(sums), dtype=np.intp)
     row[rank] = np.arange(n)
     keep = sums != 0.0
-    return np.stack([col[row[keep]] for col in cols], axis=1), sums[keep]
+    return [(values, inverse[row[keep]]) for values, inverse in groups], sums[keep]
+
+
+def distinct_tuples(
+    columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`group_tuples` with the keys stacked: an (n, k) uint64 array of
+    distinct attribute-ordered rows in lexicographic order, and their
+    nonzero net frequencies."""
+    groups, sums = group_tuples(columns, attrs, deltas)
+    return np.stack([values[inverse] for values, inverse in groups], axis=1), sums
 
 
 def build_sketch(

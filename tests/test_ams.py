@@ -18,10 +18,18 @@ from joinsketch.sketch import (
     SketchConfig,
     TupleUpdate,
     build_sketch,
+    bulk_update,
     updates_to_columns,
 )
 
 from conftest import ams_build, chain3_graph, multiway_graph, turnstile_stream, two_rel_graph
+
+
+def empty_sketch(method, relation, graph, m, l, seed):
+    """A fresh sketch of either method and that method's bulk update."""
+    config = SketchConfig(m=m, l=l, seed=seed, method=method)
+    sk = RelationSketch(relation, config, graph, derive_hash_set(config, graph))
+    return sk, bulk_update if method == "conv" else ams_bulk_update
 
 
 def signs(coeffs, x):
@@ -134,16 +142,31 @@ class TestAmsBuild:
         assert distinct > 16
         assert bulk.touched_cells == config.l * config.m * distinct
 
-    def test_empty_and_cancelled_batches_leave_zero_counters(self):
+    @pytest.mark.parametrize("method", ["conv", "ams"])
+    def test_empty_and_cancelled_batches_leave_zero_counters(self, method):
         graph = chain3_graph()
-        config = SketchConfig(m=64, l=2, seed=13, method="ams")
-        empty = ams_build([], graph, config, 1)
         inserts = [TupleUpdate(1, {1: k, 2: k % 3}, 1.0) for k in range(20)]
         deletes = [TupleUpdate(1, t.values, -1.0) for t in inserts]
-        cancelled = ams_build(inserts + deletes, graph, config, 1)
-        for sk in (empty, cancelled):
+        for updates in ([], inserts + deletes):
+            sk, bulk = empty_sketch(method, 1, graph, m=64, l=2, seed=13)
+            bulk(sk, *updates_to_columns(updates, graph, 1))
             assert not sk.counters.any()
             assert sk.touched_cells == 0
+
+    @pytest.mark.parametrize("method", ["conv", "ams"])
+    def test_repeated_batch_equals_scaled_deltas(self, method):
+        # A sketch is linear in the net frequencies: ten copies of a batch
+        # write what the batch with ten-fold deltas writes, cell for cell.
+        graph = chain3_graph()
+        stream = turnstile_stream(np.random.default_rng(14), graph, 1, 200, domain=16)
+        columns, deltas = updates_to_columns(stream, graph, 1)
+        repeated, bulk = empty_sketch(method, 1, graph, m=64, l=2, seed=15)
+        bulk(repeated, {u: np.tile(col, 10) for u, col in columns.items()}, np.tile(deltas, 10))
+        scaled, _ = empty_sketch(method, 1, graph, m=64, l=2, seed=15)
+        bulk(scaled, columns, deltas * 10.0)
+        assert repeated.counters.any()
+        assert repeated.counters.tobytes() == scaled.counters.tobytes()
+        assert repeated.touched_cells == scaled.touched_cells
 
     def test_m_one_matches_conv_sketch(self):
         # At m=1 both methods reduce to the signed frequency sum with the

@@ -138,6 +138,7 @@ class TestDeriveHashSet:
         conv = derive_hash_set(SketchConfig(m=8, l=3, seed=seed), graph)
         ams = derive_hash_set(SketchConfig(m=8, l=3, seed=seed, method="ams"), graph)
         assert conv.families == {}
+        assert ams.signs == conv.signs
         assert set(ams.families) == set(conv.signs)
         for (u, v, rep), sign in conv.signs.items():
             family = ams.coefficients(v, u, rep)

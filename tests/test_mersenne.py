@@ -5,7 +5,6 @@ import numpy as np
 from joinsketch.mersenne import (
     PRIME,
     derive_state,
-    field_elements,
     field_elements_vec,
     mix64,
     mod_p,
@@ -21,6 +20,21 @@ EDGE_VALUES = [
     PRIME - 2, PRIME - 1, PRIME, PRIME + 1,
     (1 << 62) + 12345, (1 << 64) - 1,
 ]
+
+
+def field_elements(state: int, count: int) -> tuple[int, ...]:
+    """Reference draw of uniform elements of [0, p) from a stream state
+    (counter mode), one Python int at a time: a rejected value is
+    replaced by the next counter's."""
+    golden = 0x9E3779B97F4A7C15
+    out: list[int] = []
+    t = 0
+    while len(out) < count:
+        t += 1
+        v = mix64((state + t * golden) & ((1 << 64) - 1)) & PRIME
+        if v != PRIME:
+            out.append(v)
+    return tuple(out)
 
 
 class TestModP:

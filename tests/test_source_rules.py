@@ -7,7 +7,13 @@ runs.  Recursion belongs in module-level functions.
 
 `np.unique` with an `axis` sorts whole rows as structured records, about
 ten times slower than grouping by per-column codes with 1-D
-`np.unique` calls (`sketch.distinct_tuples`).
+`np.unique` calls (`sketch.group_tuples`).
+
+In `sketch.py` and `ams.py`, `np.unique` runs only inside
+`sketch.group_tuples`.  A batch is grouped into distinct tuples once, and
+the conv update, the AMS update and the oracle all read that one result,
+so no column is sorted twice and the three cannot fold duplicates three
+different ways.
 
 Every imported name is used: a leftover import of a deleted helper is
 dead code that still ties two modules together.  Names that exist only
@@ -115,6 +121,51 @@ def test_finds_np_unique_with_an_axis():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_np_unique_with_an_axis_in_the_package(path):
     assert unique_with_axis(path.read_text(encoding="utf-8")) == []
+
+
+GROUPING = "group_tuples"
+
+
+def unique_outside_grouping(source: str) -> list[int]:
+    """Line of every `<module>.unique(...)` call outside a function named
+    GROUPING."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for outer in ast.walk(tree)
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)) and outer.name == GROUPING
+        for node in ast.walk(outer)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and id(node) not in inside
+    )
+
+
+def test_finds_np_unique_outside_the_grouping():
+    source = (
+        "import numpy as np\n"
+        "def group_tuples(columns):\n"
+        "    return [np.unique(col, return_inverse=True) for col in columns]\n"
+        "def bulk_update(keys):\n"
+        "    values = np.unique(keys[:, 0])\n"
+        "    return values, group_tuples([values])\n"
+        "class Sketch:\n"
+        "    def update(self, col):\n"
+        "        'np.unique in a docstring is not a call.'\n"
+        "        return numpy.unique(col, return_inverse=True)\n"
+        "rank = np.unique(np.arange(3))\n"
+    )
+    assert unique_outside_grouping(source) == [5, 10, 11]
+
+
+@pytest.mark.parametrize("name", ["sketch.py", "ams.py"])
+def test_np_unique_only_in_the_grouping(name):
+    assert unique_outside_grouping((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 def _annotations(tree: ast.AST):
