@@ -11,9 +11,10 @@ what the convolution sketch removes.
 
 The bulk update is vectorized: it takes a batch's distinct tuples from
 `sketch.group_tuples`, the grouping the conv sketch and the oracle use,
-evaluates one (distinct values x m) sign-parity table per (edge,
-repetition), and adds each block of distinct tuples to the counters with
-one matrix product.  It stays Theta(m) per distinct tuple.
+evaluates one sign-parity table per (edge, repetition), a row of m
+parities for each distinct value that a nonzero tuple uses, and adds
+each block of distinct tuples to the counters with one matrix product.
+It stays Theta(m) per distinct tuple.
 """
 
 from __future__ import annotations
@@ -63,19 +64,25 @@ def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: 
     The counter definition sums over distinct tuples weighted by their
     net frequency, so folding duplicates with `group_tuples` before the
     Theta(m) work is exact.  Per repetition, each (edge, attribute) pair
-    gets one parity table over the attribute's distinct values; a block
-    of distinct tuples XORs the tables' rows gathered through each
-    attribute's inverse index and adds weights @ (1 - 2 * parity) to the
-    counters, computed as sum(weights) - 2 * (weights @ parity).  For
-    integer deltas every partial sum is an integer below 2^53, so the
-    summation order cannot change a counter: the result equals
-    ams_update() per tuple bit for bit.
+    gets one parity table over the attribute's distinct values that a
+    nonzero tuple uses; a block of distinct tuples XORs the tables' rows
+    gathered through each attribute's inverse index and adds
+    weights @ (1 - 2 * parity) to the counters, computed as
+    sum(weights) - 2 * (weights @ parity).  For integer deltas every
+    partial sum is an integer below 2^53, so the summation order cannot
+    change a counter: the result equals ams_update() per tuple bit for
+    bit.
     """
     if sk.config.method != METHOD_AMS:
         raise QueryError("ams_bulk_update() applies to ams sketches")
     graph, config, hashes = sk.graph, sk.config, sk.hashes
     omega = graph.omega[sk.relation]
     groups, weights = group_tuples(columns, omega, deltas)
+    # A value that only cancelled tuples use would still cost a parity row
+    # of m counters; keep the values some nonzero tuple references.
+    for i, (values, inverse) in enumerate(groups):
+        used = np.bincount(inverse, minlength=len(values)) > 0
+        groups[i] = values[used], (np.cumsum(used) - 1)[inverse]
     n = len(weights)
     rows = max(1, BLOCK_ELEMENTS // config.m)
     for rep in range(config.l):

@@ -21,20 +21,22 @@ one index of its separators (vectorized parsing as in Mühlbauer et al.,
 "Instant Loading for Main Memory Databases", PVLDB 2013):
 
 - a joined `str` column is hashed with FNV-1a over each cell's UTF-8
-  bytes, one byte position at a time for the cells that still have one;
-  an empty cell is NULL;
+  bytes, all cells at once through one byte window that ends at each
+  cell's separator; the few cells longer than the window are hashed in
+  Python; an empty cell is NULL;
 - a str `=` or `!=` filter compares each cell's bytes with the UTF-8
   encoding of its value, never a hash; an empty cell passes neither;
-- a joined `int` column and `__delta` are parsed one digit position at
-  a time, if every cell of the block's column is empty or 1 to 18 ASCII
-  digits after an optional '-'; an empty cell is NULL.
+- a joined `int` column, an int filter's column and `__delta` are parsed
+  one digit position at a time, if every cell of the block's column is
+  empty or 1 to 18 ASCII digits after an optional '-'; an empty cell is
+  NULL and passes no filter.
 
 A column the kernels decline (an int cell with a space, a '+', 19
-digits or more, or a lone '-', and any int filter) is read from the
-block split into str cells, for that block only, as is every block that
-csv.reader tokenizes, and so is a `__delta` column with an empty cell,
-which is an error in a kept row.  A block no column declines is never
-split.
+digits or more, or a lone '-', and a str filter other than `=` and
+`!=`) is read from the block split into str cells, for that block
+only, as is every block that csv.reader tokenizes, and so is a
+`__delta` column with an empty cell, which is an error in a kept row.
+A block no column declines is never split.
 
 Both tokenizers feed one column assembler, where a kernel column and a
 str-cell column alike come back as block-length uint64 arrays plus a
@@ -69,27 +71,35 @@ _INT_MIN = -(1 << 63)
 # FNV-1a 64-bit, seedless: offset basis and prime are fixed constants.
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+_FNV_PRIME_INVERSE = pow(FNV_PRIME, -1, 1 << 64)
 
 DELTA_COLUMN = "__delta"
 
-# Bytes per read block: large enough that per-block work is noise, small
-# enough that ingest holds one block's cells, not the file's.  Blocks of
-# 8 to 64 KiB ingested equally fast; the peak memory grows with the block.
-BLOCK_BYTES = 1 << 14
+# Bytes per read block: large enough that each numpy call of a kernel
+# covers thousands of rows, small enough that ingest holds one block's
+# cells, not the file's.  With blocks of 16, 32, 64, 128 and 256 KiB,
+# read_all_columns (seed 3; median of 6 fresh processes, each the median
+# of 9 reads; 2 CPUs, numpy 2.4) read chain3-str-turnstile in 60, 44,
+# 37, 43 and 78 ms, and chain3-int in 20, 18, 17, 16 and 31 ms.  A block
+# longer than csv.field_size_limit() (128 KiB by default) is split into
+# str cells to check their lengths, most of the cost at 256 KiB, so a
+# block must stay well below that limit.
+BLOCK_BYTES = 1 << 16
 _NEWLINE, _COMMA, _MINUS, _ZERO = b"\n,-0"
 # Every byte but a comma, a newline and the bytes only csv.reader handles.
 _CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
 # Digits an int cell may have for the numpy kernel: 10^18 - 1 < 2^63, so
 # a longer cell, which may be out of range, is left to `canonicalize`.
 _KERNEL_DIGITS = 18
-# Once fewer str cells than this still have bytes to hash, each numpy step
-# costs more than finishing those cells one byte at a time in Python; a
-# single long cell would otherwise cost one numpy step per byte.
+# The str window covers every cell of a block but fewer than this many,
+# which are hashed in Python: each window position costs a numpy step over
+# every cell, so a few long cells must not set the window's length.
 _FEW_CELLS = 16
 
 
-def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
-    """FNV-1a of `data`; `h` is the hash of the bytes before it, if any."""
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a of `data`; `_PlainBlock.hashes` gives it for a whole column."""
+    h = FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * FNV_PRIME) & _MASK64
     return h
@@ -260,37 +270,60 @@ class _PlainBlock:
         """FNV-1a of the UTF-8 bytes of each cell of column `at`, and which
         cells are not empty.
 
-        The cells are sorted longest first, so the cells that still have a
-        byte at position k are a prefix of that order, and each position
-        updates only them: the work is the column's bytes, not its rows
-        times its longest cell.  The last few cells finish in Python.
+        Every cell is read through one window of the `window` bytes that
+        end at its separator: the shortest window that fewer than
+        _FEW_CELLS cells overrun, and those few are hashed whole in Python.
+        A window byte before a cell's first byte reads as 0.  FNV-1a on a 0
+        byte only multiplies by the prime, which is odd and so has an
+        inverse modulo 2^64; a cell of n bytes therefore starts at
+        FNV_OFFSET * FNV_PRIME^-(window - n), and its window - n zero
+        bytes bring it to FNV_OFFSET at its first byte.  Each window
+        position is then one XOR and one multiply of the whole column: no
+        sort, slice or scatter.
         """
+        data = self._data
         start, end = self._bounds(at)
         length = end - start
-        order = np.argsort(length, kind="stable")[::-1]
-        first, last = start[order], end[order]
-        # live[k]: the cells longer than k bytes.
-        live = (self.rows - np.cumsum(np.bincount(length))[:-1]).tolist()
-        hashes = np.full(self.rows, FNV_OFFSET, np.uint64)
-        k = 0
-        while k < len(live) and live[k] >= _FEW_CELLS:
-            h = hashes[: live[k]]
-            h ^= self._data[first[: live[k]] + k]
-            h *= FNV_PRIME  # wraps modulo 2^64
-            k += 1
-        if k < len(live):
-            few = live[k]
-            spans = zip(first[:few].tolist(), last[:few].tolist(), hashes[:few].tolist())
-            hashes[:few] = [fnv1a64(self.block[a + k : b], h) for a, b, h in spans]
-        items = np.empty_like(hashes)
-        items[order] = hashes
-        return items, length > 0
+        kth = self.rows - _FEW_CELLS
+        window = int(np.partition(length, kth)[kth]) if kth >= 0 else 0
+        # The start states: FNV_OFFSET * FNV_PRIME^-j for j zero bytes.
+        states = np.full(window + 1, _FNV_PRIME_INVERSE, np.uint64)
+        states[0] = FNV_OFFSET
+        np.multiply.accumulate(states, out=states)  # wraps modulo 2^64
+        hashes = states[window - np.minimum(length, window)]
+        # The window is gathered a chunk of positions at a time, so that a
+        # chunk has no more bytes than the block.  A byte before the block
+        # reads from its end, and is masked to 0 like any byte before a cell.
+        chunk = max(1, len(data) // self.rows)
+        for back in range(window, 0, -chunk):
+            offsets = np.arange(back, max(back - chunk, 0), -1)[:, None]
+            rows = data[end - offsets]
+            rows *= length >= offsets
+            for row in rows:
+                hashes ^= row
+                hashes *= FNV_PRIME  # wraps modulo 2^64
+        overrun = np.flatnonzero(length > window)
+        spans = zip(start[overrun].tolist(), end[overrun].tolist())
+        hashes[overrun] = [fnv1a64(self.block[a:b]) for a, b in spans]
+        return hashes, length > 0
 
     def matches(self, at: int, p: FilterPredicate) -> np.ndarray | None:
-        """Which cells of column `at` pass a str `=` or `!=` predicate, or
-        None for any other predicate.  A cell equals the value when its
-        bytes are the value's UTF-8 encoding; an empty cell passes none."""
-        if p.col_type != "str" or p.op not in ("=", "!="):
+        """Which cells of column `at` pass predicate `p`, or None if no
+        kernel reads it.  An int cell compares as the int kernel parses it,
+        or None if that kernel declines the column.  A str cell passes `=`
+        when its bytes are the value's UTF-8 encoding, and `!=` when not;
+        other str predicates give None.  An empty cell passes none."""
+        if p.col_type == "int":
+            got = self.ints(at)
+            if got is None:
+                return None
+            items, present = got
+            # Items of at most 18 digits lie strictly inside int64, so
+            # clamping the value into int64 changes no outcome.
+            value = min(max(p.value, _INT_MIN), _MASK64 >> 1)
+            passed = FILTER_OPS[p.op](items.view(np.int64), value)
+            return passed if present is None else passed & present
+        if p.op not in ("=", "!="):
             return None
         start, end = self._bounds(at)
         # A lone surrogate keeps its bytes, which no UTF-8 cell has.

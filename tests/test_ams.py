@@ -153,6 +153,34 @@ class TestAmsBuild:
             assert not sk.counters.any()
             assert sk.touched_cells == 0
 
+    def test_parity_tables_cover_only_values_of_nonzero_tuples(self, monkeypatch):
+        # Values 100-104 of attribute 1 and 7 of attribute 2 appear only in
+        # tuples whose deltas cancel: no parity row is built for them.
+        import joinsketch.ams as ams
+
+        graph = chain3_graph()
+        kept = [TupleUpdate(1, {1: k, 2: k % 3}, float(k % 2 + 1)) for k in range(12)]
+        gone = [TupleUpdate(1, {1: 100 + k, 2: 7 if k % 2 else k % 3}, 1.0) for k in range(5)]
+        stream = kept + gone + [TupleUpdate(1, t.values, -1.0) for t in gone]
+        config = SketchConfig(m=64, l=2, seed=16, method="ams")
+        seen = []
+
+        def counted(coefficients, values):
+            seen.append(values.tolist())
+            return sign_parity_table(coefficients, values)
+
+        monkeypatch.setattr(ams, "sign_parity_table", counted)
+        bulk = ams_sketch(1, config, graph)
+        ams_bulk_update(bulk, *updates_to_columns(stream, graph, 1))
+        monkeypatch.undo()
+        used = {u: sorted({t.values[u] for t in kept}) for u in (1, 2)}
+        assert seen == [used[1], used[2]] * config.l
+        scalar = ams_sketch(1, config, graph)
+        for t in stream:
+            ams_update(scalar, t)
+        assert bulk.counters.tobytes() == scalar.counters.tobytes()
+        assert bulk.touched_cells == config.l * config.m * len(kept)
+
     @pytest.mark.parametrize("method", ["conv", "ams"])
     def test_repeated_batch_equals_scaled_deltas(self, method):
         # A sketch is linear in the net frequencies: ten copies of a batch

@@ -190,6 +190,67 @@ class TestIntKernel:
         assert (reader.rows_read, reader.rows_null) == (len(cells), 6)
         assert calls == []
 
+    @staticmethod
+    def _filter_read(tmp_path, monkeypatch, cells, op, value, layout):
+        """Read s (the row number) of the rows whose int cell v passes
+        `v op value`; also the reference outcome from apply_filters, and
+        every `_passes` call."""
+        import joinsketch.ingest as ingest
+
+        graph = _str_graph(tmp_path, "v,s\n" + "".join(f"{v},s{i}\n" for i, v in enumerate(cells)),
+                           [{"column": "v", "op": op, "value": value}])
+        decl_filter = graph.spec.relations[0].filters[0]
+        try:
+            kept = [i for i, v in enumerate(cells) if apply_filters({"v": v}, [decl_filter])]
+            expected = [fnv1a64(f"s{i}".encode()) for i in kept]
+        except DataError as exc:
+            expected = str(exc)
+        calls, original = [], ingest._passes
+
+        def counted(p, cell):
+            calls.append(cell)
+            return original(p, cell)
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
+        monkeypatch.setattr(ingest, "_passes", counted)
+        reader = read_stream(graph, 0)
+        try:
+            outcome = reader.read()[0][0].tolist()
+        except DataError as exc:
+            outcome = str(exc)
+        return outcome, expected, calls, reader
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("value", [0, 7, -7, 2**63, -(2**63), 2**64 - 1, 10**18], ids=str)
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_filter_cells_compare_in_numpy(self, tmp_path, monkeypatch, op, value, layout):
+        # Kernel cells at the 18-digit edge, zeros, and empty cells, which
+        # pass no filter; the value may lie outside every int64.
+        rng = np.random.default_rng(19)
+        cells = _kernel_cells(rng, 40) + ["7", "-7", "0", "-0", "007", "", "",
+                                          "999999999999999999", "-999999999999999999"]
+        rng.shuffle(cells)
+        outcome, expected, calls, reader = self._filter_read(
+            tmp_path, monkeypatch, cells, op, value, layout)
+        assert outcome == expected
+        assert reader.rows_filtered == len(cells) - len(expected)
+        assert calls == []
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("edge", ["+5", " 5", "1234567890123456789", "-", "1_0"], ids=ascii)
+    def test_declined_filter_block_falls_back(self, tmp_path, monkeypatch, edge, layout):
+        # The kernel declines the edge's block, and _passes reads that
+        # block's cells alone, with its DataError text for a bad cell.
+        rng = np.random.default_rng(23)
+        cells = _kernel_cells(rng, 30)
+        cells.insert(17, edge)
+        outcome, expected, calls, _ = self._filter_read(
+            tmp_path, monkeypatch, cells, ">", 5, layout)
+        assert outcome == expected
+        assert edge in calls and set(calls) <= set(cells)
+        if layout == "alone":
+            assert calls == [edge]
+
 
 # Str cells at the edges of the FNV-1a kernel of plain blocks: empty (NULL),
 # non-ASCII of two, three and four UTF-8 bytes, and longer than 64 bytes.
@@ -241,20 +302,13 @@ class TestStrKernel:
             monkeypatch.setattr(ingest, name, counted)
         return calls
 
-    # few=1 hashes every byte position in numpy; the default leaves the
-    # last cells of a block to Python, and a block of fewer rows all of them.
-    @pytest.mark.parametrize("few", [1, None], ids=["numpy", "numpy-then-python"])
-    @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize("edge", _STR_EDGE_CELLS, ids=ascii)
-    def test_join_cells_match_fnv1a64(self, tmp_path, monkeypatch, str_path, edge, layout, few):
+    def _check_cells(self, tmp_path, monkeypatch, str_path, cells, layout, few):
+        """Read `cells` as column s, the row number as column n, and compare
+        every item with fnv1a64 bit for bit."""
         import joinsketch.ingest as ingest
 
         if few:
             monkeypatch.setattr(ingest, "_FEW_CELLS", few)
-        rng = np.random.default_rng(len(edge))
-        cells = _str_cells(rng, 30) + ["", "x" * int(rng.integers(64, 200))]
-        rng.shuffle(cells)
-        cells.insert(int(rng.integers(0, 33)), edge)
         # The row number in a second column keeps an empty s cell a row.
         text = "s,n\n" + "".join(f"{cell},{i}\n" for i, cell in enumerate(cells))
         monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
@@ -266,6 +320,74 @@ class TestStrKernel:
         assert deltas.tolist() == [1.0] * len(expected)
         assert (reader.rows_read, reader.rows_null) == (len(cells), cells.count(""))
         assert str_path == []
+
+    # few=1 hashes every byte position in numpy; the default leaves the
+    # last cells of a block to Python, and a block of fewer rows all of them.
+    @pytest.mark.parametrize("few", [1, None], ids=["numpy", "numpy-then-python"])
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("edge", _STR_EDGE_CELLS, ids=ascii)
+    def test_join_cells_match_fnv1a64(self, tmp_path, monkeypatch, str_path, edge, layout, few):
+        rng = np.random.default_rng(len(edge))
+        cells = _str_cells(rng, 30) + ["", "x" * int(rng.integers(64, 200))]
+        rng.shuffle(cells)
+        cells.insert(int(rng.integers(0, 33)), edge)
+        self._check_cells(tmp_path, monkeypatch, str_path, cells, layout, few)
+
+    @pytest.mark.parametrize("few", [1, None], ids=["numpy", "numpy-then-python"])
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("case", ["block-start", "long-window", "all-empty"])
+    def test_window_edges_match_fnv1a64(self, tmp_path, monkeypatch, str_path, case, layout,
+                                        few):
+        import joinsketch.ingest as ingest
+
+        rng = np.random.default_rng(17)
+        if case == "block-start":
+            # A one-byte cell at byte 0 of the first block: longer cells
+            # after it stretch the window past the block's start.
+            cells = ["a"] + _str_cells(rng, 40)
+        elif case == "long-window":
+            # More long cells than the kernel leaves to Python, so the
+            # window spans several gather chunks.
+            cells = _str_cells(rng, 60) + [
+                str(rng.choice(_STR_ALPHABET)) * int(n)
+                for n in rng.integers(100, 300, size=ingest._FEW_CELLS + 4)
+            ]
+            rng.shuffle(cells)
+        else:
+            cells = [""] * 40
+        self._check_cells(tmp_path, monkeypatch, str_path, cells, layout, few)
+
+    def test_default_blocks_are_never_split(self, tmp_path, monkeypatch, str_path):
+        # A block longer than csv.field_size_limit() is split into str cells
+        # to check their lengths; a default block must stay well below it.
+        import joinsketch.ingest as ingest
+
+        splits, original = [], ingest._PlainBlock.split
+
+        def spy(block):
+            splits.append(len(block.block))
+            return original(block)
+
+        monkeypatch.setattr(ingest._PlainBlock, "split", spy)
+        rng = np.random.default_rng(29)
+        rows = 4 * ingest.BLOCK_BYTES // 16
+        text = "s,status,n,__delta\n" + "".join(
+            f"{s},{status},{n},{delta}\n"
+            for s, status, n, delta in zip(
+                _str_cells(rng, rows), rng.choice(["active", "closed", ""], rows),
+                rng.integers(-50, 50, rows), rng.choice([1, -1, 2], rows))
+        )
+        assert len(text.encode()) > 4 * ingest.BLOCK_BYTES
+        graph = _str_graph(tmp_path, text, [{"column": "status", "op": "=", "value": "active"},
+                                            {"column": "n", "op": ">=", "value": -20}])
+        reader = read_stream(graph, 0)
+        columns, deltas = reader.read()
+        assert splits == [] and str_path == []
+        expected_columns, expected_deltas, expected_counts = _reference_read(graph, 0)
+        assert columns[0].tobytes() == expected_columns[0].tobytes()
+        assert deltas.tobytes() == expected_deltas.tobytes()
+        counts = (reader.rows_read, reader.rows_emitted, reader.rows_filtered, reader.rows_null)
+        assert counts == expected_counts
 
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
     @pytest.mark.parametrize("op", ["=", "!="])
