@@ -21,22 +21,23 @@ one index of its separators (vectorized parsing as in Mühlbauer et al.,
 "Instant Loading for Main Memory Databases", PVLDB 2013):
 
 - a joined `str` column is hashed with FNV-1a over each cell's UTF-8
-  bytes, all cells at once through one byte window that ends at each
-  cell's separator; the few cells longer than the window are hashed in
-  Python; an empty cell is NULL;
+  bytes, all cells at once through a byte window that ends at each
+  cell's separator, in rounds over the cells longer than the last
+  window; the last few long cells are hashed in Python; an empty cell
+  is NULL;
 - a str `=` or `!=` filter compares each cell's bytes with the UTF-8
-  encoding of its value, never a hash; an empty cell passes neither;
-- a joined `int` column, an int filter's column and `__delta` are parsed
-  one digit position at a time, if every cell of the block's column is
-  empty or 1 to 18 ASCII digits after an optional '-'; an empty cell is
-  NULL and passes no filter.
+  encoding of its value, never a hash; an empty cell passes neither
+  (parsing rejects an ordering operator on a str column);
+- a joined `int` column and `__delta` are parsed one digit position at
+  a time, if every cell of the block's column is empty or 1 to 18 ASCII
+  digits after an optional '-'; an empty cell is NULL.
 
 A column the kernels decline (an int cell with a space, a '+', 19
-digits or more, or a lone '-', and a str filter other than `=` and
-`!=`) is read from the block split into str cells, for that block
-only, as is every block that csv.reader tokenizes, and so is a
-`__delta` column with an empty cell, which is an error in a kept row.
-A block no column declines is never split.
+digits or more, or a lone '-', and any int filter) is read from the
+block split into str cells, for that block only, as is every block that
+csv.reader tokenizes, and so is a `__delta` column with an empty cell,
+which is an error in a kept row.  A block no column declines is never
+split.
 
 Both tokenizers feed one column assembler, where a kernel column and a
 str-cell column alike come back as block-length uint64 arrays plus a
@@ -91,10 +92,15 @@ _CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
 # Digits an int cell may have for the numpy kernel: 10^18 - 1 < 2^63, so
 # a longer cell, which may be out of range, is left to `canonicalize`.
 _KERNEL_DIGITS = 18
-# The str window covers every cell of a block but fewer than this many,
-# which are hashed in Python: each window position costs a numpy step over
-# every cell, so a few long cells must not set the window's length.
+# A str window is at most the shortest that fewer than this many of its
+# cells overrun: each window position costs a numpy step over every cell,
+# so a few long cells must not set its length.  Once fewer cells than this
+# are left, hashing them in Python costs less than those numpy steps.
 _FEW_CELLS = 16
+# Nor is a window longer than this many times the mean length of the cells
+# it reads, so that it costs about that many times their bytes; the cells
+# that overrun it, fewer than 1 in this many, are read by a further window.
+_WINDOW_SPAN = 2
 
 
 def fnv1a64(data: bytes) -> int:
@@ -270,22 +276,42 @@ class _PlainBlock:
         """FNV-1a of the UTF-8 bytes of each cell of column `at`, and which
         cells are not empty.
 
-        Every cell is read through one window of the `window` bytes that
-        end at its separator: the shortest window that fewer than
-        _FEW_CELLS cells overrun, and those few are hashed whole in Python.
-        A window byte before a cell's first byte reads as 0.  FNV-1a on a 0
-        byte only multiplies by the prime, which is odd and so has an
-        inverse modulo 2^64; a cell of n bytes therefore starts at
-        FNV_OFFSET * FNV_PRIME^-(window - n), and its window - n zero
-        bytes bring it to FNV_OFFSET at its first byte.  Each window
-        position is then one XOR and one multiply of the whole column: no
-        sort, slice or scatter.
+        The cells are hashed in rounds, each through one window of the
+        bytes that end at every cell's separator.  A round's window is the
+        shortest that fewer than _FEW_CELLS of its cells overrun, but at
+        most _WINDOW_SPAN times their mean length, so that a few long cells
+        cannot make every short one pay for their length.  The cells that
+        overrun it are the next round's; once fewer than _FEW_CELLS are
+        left, they are hashed whole in Python.
         """
-        data = self._data
         start, end = self._bounds(at)
         length = end - start
-        kth = self.rows - _FEW_CELLS
-        window = int(np.partition(length, kth)[kth]) if kth >= 0 else 0
+        hashes = np.empty(self.rows, np.uint64)
+        left = np.arange(self.rows)  # the cells no round has hashed
+        while len(left) >= _FEW_CELLS:
+            lengths = length[left]
+            kth = len(left) - _FEW_CELLS
+            mean = -(-int(lengths.sum()) // len(left))
+            window = min(int(np.partition(lengths, kth)[kth]), _WINDOW_SPAN * mean)
+            hashes[left] = self._window_hashes(end[left], lengths, window)
+            left = left[lengths > window]
+        spans = zip(start[left].tolist(), end[left].tolist())
+        hashes[left] = [fnv1a64(self.block[a:b]) for a, b in spans]
+        return hashes, length > 0
+
+    def _window_hashes(self, end: np.ndarray, length: np.ndarray, window: int) -> np.ndarray:
+        """FNV-1a of the `window` bytes before each separator `end`, with
+        the bytes before a cell of `length` bytes read as 0: the cell's hash
+        if it is at most `window` bytes long.
+
+        FNV-1a on a 0 byte only multiplies by the prime, which is odd and so
+        has an inverse modulo 2^64; a cell of n bytes therefore starts at
+        FNV_OFFSET * FNV_PRIME^-(window - n), and its window - n zero bytes
+        bring it to FNV_OFFSET at its first byte.  Each window position is
+        then one XOR and one multiply of every cell: no sort, slice or
+        scatter.
+        """
+        data = self._data
         # The start states: FNV_OFFSET * FNV_PRIME^-j for j zero bytes.
         states = np.full(window + 1, _FNV_PRIME_INVERSE, np.uint64)
         states[0] = FNV_OFFSET
@@ -294,7 +320,7 @@ class _PlainBlock:
         # The window is gathered a chunk of positions at a time, so that a
         # chunk has no more bytes than the block.  A byte before the block
         # reads from its end, and is masked to 0 like any byte before a cell.
-        chunk = max(1, len(data) // self.rows)
+        chunk = max(1, len(data) // len(end))
         for back in range(window, 0, -chunk):
             offsets = np.arange(back, max(back - chunk, 0), -1)[:, None]
             rows = data[end - offsets]
@@ -302,28 +328,13 @@ class _PlainBlock:
             for row in rows:
                 hashes ^= row
                 hashes *= FNV_PRIME  # wraps modulo 2^64
-        overrun = np.flatnonzero(length > window)
-        spans = zip(start[overrun].tolist(), end[overrun].tolist())
-        hashes[overrun] = [fnv1a64(self.block[a:b]) for a, b in spans]
-        return hashes, length > 0
+        return hashes
 
     def matches(self, at: int, p: FilterPredicate) -> np.ndarray | None:
-        """Which cells of column `at` pass predicate `p`, or None if no
-        kernel reads it.  An int cell compares as the int kernel parses it,
-        or None if that kernel declines the column.  A str cell passes `=`
-        when its bytes are the value's UTF-8 encoding, and `!=` when not;
-        other str predicates give None.  An empty cell passes none."""
-        if p.col_type == "int":
-            got = self.ints(at)
-            if got is None:
-                return None
-            items, present = got
-            # Items of at most 18 digits lie strictly inside int64, so
-            # clamping the value into int64 changes no outcome.
-            value = min(max(p.value, _INT_MIN), _MASK64 >> 1)
-            passed = FILTER_OPS[p.op](items.view(np.int64), value)
-            return passed if present is None else passed & present
-        if p.op not in ("=", "!="):
+        """Which cells of column `at` pass a str `=` or `!=` predicate, or
+        None for an int predicate.  A cell equals the value when its bytes
+        are the value's UTF-8 encoding; an empty cell passes none."""
+        if p.col_type != "str":
             return None
         start, end = self._bounds(at)
         # A lone surrogate keeps its bytes, which no UTF-8 cell has.

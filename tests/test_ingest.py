@@ -190,67 +190,6 @@ class TestIntKernel:
         assert (reader.rows_read, reader.rows_null) == (len(cells), 6)
         assert calls == []
 
-    @staticmethod
-    def _filter_read(tmp_path, monkeypatch, cells, op, value, layout):
-        """Read s (the row number) of the rows whose int cell v passes
-        `v op value`; also the reference outcome from apply_filters, and
-        every `_passes` call."""
-        import joinsketch.ingest as ingest
-
-        graph = _str_graph(tmp_path, "v,s\n" + "".join(f"{v},s{i}\n" for i, v in enumerate(cells)),
-                           [{"column": "v", "op": op, "value": value}])
-        decl_filter = graph.spec.relations[0].filters[0]
-        try:
-            kept = [i for i, v in enumerate(cells) if apply_filters({"v": v}, [decl_filter])]
-            expected = [fnv1a64(f"s{i}".encode()) for i in kept]
-        except DataError as exc:
-            expected = str(exc)
-        calls, original = [], ingest._passes
-
-        def counted(p, cell):
-            calls.append(cell)
-            return original(p, cell)
-
-        monkeypatch.setattr(ingest, "BLOCK_BYTES", _LAYOUTS[layout])
-        monkeypatch.setattr(ingest, "_passes", counted)
-        reader = read_stream(graph, 0)
-        try:
-            outcome = reader.read()[0][0].tolist()
-        except DataError as exc:
-            outcome = str(exc)
-        return outcome, expected, calls, reader
-
-    @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize("value", [0, 7, -7, 2**63, -(2**63), 2**64 - 1, 10**18], ids=str)
-    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
-    def test_filter_cells_compare_in_numpy(self, tmp_path, monkeypatch, op, value, layout):
-        # Kernel cells at the 18-digit edge, zeros, and empty cells, which
-        # pass no filter; the value may lie outside every int64.
-        rng = np.random.default_rng(19)
-        cells = _kernel_cells(rng, 40) + ["7", "-7", "0", "-0", "007", "", "",
-                                          "999999999999999999", "-999999999999999999"]
-        rng.shuffle(cells)
-        outcome, expected, calls, reader = self._filter_read(
-            tmp_path, monkeypatch, cells, op, value, layout)
-        assert outcome == expected
-        assert reader.rows_filtered == len(cells) - len(expected)
-        assert calls == []
-
-    @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize("edge", ["+5", " 5", "1234567890123456789", "-", "1_0"], ids=ascii)
-    def test_declined_filter_block_falls_back(self, tmp_path, monkeypatch, edge, layout):
-        # The kernel declines the edge's block, and _passes reads that
-        # block's cells alone, with its DataError text for a bad cell.
-        rng = np.random.default_rng(23)
-        cells = _kernel_cells(rng, 30)
-        cells.insert(17, edge)
-        outcome, expected, calls, _ = self._filter_read(
-            tmp_path, monkeypatch, cells, ">", 5, layout)
-        assert outcome == expected
-        assert edge in calls and set(calls) <= set(cells)
-        if layout == "alone":
-            assert calls == [edge]
-
 
 # Str cells at the edges of the FNV-1a kernel of plain blocks: empty (NULL),
 # non-ASCII of two, three and four UTF-8 bytes, and longer than 64 bytes.
@@ -264,6 +203,14 @@ _STR_ALPHABET = list("abcdefghijklmnopqrstuvwxyz0123456789 -_.:;!?'/") + ["\u00e
 def _str_cells(rng, count):
     """Random cells of 1 to 20 characters, no comma, quote or line end."""
     return ["".join(rng.choice(_STR_ALPHABET, size=n)) for n in rng.integers(1, 21, size=count)]
+
+
+def _long_tail_cells(rng):
+    """600 short cells with 20 of 1,500 bytes and 5 of 4,000 among them,
+    under 64 KiB in all."""
+    cells = _str_cells(rng, 600) + ["t" * 1500] * 20 + ["u" * 4000] * 5
+    rng.shuffle(cells)
+    return cells
 
 
 def _str_graph(tmp_path, text, filters=()):
@@ -335,7 +282,7 @@ class TestStrKernel:
 
     @pytest.mark.parametrize("few", [1, None], ids=["numpy", "numpy-then-python"])
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize("case", ["block-start", "long-window", "all-empty"])
+    @pytest.mark.parametrize("case", ["block-start", "long-window", "long-tail", "all-empty"])
     def test_window_edges_match_fnv1a64(self, tmp_path, monkeypatch, str_path, case, layout,
                                         few):
         import joinsketch.ingest as ingest
@@ -353,9 +300,30 @@ class TestStrKernel:
                 for n in rng.integers(100, 300, size=ingest._FEW_CELLS + 4)
             ]
             rng.shuffle(cells)
+        elif case == "long-tail":
+            cells = _long_tail_cells(rng)
         else:
             cells = [""] * 40
         self._check_cells(tmp_path, monkeypatch, str_path, cells, layout, few)
+
+    def test_long_tail_costs_about_its_bytes(self, tmp_path, monkeypatch, str_path):
+        # A window long enough for every long cell would make each short cell
+        # pay for it too: the rounds of windows read about the column's bytes.
+        import joinsketch.ingest as ingest
+
+        rounds, original = [], ingest._PlainBlock._window_hashes
+
+        def spy(block, end, length, window):
+            rounds.append(len(end) * window)
+            return original(block, end, length, window)
+
+        monkeypatch.setattr(ingest._PlainBlock, "_window_hashes", spy)
+        cells = _long_tail_cells(np.random.default_rng(31))
+        column_bytes = sum(len(cell.encode()) for cell in cells)
+        assert column_bytes < ingest.BLOCK_BYTES
+        self._check_cells(tmp_path, monkeypatch, str_path, cells, "one-block", None)
+        assert len(rounds) >= 2
+        assert sum(rounds) <= 2 * ingest._WINDOW_SPAN * column_bytes
 
     def test_default_blocks_are_never_split(self, tmp_path, monkeypatch, str_path):
         # A block longer than csv.field_size_limit() is split into str cells
@@ -371,15 +339,14 @@ class TestStrKernel:
         monkeypatch.setattr(ingest._PlainBlock, "split", spy)
         rng = np.random.default_rng(29)
         rows = 4 * ingest.BLOCK_BYTES // 16
-        text = "s,status,n,__delta\n" + "".join(
-            f"{s},{status},{n},{delta}\n"
-            for s, status, n, delta in zip(
+        text = "s,status,__delta\n" + "".join(
+            f"{s},{status},{delta}\n"
+            for s, status, delta in zip(
                 _str_cells(rng, rows), rng.choice(["active", "closed", ""], rows),
-                rng.integers(-50, 50, rows), rng.choice([1, -1, 2], rows))
+                rng.choice([1, -1, 2], rows))
         )
         assert len(text.encode()) > 4 * ingest.BLOCK_BYTES
-        graph = _str_graph(tmp_path, text, [{"column": "status", "op": "=", "value": "active"},
-                                            {"column": "n", "op": ">=", "value": -20}])
+        graph = _str_graph(tmp_path, text, [{"column": "status", "op": "=", "value": "active"}])
         reader = read_stream(graph, 0)
         columns, deltas = reader.read()
         assert splits == [] and str_path == []
