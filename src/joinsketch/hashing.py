@@ -19,7 +19,7 @@ bit-identical hash sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .mersenne import (
     field_elements_vec,
     mod_p,
     poly_eval,
-    poly_eval_vec,
+    poly_table,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,12 +129,13 @@ def bin_eval(h: BinHash, x: int) -> int:
     return poly_eval(h.coefficients, mod_p(x & _MASK64)) % h.m
 
 
-def sign_eval_vec(h: SignHash, xs: np.ndarray) -> np.ndarray:
-    """Vectorized sign_eval; returns float64 values in {-1.0, +1.0}."""
-    parity = poly_eval_vec(h.coefficients, xs) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(np.float64)
+def sign_eval_vec(hs: Sequence[SignHash], xs: np.ndarray) -> np.ndarray:
+    """Vectorized sign_eval: a float64 row of -1.0 and +1.0 per hash of `hs`."""
+    coefficients = np.array([h.coefficients for h in hs], dtype=np.uint64)
+    return 1.0 - 2.0 * poly_table(coefficients, xs, parity=True)
 
 
-def bin_eval_vec(h: BinHash, xs: np.ndarray) -> np.ndarray:
-    """Vectorized bin_eval; returns uint64 indices in [0, m)."""
-    return poly_eval_vec(h.coefficients, xs) % np.uint64(h.m)
+def bin_eval_vec(hs: Sequence[BinHash], xs: np.ndarray) -> np.ndarray:
+    """Vectorized bin_eval: a uint64 row of indices in [0, m) per hash of `hs`."""
+    coefficients = np.array([h.coefficients for h in hs], dtype=np.uint64)
+    return poly_table(coefficients, xs) % np.array([[h.m] for h in hs], dtype=np.uint64)

@@ -287,15 +287,16 @@ class _PlainBlock:
         start, end = self._bounds(at)
         length = end - start
         hashes = np.empty(self.rows, np.uint64)
-        left = np.arange(self.rows)  # the cells no round has hashed
-        while len(left) >= _FEW_CELLS:
-            lengths = length[left]
-            kth = len(left) - _FEW_CELLS
-            mean = -(-int(lengths.sum()) // len(left))
+        left, ends, lengths = slice(None), end, length  # the cells no round has hashed
+        while len(lengths) >= _FEW_CELLS:
+            kth = len(lengths) - _FEW_CELLS
+            mean = -(-int(lengths.sum()) // len(lengths))
             window = min(int(np.partition(lengths, kth)[kth]), _WINDOW_SPAN * mean)
-            hashes[left] = self._window_hashes(end[left], lengths, window)
-            left = left[lengths > window]
-        spans = zip(start[left].tolist(), end[left].tolist())
+            hashes[left] = self._window_hashes(ends, lengths, window)
+            # Windows only grow, so the cells left are all that this one overruns.
+            left = np.flatnonzero(length > window)
+            ends, lengths = end[left], length[left]
+        spans = zip(start[left].tolist(), ends.tolist())
         hashes[left] = [fnv1a64(self.block[a:b]) for a, b in spans]
         return hashes, length > 0
 
@@ -311,23 +312,19 @@ class _PlainBlock:
         then one XOR and one multiply of every cell: no sort, slice or
         scatter.
         """
-        data = self._data
         # The start states: FNV_OFFSET * FNV_PRIME^-j for j zero bytes.
         states = np.full(window + 1, _FNV_PRIME_INVERSE, np.uint64)
         states[0] = FNV_OFFSET
         np.multiply.accumulate(states, out=states)  # wraps modulo 2^64
         hashes = states[window - np.minimum(length, window)]
-        # The window is gathered a chunk of positions at a time, so that a
-        # chunk has no more bytes than the block.  A byte before the block
-        # reads from its end, and is masked to 0 like any byte before a cell.
-        chunk = max(1, len(data) // len(end))
-        for back in range(window, 0, -chunk):
-            offsets = np.arange(back, max(back - chunk, 0), -1)[:, None]
-            rows = data[end - offsets]
-            rows *= length >= offsets
-            for row in rows:
-                hashes ^= row
-                hashes *= FNV_PRIME  # wraps modulo 2^64
+        # One position at a time, so that no temporary outgrows the cells'
+        # own arrays.  A byte before the block reads from its end, and is
+        # masked to 0 like any byte before a cell.
+        for back in range(window, 0, -1):
+            row = self._data[end - back]
+            row *= length >= back
+            hashes ^= row
+            hashes *= FNV_PRIME  # wraps modulo 2^64
         return hashes
 
     def matches(self, at: int, p: FilterPredicate) -> np.ndarray | None:

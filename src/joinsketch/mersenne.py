@@ -4,8 +4,8 @@ Scalar helpers work on plain Python ints, which are exact at any width.
 The ``*_vec`` variants operate on uint64 numpy arrays; products of two
 61-bit residues do not fit in 64 bits, so multiplication splits each
 operand into 31-bit limbs and reduces with shifts (2^61 = 1 mod p),
-keeping every intermediate below 2^64.  `sign_parity_table` evaluates a
-whole family of cubics at many items at once, for the dense AMS sketch.
+keeping every intermediate below 2^64.  `poly_table` evaluates many
+polynomials at many items at once, for the hash functions of both sketches.
 
 Seed expansion uses the splitmix64 finalizer in counter mode.  A stream
 state is derived by absorbing identifying words (kind, ids, repetition)
@@ -92,104 +92,105 @@ def mod_p_vec(x: np.ndarray) -> np.ndarray:
 
 
 def mulmod_vec(a: np.ndarray | np.uint64, b: np.ndarray | np.uint64) -> np.ndarray:
-    """Multiply residues (< 2^61) mod p without leaving uint64.
+    """Multiply residues (< 2^61) mod p without leaving uint64, with
+    31-bit limbs: a*b = (a1*b1)*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0."""
+    a1, a0 = a >> np.uint64(31), a & np.uint64(_MASK31)
+    b1, b0 = b >> np.uint64(31), b & np.uint64(_MASK31)
+    hi = a1 * b1
+    _fold(hi, a1 * b0 + a0 * b1, a0 * b0, np.empty_like(hi), out=hi)
+    return hi
 
-    a*b = (a1*b1)*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0 with 31-bit limbs;
-    2^62 = 2 and 2^61 = 1 mod p collapse the high parts.
+
+def _fold(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray, t: np.ndarray, out: np.ndarray,
+          parity: bool = False) -> None:
+    """Write hi*2^62 + mid*2^31 + lo mod p, or its parity, into `out`.
+
+    Works in place on the uint64 limb-product sums and the scratch `t`,
+    for hi < 2^62: 2^62 = 2 and 2^61 = 1 mod p fold them to a total below
+    2^64 and then to an r in [0, 2p).  r >= p exactly when (r + 1) >> 61
+    is 1, and as p is odd, the parity of r mod p is (r & 1) ^ that bit.
     """
-    a1 = a >> np.uint64(31)
-    a0 = a & np.uint64(_MASK31)
-    b1 = b >> np.uint64(31)
-    b0 = b & np.uint64(_MASK31)
-
-    hi = a1 * b1  # < 2^60
-    mid = a1 * b0 + a0 * b1  # < 2^62
-    lo = a0 * b0  # < 2^62
-
-    mid = (mid >> np.uint64(61)) + (mid & np.uint64(PRIME))  # <= 2^61
-    mid_term = (mid >> np.uint64(30)) + ((mid & np.uint64(_MASK30)) << np.uint64(31))
-    lo_term = (lo >> np.uint64(61)) + (lo & np.uint64(PRIME))
-
-    t = (hi << np.uint64(1)) + mid_term + lo_term  # < 2^63
-    t = (t >> np.uint64(61)) + (t & np.uint64(PRIME))  # <= p + 3
-    return np.where(t >= PRIME, t - np.uint64(PRIME), t)
-
-
-def poly_eval_vec(coefficients: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """Evaluate one polynomial (ints, highest degree first) at each element of x."""
-    x = mod_p_vec(np.asarray(x, dtype=np.uint64))
-    acc = np.broadcast_to(np.uint64(coefficients[0]), x.shape).copy()
-    for c in coefficients[1:]:
-        acc = mulmod_vec(acc, x) + np.uint64(c)
-        acc = (acc >> np.uint64(61)) + (acc & np.uint64(PRIME))
-        acc = np.where(acc >= PRIME, acc - np.uint64(PRIME), acc)
-    return acc
+    # mid*2^31 = (mid >> 30)*2^61 + (mid & (2^30 - 1))*2^31
+    np.right_shift(mid, np.uint64(30), out=t)
+    mid &= np.uint64(_MASK30)
+    mid <<= np.uint64(31)
+    mid += t
+    np.right_shift(lo, np.uint64(61), out=t)
+    lo &= np.uint64(PRIME)
+    lo += t
+    hi <<= np.uint64(1)
+    hi += mid
+    hi += lo
+    np.right_shift(hi, np.uint64(61), out=t)
+    hi &= np.uint64(PRIME)
+    hi += t
+    np.add(hi, np.uint64(1), out=t)
+    t >>= np.uint64(61)
+    if parity:
+        hi ^= t
+        np.bitwise_and(hi, np.uint64(1), out=out, casting="unsafe")
+    else:
+        t *= np.uint64(PRIME)
+        np.subtract(hi, t, out=out)
 
 
 # Elements of uint64 scratch per block of table rows (256 KiB per array).
 BLOCK_ELEMENTS = 1 << 15
 
 
-def sign_parity_table(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Parity of c0*x^3 + c1*x^2 + c2*x + c3 mod p for every (item, polynomial).
+def poly_table(
+    coefficients: np.ndarray, x: np.ndarray, parity: bool = False, item_major: bool = False
+) -> np.ndarray:
+    """Each of n polynomials at each of k items: residues mod p, or parities.
 
-    `coefficients` is an (m, 4) uint64 array of residues, one cubic per
-    row, highest degree first; `x` holds k uint64 items.  Returns a
-    (k, m) uint8 table of 0/1.
+    `coefficients` is an (n, d + 1) uint64 array of residues, a polynomial
+    of degree d <= 3 per row, highest degree first; `x` holds k uint64
+    items.  Returns the (n, k) table, or its (k, n) transpose with
+    `item_major`: uint64 residues, or uint8 0/1 with `parity`.
 
-    x, x^2 and x^3 are reduced once per item.  With 31-bit limbs
-    (a = a1*2^31 + a0, a1 < 2^30), the hi (a1*b1), mid (a1*b0 + a0*b1)
-    and lo (a0*b0) limb products of the three terms are summed before
-    one reduction: HI < 3*2^60, MID < 3*2^62, LO < 3*2^62.  MID is taken
-    as sum((a1 + a0)*(b1 + b0)) - HI - LO; each product fits in uint64,
-    their sum may wrap, but as the true MID fits, the wrapped difference
-    is exact.  Folding 2^62 = 2 and 2^61 = 1 mod p leaves a total below
-    2^64 and then a residue r in [0, 2p); as p is odd, the parity of
-    r mod p is (r & 1) ^ (r >= p), and r >= p exactly when (r + 1) >> 61
-    is 1.  Rows are evaluated in blocks of about BLOCK_ELEMENTS entries.
+    With 31-bit limbs (a = a1*2^31 + a0, a1 < 2^30), the hi (a1*b1), mid
+    (a1*b0 + a0*b1) and lo (a0*b0) products of the d terms, each power of
+    x reduced once per item, are summed before one `_fold`: HI < 3*2^60,
+    MID and LO < 3*2^62.  MID is sum((a1 + a0)*(b1 + b0)) - HI - LO, exact
+    though the sum may wrap, as the true MID fits in uint64.  The products
+    are symmetric, so either operand may form the rows, evaluated in
+    blocks of about BLOCK_ELEMENTS entries: the caller picks the layout
+    with long inner loops (m AMS counters at a few items run item-major).
     """
-    x1 = mod_p_vec(np.asarray(x, dtype=np.uint64))
-    x2 = mulmod_vec(x1, x1)
-    powers = np.stack([mulmod_vec(x2, x1), x2, x1])[:, :, None]  # (3, k, 1)
-    p_hi, p_lo = powers >> np.uint64(31), powers & np.uint64(_MASK31)
-    p_sum = p_hi + p_lo
-    coeffs = np.ascontiguousarray(coefficients.T)  # (4, m)
-    c_hi, c_lo, c3 = coeffs[:3] >> np.uint64(31), coeffs[:3] & np.uint64(_MASK31), coeffs[3]
-    c_sum = c_hi + c_lo
-    k, m = len(x1), len(c3)
-    out = np.empty((k, m), dtype=np.uint8)
-    rows = max(1, BLOCK_ELEMENTS // m)
-    hi, mid, lo, tmp = (np.empty((min(rows, k), m), dtype=np.uint64) for _ in range(4))
-    for start in range(0, k, rows):
-        stop = min(k, start + rows)
-        b = stop - start
-        h, md, lw, t = hi[:b], mid[:b], lo[:b], tmp[:b]
-        np.multiply(p_hi[0, start:stop], c_hi[0], out=h)
-        np.multiply(p_sum[0, start:stop], c_sum[0], out=md)
-        np.multiply(p_lo[0, start:stop], c_lo[0], out=lw)
-        for i in (1, 2):
-            h += np.multiply(p_hi[i, start:stop], c_hi[i], out=t)
-            md += np.multiply(p_sum[i, start:stop], c_sum[i], out=t)
-            lw += np.multiply(p_lo[i, start:stop], c_lo[i], out=t)
+    d = coefficients.shape[1] - 1
+    powers = [mod_p_vec(np.asarray(x, dtype=np.uint64))]
+    while len(powers) < d:
+        powers.append(mulmod_vec(powers[-1], powers[0]))
+    powers = np.stack(powers[::-1])  # (d, k), x^d first
+    coeffs = np.ascontiguousarray(coefficients.T)  # (d + 1, n)
+    rows, cols, const = powers, coeffs[:d], coeffs[d]
+    if not item_major:
+        rows, cols, const = cols, rows, const[:, None]
+    shape = (rows.shape[1], cols.shape[1])
+    rows, const = rows[:, :, None], np.broadcast_to(const, shape)
+    r_hi, r_lo = rows >> np.uint64(31), rows & np.uint64(_MASK31)
+    c_hi, c_lo = cols >> np.uint64(31), cols & np.uint64(_MASK31)
+    r_sum, c_sum = r_hi + r_lo, c_hi + c_lo
+    out = np.empty(shape, dtype=np.uint8 if parity else np.uint64)
+    block = max(1, BLOCK_ELEMENTS // max(shape[1], 1))
+    hi, mid, lo, tmp = (np.empty((min(block, shape[0]), shape[1]), np.uint64) for _ in range(4))
+    for start in range(0, shape[0], block):
+        stop = min(shape[0], start + block)
+        h, md, lw, t = (a[: stop - start] for a in (hi, mid, lo, tmp))
+        np.multiply(r_hi[0, start:stop], c_hi[0], out=h)
+        np.multiply(r_sum[0, start:stop], c_sum[0], out=md)
+        np.multiply(r_lo[0, start:stop], c_lo[0], out=lw)
+        for i in range(1, d):
+            h += np.multiply(r_hi[i, start:stop], c_hi[i], out=t)
+            md += np.multiply(r_sum[i, start:stop], c_sum[i], out=t)
+            lw += np.multiply(r_lo[i, start:stop], c_lo[i], out=t)
         md -= h
         md -= lw
-        # MID*2^31 = (MID >> 30)*2^61 + (MID & (2^30 - 1))*2^31
-        np.right_shift(md, np.uint64(30), out=t)
-        md &= np.uint64(_MASK30)
-        md <<= np.uint64(31)
-        md += t
-        np.right_shift(lw, np.uint64(61), out=t)
-        lw &= np.uint64(PRIME)
-        lw += t
-        h <<= np.uint64(1)
-        h += md
-        h += lw
-        h += c3
-        np.right_shift(h, np.uint64(61), out=t)
-        h &= np.uint64(PRIME)
-        h += t
-        np.add(h, np.uint64(1), out=t)
-        t >>= np.uint64(61)
-        h ^= t
-        np.bitwise_and(h, np.uint64(1), out=out[start:stop], casting="unsafe")
+        lw += const[start:stop]  # LO + c < 2^64
+        _fold(h, md, lw, t, out[start:stop], parity)
     return out
+
+
+def sign_parity_table(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(k, m) parities of the m cubics of an AMS sign family at k items."""
+    return poly_table(coefficients, x, parity=True, item_major=True)

@@ -142,32 +142,33 @@ def bulk_update(
 ) -> None:
     """Vectorized update for a batch of tuples (column arrays by attribute).
 
-    Folds the batch into its distinct nonzero tuples (`group_tuples`),
-    hashes each attribute on its distinct values, gathers every tuple's
-    bin and sign through the inverse index, and sums the signed net
-    frequencies per bin with `np.bincount`: l counter writes per distinct
-    tuple.  Equivalent to calling update() per tuple, as counters are
-    linear in the net frequencies and every partial sum of integer deltas
-    is an integer, so the accumulation order cannot change the result.
+    Folds the batch into its distinct nonzero tuples (`group_tuples`) and
+    hashes each attribute's distinct values once for all repetitions; each
+    repetition gathers every tuple's bin and sign through the inverse index
+    and sums the signed net frequencies per bin with `np.bincount`: l
+    counter writes per distinct tuple.  Equivalent to calling update() per
+    tuple, as counters are linear in the net frequencies and every partial
+    sum of integer deltas is an integer, so the order cannot matter.
     """
     if sk.config.method != METHOD_CONV:
         raise QueryError("bulk_update() applies to conv sketches; use ams_bulk_update for ams")
     graph, hashes, cfg = sk.graph, sk.hashes, sk.config
-    omega = graph.omega[sk.relation]
+    omega, reps = graph.omega[sk.relation], range(cfg.l)
     groups, weights = group_tuples(columns, omega, deltas)
-    n = len(weights)
-    for rep in range(cfg.l):
-        bins = np.zeros(n, dtype=np.uint64)
-        signs = np.ones(n, dtype=np.float64)
-        for u, (values, inverse) in zip(omega, groups):
-            bins += bin_eval_vec(hashes.bin_for(graph.psi[u], rep), values)[inverse]
-            value_signs = np.ones(len(values), dtype=np.float64)
-            for v in graph.gamma[u]:
-                value_signs *= sign_eval_vec(hashes.sign_for(u, v, rep), values)
-            signs *= value_signs[inverse]
+    tables = []  # per attribute: (l, k) bins, (l, k) signs, inverse index
+    for u, (values, inverse) in zip(omega, groups):
+        bins = bin_eval_vec([hashes.bin_for(graph.psi[u], rep) for rep in reps], values)
+        edges = [hashes.sign_for(u, v, rep) for rep in reps for v in graph.gamma[u]]
+        signs = sign_eval_vec(edges, values).reshape(cfg.l, len(graph.gamma[u]), -1)
+        tables.append((bins, signs.prod(axis=1), inverse))
+    for rep in reps:
+        bins, signed = np.zeros(len(weights), dtype=np.uint64), weights.copy()
+        for value_bins, value_signs, inverse in tables:
+            bins += value_bins[rep][inverse]
+            signed *= value_signs[rep][inverse]
         idx = (bins % np.uint64(cfg.m)).astype(np.int64)
-        sk.counters[rep] += np.bincount(idx, weights=signs * weights, minlength=cfg.m)
-    sk.touched_cells += cfg.l * n
+        sk.counters[rep] += np.bincount(idx, weights=signed, minlength=cfg.m)
+    sk.touched_cells += cfg.l * len(weights)
 
 
 def updates_to_columns(

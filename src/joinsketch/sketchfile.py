@@ -48,7 +48,7 @@ def _write(fh: BinaryIO, config: SketchConfig, relations: list[tuple[str, np.nda
         encoded = name.encode("utf-8")
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)
-        fh.write(np.ascontiguousarray(counters, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(counters, dtype="<f8"))  # its buffer, not a copy
 
 
 def load_sketch_file(path: str) -> tuple[SketchConfig, list[tuple[str, np.ndarray]]]:

@@ -57,7 +57,7 @@ class TestSignEval:
         coeffs = tuple(int(c) for c in rng.integers(0, PRIME, size=4))
         h = _sign(coeffs)
         xs = rng.integers(0, 1 << 64, size=500, dtype=np.uint64)
-        vec = sign_eval_vec(h, xs)
+        vec = sign_eval_vec([h], xs)[0]
         assert vec.dtype == np.float64
         assert all(int(v) == sign_eval(h, int(x)) for v, x in zip(vec, xs))
 
@@ -83,7 +83,7 @@ class TestBinEval:
         coeffs = tuple(int(c) for c in rng.integers(0, PRIME, size=2))
         h = _bin(coeffs, m=13)
         xs = rng.integers(0, 1 << 64, size=500, dtype=np.uint64)
-        vec = bin_eval_vec(h, xs)
+        vec = bin_eval_vec([h], xs)[0]
         assert all(int(v) == bin_eval(h, int(x)) for v, x in zip(vec, xs))
 
 
@@ -159,7 +159,7 @@ class TestStatisticalQuality:
         hs = derive_hash_set(SketchConfig(m=16, l=1, seed=20240817), graph)
         h = hs.bin_for(0, 0)
         xs = np.arange(self.N, dtype=np.uint64)
-        bins = bin_eval_vec(h, xs)
+        bins = bin_eval_vec([h], xs)[0]
         counts = np.bincount(bins.astype(np.int64), minlength=16)
         fractions = counts / self.N
         assert fractions.min() >= 0.05
@@ -173,7 +173,7 @@ class TestStatisticalQuality:
         hs = derive_hash_set(SketchConfig(m=16, l=1, seed=20240817), graph)
         h = hs.sign_for(0, 1, 0)
         xs = np.arange(self.N, dtype=np.uint64)
-        mean = float(sign_eval_vec(h, xs).mean())
+        mean = float(sign_eval_vec([h], xs)[0].mean())
         assert -0.02 <= mean <= 0.02
 
     def test_pairwise_collision_rate(self):
@@ -190,7 +190,7 @@ class TestStatisticalQuality:
         xs = rng.integers(0, 1 << 63, size=n_pairs, dtype=np.uint64)
         ys = rng.integers(0, 1 << 63, size=n_pairs, dtype=np.uint64)
         distinct = xs != ys
-        collide = bin_eval_vec(h, xs[distinct]) == bin_eval_vec(h, ys[distinct])
+        collide = bin_eval_vec([h], xs[distinct])[0] == bin_eval_vec([h], ys[distinct])[0]
         rate = float(collide.mean())
         q = 1.0 / m
         se = (q * (1 - q) / distinct.sum()) ** 0.5

@@ -4,6 +4,7 @@ delta column support, and single-pass instrumentation."""
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,34 @@ class TestStrKernel:
         self._check_cells(tmp_path, monkeypatch, str_path, cells, "one-block", None)
         assert len(rounds) >= 2
         assert sum(rounds) <= 2 * ingest._WINDOW_SPAN * column_bytes
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["key", "second-key", "status"])
+    def test_a_block_hashes_within_twice_its_bytes(self, at):
+        # The window reads one position of every cell at a time, so no
+        # temporary grows with positions x cells: a chunk of positions
+        # gathered through one int64 index took about 8x the block.
+        import joinsketch.ingest as ingest
+
+        rng = np.random.default_rng(37)
+        rows = ingest.BLOCK_BYTES // 16
+        text = "".join(
+            f"{a},{b},{status},1\n"
+            for a, b, status in zip(_str_cells(rng, rows), _str_cells(rng, rows),
+                                    rng.choice(["active", "closed", ""], rows))
+        )
+        _, block = next(ingest._blocks(io.BytesIO(text.encode("utf-8"))))
+        plain = ingest._PlainBlock(block, 4, ingest._plain_rows(block, 4))
+        assert len(block) > ingest.BLOCK_BYTES - 100 and plain.rows > 0
+        tracemalloc.start()
+        try:
+            hashes, present = plain.hashes(at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 2 * len(block)
+        assert peak <= budget
+        cells = plain.cells(at)
+        assert hashes[present].tolist() == [fnv1a64(c.encode("utf-8")) for c in cells if c]
 
     def test_default_blocks_are_never_split(self, tmp_path, monkeypatch, str_path):
         # A block longer than csv.field_size_limit() is split into str cells

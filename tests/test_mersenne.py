@@ -1,8 +1,10 @@
 """Field arithmetic: vectorized paths must match exact Python-int results."""
 
 import numpy as np
+import pytest
 
 from joinsketch.mersenne import (
+    BLOCK_ELEMENTS,
     PRIME,
     derive_state,
     field_elements_vec,
@@ -11,7 +13,7 @@ from joinsketch.mersenne import (
     mod_p_vec,
     mulmod_vec,
     poly_eval,
-    poly_eval_vec,
+    poly_table,
     sign_parity_table,
 )
 
@@ -20,6 +22,18 @@ EDGE_VALUES = [
     PRIME - 2, PRIME - 1, PRIME, PRIME + 1,
     (1 << 62) + 12345, (1 << 64) - 1,
 ]
+
+
+def poly_eval_vec(coefficients: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """Reference: one polynomial (ints, highest degree first) at each
+    element of x, by a Horner loop of mulmod_vec."""
+    x = mod_p_vec(np.asarray(x, dtype=np.uint64))
+    acc = np.broadcast_to(np.uint64(coefficients[0]), x.shape).copy()
+    for c in coefficients[1:]:
+        acc = mulmod_vec(acc, x) + np.uint64(c)
+        acc = (acc >> np.uint64(61)) + (acc & np.uint64(PRIME))
+        acc = np.where(acc >= PRIME, acc - np.uint64(PRIME), acc)
+    return acc
 
 
 def field_elements(state: int, count: int) -> tuple[int, ...]:
@@ -109,6 +123,55 @@ class TestPolyEval:
         )
         assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
+
+
+# Items at the edges of the field and of uint64.
+TABLE_ITEMS = [0, 1, PRIME - 1, PRIME, PRIME + 1, 1 << 61, (1 << 64) - 1]
+
+
+class TestPolyTable:
+    """The one limb-product body, both layouts, against scalar poly_eval."""
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    @pytest.mark.parametrize("n", [1, 5, 10, 1024])
+    @pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_matches_scalar_across_a_block_boundary(self, degree, n, step):
+        # At k = BLOCK_ELEMENTS // n items one block holds the whole table
+        # in either layout; one item more splits it in two (function-major
+        # only once there are two rows to split).
+        k = BLOCK_ELEMENTS // n + step
+        rng = np.random.default_rng(1000 * n + 10 * degree + step + 1)
+        coeffs = rng.integers(0, PRIME, size=(n, degree + 1), dtype=np.uint64)
+        coeffs[0] = 0
+        coeffs[-1] = PRIME - 1
+        xs = np.concatenate([
+            np.array(TABLE_ITEMS, dtype=np.uint64),
+            rng.integers(0, 1 << 64, size=k - len(TABLE_ITEMS), dtype=np.uint64),
+        ])
+        rows = [tuple(int(c) for c in row) for row in coeffs]
+        items = [int(x) % PRIME for x in xs]
+        expected = np.array([[poly_eval(row, x) for x in items] for row in rows], np.uint64)
+
+        residues = poly_table(coeffs, xs)
+        assert residues.shape == (n, k) and residues.dtype == np.uint64
+        assert np.array_equal(residues, expected)
+        assert np.array_equal(poly_table(coeffs, xs, item_major=True), expected.T)
+        parities = poly_table(coeffs, xs, parity=True)
+        assert parities.dtype == np.uint8
+        assert np.array_equal(parities, expected & np.uint64(1))
+        assert np.array_equal(poly_table(coeffs, xs, parity=True, item_major=True), parities.T)
+
+    def test_matches_the_horner_reference(self):
+        rng = np.random.default_rng(21)
+        coeffs = rng.integers(0, PRIME, size=(7, 4), dtype=np.uint64)
+        xs = rng.integers(0, 1 << 64, size=20000, dtype=np.uint64)
+        expected = np.stack([poly_eval_vec(tuple(int(c) for c in row), xs) for row in coeffs])
+        assert np.array_equal(poly_table(coeffs, xs), expected)
+
+    def test_no_items(self):
+        coeffs = np.ones((3, 2), dtype=np.uint64)
+        assert poly_table(coeffs, np.array([], dtype=np.uint64)).shape == (3, 0)
+        assert sign_parity_table(coeffs, np.array([], dtype=np.uint64)).shape == (0, 3)
 
 
 class TestSignParityTable:

@@ -37,8 +37,8 @@ def probe_modules(monkeypatch):
 
 @pytest.mark.parametrize(
     "method, layers",
-    [("conv", ("hashing.derive_s", "sketch.scatter_s", "estimator.combine_s",
-               "estimator.xcorr_s")),
+    [("conv", ("hashing.derive_s", "hashing.eval_s", "hashing.items_hashed",
+               "sketch.scatter_s", "estimator.combine_s", "estimator.xcorr_s")),
      ("ams", ("hashing.derive_s", "ams.update_s", "ams.estimate_s"))],
 )
 def test_layer_probe_times_each_layer_and_restores(

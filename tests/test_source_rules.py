@@ -15,6 +15,11 @@ the conv update, the AMS update and the oracle all read that one result,
 so no column is sorted twice and the three cannot fold duplicates three
 different ways.
 
+In `sketch.py`, no `bin_eval_vec` or `sign_eval_vec` call sits inside
+a loop over repetitions: each call takes an attribute's values with the
+hash functions of every repetition, so its values are reduced and their
+powers formed once, not once per repetition.
+
 Every imported name is used: a leftover import of a deleted helper is
 dead code that still ties two modules together.  Names that exist only
 to be patched from outside carry `# noqa: F401`.
@@ -166,6 +171,70 @@ def test_finds_np_unique_outside_the_grouping():
 @pytest.mark.parametrize("name", ["sketch.py", "ams.py"])
 def test_np_unique_only_in_the_grouping(name):
     assert unique_outside_grouping((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+HASH_EVALS = {"bin_eval_vec", "sign_eval_vec"}
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _over_repetitions(loop) -> bool:
+    """Whether a for loop or comprehension generator runs over repetitions:
+    its target binds `rep`, or it iterates `range(<...>.l)` or `range(l)`."""
+    if any(isinstance(n, ast.Name) and n.id == "rep" for n in ast.walk(loop.target)):
+        return True
+    it = loop.iter
+    return (
+        isinstance(it, ast.Call)
+        and isinstance(it.func, ast.Name)
+        and it.func.id == "range"
+        and any(
+            isinstance(a, ast.Attribute) and a.attr == "l" or isinstance(a, ast.Name) and a.id == "l"
+            for a in it.args
+        )
+    )
+
+
+def hash_evals_per_repetition(source: str) -> list[int]:
+    """Line of every HASH_EVALS call inside the body of a for loop, or the
+    whole of a comprehension, that runs over repetitions."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.AsyncFor)) and _over_repetitions(loop):
+            scope = loop.body + loop.orelse
+        elif isinstance(loop, _COMPREHENSIONS) and any(map(_over_repetitions, loop.generators)):
+            scope = [loop]
+        else:
+            continue
+        for node in (n for part in scope for n in ast.walk(part)):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in HASH_EVALS
+                or isinstance(node.func, ast.Attribute) and node.func.attr in HASH_EVALS
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_finds_a_hash_eval_per_repetition():
+    source = (
+        "def bulk_update(sk, hashes, values, reps):\n"
+        "    for rep in range(sk.config.l):\n"
+        "        bins = bin_eval_vec([hashes.bin_for(0, rep)], values)\n"
+        "    signs = [hashing.sign_eval_vec([h], values) for rep in reps for h in hs]\n"
+        "    for i in range(l):\n"
+        "        while True:\n"
+        "            sign_eval_vec(hashes, values)\n"
+        "    tables = bin_eval_vec([hashes.bin_for(0, rep) for rep in reps], values)\n"
+        "    for u in omega:\n"
+        "        sign_eval_vec(edges, values)\n"
+        "    'bin_eval_vec in a docstring is not a call.'\n"
+    )
+    assert hash_evals_per_repetition(source) == [3, 4, 7]
+
+
+def test_sketch_hashes_each_attribute_once_for_all_repetitions():
+    source = (PACKAGE / "sketch.py").read_text(encoding="utf-8")
+    assert "bin_eval_vec(" in source and "sign_eval_vec(" in source
+    assert hash_evals_per_repetition(source) == []
 
 
 def _annotations(tree: ast.AST):
