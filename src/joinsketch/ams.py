@@ -9,11 +9,13 @@ counters of the product of the relation counters, reported as the median
 across repetitions.  Update cost is Theta(m) per repetition, which is
 what the convolution sketch removes.
 
-The bulk update is vectorized: it takes a batch's distinct tuples from
-`sketch.group_tuples`, the grouping the conv sketch and the oracle use,
-evaluates one sign-parity table per (edge, repetition), a row of m
-parities for each distinct value that a nonzero tuple uses, and adds
-each block of distinct tuples to the counters with one matrix product.
+The bulk update is vectorized and builds a query's sketches together:
+it takes each batch's distinct tuples from `sketch.group_tuples`, the
+grouping the conv sketch and the oracle use, evaluates one sign-parity
+table per (edge, repetition), a row of m parities for each value that a
+nonzero tuple uses at either endpoint of the edge, and adds each block
+of distinct tuples to the counters with one matrix product.  Both
+endpoints share the edge's family, so each table serves both relations.
 It stays Theta(m) per distinct tuple.
 """
 
@@ -28,6 +30,7 @@ from .joingraph import JoinGraph
 from .mersenne import BLOCK_ELEMENTS, sign_parity_table
 from .sketch import (
     METHOD_AMS,
+    Columns,
     RelationSketch,
     SketchConfig,
     TupleUpdate,
@@ -58,49 +61,74 @@ def ams_update(sk: RelationSketch, t: TupleUpdate) -> None:
     sk.touched_cells += sk.config.l * sk.config.m
 
 
-def ams_bulk_update(sk: RelationSketch, columns: dict[int, np.ndarray], deltas: np.ndarray) -> None:
-    """Grouped update for a batch of tuples (column arrays by attribute).
+def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> None:
+    """Grouped update of one query's sketches, each with a batch of tuples.
 
+    `batches` holds one (columns by attribute, deltas) pair per sketch.
     The counter definition sums over distinct tuples weighted by their
     net frequency, so folding duplicates with `group_tuples` before the
-    Theta(m) work is exact.  Per repetition, each (edge, attribute) pair
-    gets one parity table over the attribute's distinct values that a
-    nonzero tuple uses; a block of distinct tuples XORs the tables' rows
-    gathered through each attribute's inverse index and adds
-    weights @ (1 - 2 * parity) to the counters, computed as
-    sum(weights) - 2 * (weights @ parity).  For integer deltas every
-    partial sum is an integer below 2^53, so the summation order cannot
-    change a counter: the result equals ams_update() per tuple bit for
-    bit.
+    Theta(m) work is exact.  Each edge gets the sorted union of the
+    values its endpoints' nonzero tuples use, and each (attribute, edge)
+    pair an index into that union per distinct tuple.  Per repetition,
+    each edge's family is evaluated once, as one parity table over its
+    union; a block of distinct tuples XORs the rows gathered through its
+    indices and adds weights @ (1 - 2 * parity) to the counters, computed
+    as sum(weights) - 2 * (weights @ parity).  A parity depends only on
+    the family and the value, and for integer deltas every partial sum is
+    an integer below 2^53, so the result equals ams_update() per tuple bit
+    for bit, for one relation or many.  One repetition's tables are held
+    at a time.
     """
-    if sk.config.method != METHOD_AMS:
+    if any(sk.config.method != METHOD_AMS for sk in sketches):
         raise QueryError("ams_bulk_update() applies to ams sketches")
-    graph, config, hashes = sk.graph, sk.config, sk.hashes
-    omega = graph.omega[sk.relation]
-    groups, weights = group_tuples(columns, omega, deltas)
-    # A value that only cancelled tuples use would still cost a parity row
-    # of m counters; keep the values some nonzero tuple references.
-    for i, (values, inverse) in enumerate(groups):
-        used = np.bincount(inverse, minlength=len(values)) > 0
-        groups[i] = values[used], (np.cumsum(used) - 1)[inverse]
-    n = len(weights)
+    graph, config, hashes = sketches[0].graph, sketches[0].config, sketches[0].hashes
+    if len({sk.relation for sk in sketches}) < len(sketches) or any(
+        sk.graph is not graph or sk.config != config for sk in sketches
+    ):
+        raise QueryError("ams_bulk_update() takes sketches of distinct relations of one query")
+    used, weights = {}, []
+    for sk, (columns, deltas) in zip(sketches, batches, strict=True):
+        groups, sums = group_tuples(columns, graph.omega[sk.relation], deltas)
+        # A value that only cancelled tuples use would still cost a parity
+        # row of m counters; keep the values some nonzero tuple references.
+        for u, (values, inverse) in zip(graph.omega[sk.relation], groups):
+            kept = np.bincount(inverse, minlength=len(values)) > 0
+            used[u] = values[kept], (np.cumsum(kept) - 1)[inverse]
+        weights.append(sums)
+    # Sorted merges, not np.union1d: a plain np.unique imports numpy.ma
+    # (about 0.8 MiB) on its first call.
+    edges = {u: [(min(u, v), max(u, v)) for v in graph.gamma[u]] for u in used}
+    unions: dict[tuple[int, int], np.ndarray] = {}
+    for u, (values, _) in used.items():
+        for edge in edges[u]:
+            both = np.sort(np.concatenate((unions.get(edge, values[:0]), values)))
+            unions[edge] = np.concatenate((both[:1], both[1:][both[1:] != both[:-1]]))
+    gathers = [
+        [
+            (edge, np.searchsorted(unions[edge], used[u][0])[used[u][1]])
+            for u in graph.omega[sk.relation]
+            for edge in edges[u]
+        ]
+        for sk in sketches
+    ]
     rows = max(1, BLOCK_ELEMENTS // config.m)
     for rep in range(config.l):
-        tables = [
-            (sign_parity_table(hashes.coefficients(u, v, rep), values), inverse)
-            for u, (values, inverse) in zip(omega, groups)
-            for v in graph.gamma[u]
-        ]
-        (first, first_inverse), *rest = tables
-        counters = sk.counters[rep]
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            parity = first[first_inverse[block]]
-            for table, inverse in rest:
-                parity ^= table[inverse[block]]
-            block_weights = weights[block]
-            counters += block_weights.sum() - 2.0 * (block_weights @ parity.astype(np.float64))
-    sk.touched_cells += config.l * config.m * n
+        tables = {
+            edge: sign_parity_table(hashes.coefficients(*edge, rep), union)
+            for edge, union in unions.items()
+        }
+        for sk, sums, ((first, first_index), *rest) in zip(sketches, weights, gathers):
+            counters = sk.counters[rep]
+            for start in range(0, len(sums), rows):
+                block = slice(start, start + rows)
+                parity = tables[first][first_index[block]]
+                for edge, index in rest:
+                    parity ^= tables[edge][index[block]]
+                block_weights = sums[block]
+                counters += block_weights.sum() - 2.0 * (block_weights @ parity.astype(np.float64))
+        del tables
+    for sk, sums in zip(sketches, weights):
+        sk.touched_cells += config.l * config.m * len(sums)
 
 
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:

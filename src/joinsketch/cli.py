@@ -6,6 +6,7 @@ Exit codes: 1 usage, 2 query document problems, 3 data problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -52,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = _Parser(prog="joinsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

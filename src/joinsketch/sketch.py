@@ -34,6 +34,9 @@ from .joingraph import JoinGraph
 # deltas keep every counter and every partial sum exact below this bound.
 COUNTER_LIMIT = 1 << 53
 
+# One relation's batch: column arrays by attribute, and the deltas.
+Columns = tuple[dict[int, np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -173,7 +176,7 @@ def bulk_update(
 
 def updates_to_columns(
     updates: Iterable[TupleUpdate], graph: JoinGraph, relation: int
-) -> tuple[dict[int, np.ndarray], np.ndarray]:
+) -> Columns:
     """Collect one relation's updates into column arrays by attribute.
 
     A StreamReader hands over the arrays it parsed, with no TupleUpdate

@@ -206,5 +206,5 @@ def ams_build(
     """An AMS sketch of a relation from tuple updates or a `read_stream`
     reader, by the bulk update that `joinsketch sketch --method ams` runs."""
     sk = ams_sketch(relation, config, graph)
-    ams_bulk_update(sk, *updates_to_columns(updates, graph, relation))
+    ams_bulk_update([sk], [updates_to_columns(updates, graph, relation)])
     return sk

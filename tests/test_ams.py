@@ -1,5 +1,9 @@
-"""Dense AMS baseline: counter semantics, estimator rules, and the
-exact agreement with the convolution sketch at m=1."""
+"""Dense AMS baseline: counter semantics, the shared build of a query's
+sketches, estimator rules, and the exact agreement with the convolution
+sketch at m=1."""
+
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from joinsketch.ams import (
     ams_sketch,
     ams_update,
 )
+from joinsketch.bench import build_sketches
 from joinsketch.errors import QueryError
 from joinsketch.hashing import SignHash, derive_hash_set, sign_eval
 from joinsketch.mersenne import sign_parity_table
@@ -25,11 +30,16 @@ from joinsketch.sketch import (
 from conftest import ams_build, chain3_graph, multiway_graph, turnstile_stream, two_rel_graph
 
 
+def ams_single(sk, columns, deltas):
+    """The AMS bulk update of one relation, in `bulk_update`'s call form."""
+    ams_bulk_update([sk], [(columns, deltas)])
+
+
 def empty_sketch(method, relation, graph, m, l, seed):
     """A fresh sketch of either method and that method's bulk update."""
     config = SketchConfig(m=m, l=l, seed=seed, method=method)
     sk = RelationSketch(relation, config, graph, derive_hash_set(config, graph))
-    return sk, bulk_update if method == "conv" else ams_bulk_update
+    return sk, bulk_update if method == "conv" else ams_single
 
 
 def signs(coeffs, x):
@@ -93,7 +103,7 @@ class TestAmsUpdate:
         conv_config = SketchConfig(m=8, l=1, seed=5)
         sk = RelationSketch(0, conv_config, graph, derive_hash_set(conv_config, graph))
         with pytest.raises(QueryError, match="applies to ams sketches"):
-            ams_bulk_update(sk, {0: np.array([7], dtype=np.uint64)}, np.ones(1))
+            ams_single(sk, {0: np.array([7], dtype=np.uint64)}, np.ones(1))
         assert not sk.counters.any()
 
 
@@ -128,7 +138,7 @@ class TestAmsBuild:
         config = SketchConfig(m=4096, l=2, seed=12, method="ams")
         stream = turnstile_stream(rng, graph, relation, 150, domain=40)
         bulk = ams_sketch(relation, config, graph)
-        ams_bulk_update(bulk, *updates_to_columns(stream, graph, relation))
+        ams_single(bulk, *updates_to_columns(stream, graph, relation))
         scalar = ams_sketch(relation, config, graph)
         for t in stream:
             ams_update(scalar, t)
@@ -171,7 +181,7 @@ class TestAmsBuild:
 
         monkeypatch.setattr(ams, "sign_parity_table", counted)
         bulk = ams_sketch(1, config, graph)
-        ams_bulk_update(bulk, *updates_to_columns(stream, graph, 1))
+        ams_single(bulk, *updates_to_columns(stream, graph, 1))
         monkeypatch.undo()
         used = {u: sorted({t.values[u] for t in kept}) for u in (1, 2)}
         assert seen == [used[1], used[2]] * config.l
@@ -209,6 +219,147 @@ class TestAmsBuild:
             conv_sk = build_sketch(stream, graph, hashes, conv_config, rel)
             ams_sk = ams_build(stream, graph, ams_config, rel)
             np.testing.assert_array_equal(conv_sk.counters, ams_sk.counters)
+
+
+def query_streams(graph, seed, cancelled):
+    """Turnstile streams of every relation of a query, for the shared build.
+
+    Attribute u draws from [5u, 5u + 24), so the two endpoints of an edge
+    share only part of their values.  On the first edge (u, v), value 500
+    is inserted and deleted again at u while a live tuple uses it at v.
+    Every tuple of relation `cancelled` is deleted again.
+    """
+    rng = np.random.default_rng(seed)
+    owner = {u: rel for rel in range(graph.r) for u in graph.omega[rel]}
+    streams = [
+        [
+            TupleUpdate(rel, {u: x + 5 * u for u, x in t.values.items()}, t.delta)
+            for t in turnstile_stream(rng, graph, rel, 60, domain=24)
+        ]
+        for rel in range(graph.r)
+    ]
+    u, v = graph.edges[0]
+    for attr, deltas in ((u, (1.0, -1.0)), (v, (2.0,))):
+        values = {w: 500 if w == attr else 5 * w for w in graph.omega[owner[attr]]}
+        streams[owner[attr]] += [TupleUpdate(owner[attr], values, d) for d in deltas]
+    streams[cancelled] += [TupleUpdate(t.relation, t.values, -t.delta) for t in streams[cancelled]]
+    return streams
+
+
+def live_keys(graph, rel, stream):
+    """The attribute-ordered tuples of a stream with nonzero net frequency."""
+    net = Counter()
+    for t in stream:
+        net[tuple(t.values[u] for u in graph.omega[rel])] += t.delta
+    return [key for key, f in net.items() if f != 0.0]
+
+
+def used_values(graph, streams):
+    """Each attribute's sorted values over the tuples of nonzero net frequency."""
+    used = {}
+    for rel, stream in enumerate(streams):
+        live = live_keys(graph, rel, stream)
+        for i, u in enumerate(graph.omega[rel]):
+            used[u] = sorted({key[i] for key in live})
+    return used
+
+
+class TestAmsQueryBuild:
+    """`build_sketches` updates all AMS sketches of a query in one
+    `ams_bulk_update` call, one parity table per (edge, repetition)."""
+
+    @pytest.mark.parametrize(
+        "graph_of, cancelled", [(chain3_graph, 2), (multiway_graph, 3)], ids=["chain3", "multiway"]
+    )
+    def test_counters_match_per_tuple_updates(self, graph_of, cancelled):
+        # m = 4096 takes 8 rows per block, so each relation spans blocks.
+        # In the multiway query R1.a1 sits on two edges.
+        graph = graph_of()
+        config = SketchConfig(m=4096, l=2, seed=21, method="ams")
+        streams = query_streams(graph, 22, cancelled)
+        built = build_sketches(
+            graph, config, [updates_to_columns(s, graph, rel) for rel, s in enumerate(streams)]
+        )
+        used = used_values(graph, streams)
+        u, v = graph.edges[0]
+        assert 500 in used[v] and 500 not in used[u]
+        for rel, stream in enumerate(streams):
+            scalar = ams_sketch(rel, config, graph)
+            for t in stream:
+                ams_update(scalar, t)
+            assert built[rel].counters.tobytes() == scalar.counters.tobytes(), rel
+            live = len(live_keys(graph, rel, stream))
+            assert built[rel].touched_cells == config.l * config.m * live
+        assert not built[cancelled].counters.any()
+        assert built[cancelled].touched_cells == 0
+
+    @pytest.mark.parametrize("graph_of", [chain3_graph, multiway_graph], ids=["chain3", "multiway"])
+    def test_one_parity_table_per_edge_and_repetition(self, monkeypatch, graph_of):
+        # Each call covers the sorted union of both endpoints' used values:
+        # 2 edges x 5 repetitions make 10 calls on a chain of three.
+        import joinsketch.ams as ams
+
+        graph = graph_of()
+        config = SketchConfig(m=64, l=5, seed=23, method="ams")
+        streams = query_streams(graph, 24, cancelled=graph.r - 1)
+        seen = []
+
+        def counted(coefficients, values):
+            seen.append(values.tolist())
+            return sign_parity_table(coefficients, values)
+
+        monkeypatch.setattr(ams, "sign_parity_table", counted)
+        build_sketches(
+            graph, config, [updates_to_columns(s, graph, rel) for rel, s in enumerate(streams)]
+        )
+        used = used_values(graph, streams)
+        unions = [sorted(set(used[u]) | set(used[v])) for u, v in graph.edges]
+        assert len(seen) == config.l * len(graph.edges)
+        assert sorted(seen) == sorted(unions * config.l)
+
+    def test_rejects_repeated_relations_and_mixed_configs(self):
+        # Sketches built together share one union per edge, so each must be
+        # a different relation of the same query and config.
+        graph = two_rel_graph()
+        batch = ({0: np.array([7], dtype=np.uint64)}, np.ones(1))
+        config = SketchConfig(m=8, l=1, seed=5, method="ams")
+        other = SketchConfig(m=8, l=1, seed=6, method="ams")
+        for pair in (
+            [ams_sketch(0, config, graph), ams_sketch(0, config, graph)],
+            [ams_sketch(0, config, graph), ams_sketch(1, other, graph)],
+        ):
+            with pytest.raises(QueryError, match="distinct relations of one query"):
+                ams_bulk_update(pair, [batch, ({1: batch[0][0]}, batch[1])])
+            assert not any(sk.counters.any() for sk in pair)
+
+    def test_build_holds_one_repetitions_tables(self):
+        # The traced peak, less the counter grids and the sign families
+        # that the build keeps, must not grow with l: a build that kept
+        # every repetition's parity tables would add 15 repetitions' worth.
+        graph = chain3_graph()
+        rng = np.random.default_rng(25)
+        columns = [
+            ({u: rng.integers(0, 1500, size=3000).astype(np.uint64) for u in graph.omega[rel]},
+             np.ones(3000))
+            for rel in range(graph.r)
+        ]
+        owner = {u: cols for cols, _ in columns for u in cols}
+        m = 1024
+        tables = m * sum(len(np.union1d(owner[u][u], owner[v][v])) for u, v in graph.edges)
+
+        def extra_peak(l):
+            config = SketchConfig(m=m, l=l, seed=26, method="ams")
+            tracemalloc.start()
+            try:
+                sketches = build_sketches(graph, config, columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(sk.counters.nbytes for sk in sketches)
+            kept += sum(f.nbytes for f in sketches[0].hashes.families.values())
+            return peak - kept
+
+        assert extra_peak(20) - extra_peak(5) < tables // 4
 
 
 class TestAmsEstimate:

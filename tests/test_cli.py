@@ -43,6 +43,40 @@ def multiway_env(tmp_path):
     return tmp_path, _write_multiway_workload(tmp_path, rng)
 
 
+class TestParser:
+    def test_parser_is_built_once_per_process(self, multiway_env, monkeypatch, capsys):
+        # Building the five subparsers costs far more than parsing, and a
+        # process may run many commands; a usage error must not spoil the
+        # kept parser for the calls after it.
+        tmp_path, query = multiway_env
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.prog == "joinsketch":
+                    built.append(self)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        cli.build_parser.cache_clear()
+        out = str(tmp_path / "s.jsk")
+        try:
+            assert main(["sketch", "--query", query, "--m", "8", "--seed", "4", "--out", out]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["sketch", "--query", query])
+            assert exc.value.code == EXIT_USAGE
+            capsys.readouterr()
+            assert main(["estimate", "--query", query, "--sketches", out]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert main(["exact", "--query", query, "--path", "nested"]) == 0
+            assert cli.build_parser() is built[0]
+        finally:
+            cli.build_parser.cache_clear()
+        assert len(built) == 1
+        assert (payload["m"], payload["l"], payload["seed"]) == (8, 5, 4)
+        assert capsys.readouterr().out.strip().isdigit()
+
+
 class TestSketchCommand:
     def test_writes_expected_shapes(self, multiway_env):
         tmp_path, query = multiway_env
