@@ -11,6 +11,12 @@ place of m-vectors (the default), and a nested-loop reference that
 enumerates every combination of distinct tuples, shares no plan and is
 guarded by a combination budget.  Both compute the frequency-weighted
 count of joint assignments satisfying every join equality.
+
+The hash join sums each node's row weights per value of its entry
+attribute with `sketch.group_tuples`, dropping values whose weights
+cancel, and reads a child's weights at its parent's keys from a
+direct-address table over the child's span when that span is dense for
+the keys (`sketch.DENSE_SPAN`), by binary search otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetError, QueryError
 from .joingraph import JoinGraph, PlanNode, traversal_plan
-from .sketch import TupleUpdate, distinct_tuples, updates_to_columns
+from .sketch import TupleUpdate, dense_window, distinct_tuples, group_tuples, updates_to_columns
 
 # Frequencies of one relation: (distinct key rows in lexicographic order,
 # their nonzero net frequencies), as `distinct_tuples` returns them.
@@ -104,8 +110,9 @@ def _subtree(
     node: PlanNode, freqs: list[Freq], graph: JoinGraph
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight of the plan subtree below `node` per value of the entry
-    attribute, as (ascending distinct values, weights): the estimator's
-    walk, with sorted value arrays in place of m-vectors."""
+    attribute, as (ascending distinct values, their nonzero weights): the
+    estimator's walk, with sorted value arrays in place of m-vectors.  Both
+    are empty when every weight cancels."""
     # A module-level function, not a recursive closure: a closure that
     # calls itself is a reference cycle, which would keep `freqs` alive
     # until the cyclic garbage collector runs.
@@ -120,10 +127,27 @@ def _subtree(
     children += [(entry, child) for child in node.hadamard_children]
     acc = sums
     for p, child in children:
-        values, weights = _subtree(child, freqs, graph)
-        # A child's values are never empty: every relation has a row.
-        at = np.minimum(np.searchsorted(values, keys[:, p]), len(values) - 1)
-        acc = acc * np.where(values[at] == keys[:, p], weights[at], 0.0)
-    # bincount adds each value's row weights in row order, as a running sum.
-    values, inverse = np.unique(keys[:, entry], return_inverse=True)
-    return values, np.bincount(inverse, weights=acc)
+        acc = acc * _weights_at(*_subtree(child, freqs, graph), keys[:, p])
+    # group_tuples adds each value's row weights in row order, as a running
+    # sum, and drops the values whose weights cancel.
+    [(values, inverse)], weights = group_tuples({0: keys[:, entry]}, (0,), acc)
+    return values[inverse], weights
+
+
+def _weights_at(values: np.ndarray, weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Weight of each key among a child's (ascending values, weights);
+    0 for a key that is not among them, and for every key of an empty
+    child, whose weights all cancelled."""
+    if len(values) == 0:
+        return np.zeros(len(keys))
+    window = dense_window(values, len(keys))
+    if window is None:
+        at = np.minimum(np.searchsorted(values, keys), len(values) - 1)
+        return np.where(values[at] == keys, weights[at], 0.0)
+    # A direct-address table over the span, plus one 0 slot at its end.  A
+    # key below lo wraps to keys - lo >= 2^64 - lo >= span, so the clip
+    # sends keys on both sides of the span to that slot.
+    lo, span = window
+    table = np.zeros(span + 1)
+    table[(values - lo).view(np.intp)] = weights
+    return table[np.minimum(keys - lo, np.uint64(span)).view(np.intp)]

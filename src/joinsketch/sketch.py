@@ -37,6 +37,20 @@ COUNTER_LIMIT = 1 << 53
 # One relation's batch: column arrays by attribute, and the deltas.
 Columns = tuple[dict[int, np.ndarray], np.ndarray]
 
+# Values are dense over n rows when their span, max - min + 1, is at
+# most DENSE_SPAN * n: `group_tuples` then codes a column of n rows by
+# direct addressing, and the oracle looks n keys up in a table over a
+# child's span, with no sort and no binary search.  The multiple is set
+# by memory.  A dense code holds a bool presence array and an intp rank
+# array over the span, 9 bytes per slot, where
+# `np.unique(col, return_inverse=True)` holds an intp argsort, a sorted
+# uint64 copy and an intp rank array, 24 bytes per row; the lookup table
+# holds a float64 per slot, where `searchsorted` holds an intp position,
+# a gathered value and a gathered weight, 24 bytes per key.  At 2 slots
+# per row the span costs at most 18 bytes per row, so neither allocates
+# more than the path it replaces.
+DENSE_SPAN = 2
+
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -209,8 +223,10 @@ def group_tuples(
     Returns, per attribute of `attrs`, `(values, inverse)`: the column's
     sorted distinct uint64 values and each tuple's index into them; and
     the tuples' net frequencies.  No structured rows are sorted.  Each
-    column gets a 1-D `np.unique` code, its value's rank among the
-    column's distinct values.  The codes fold left to right into one
+    column gets a code, its value's rank among the column's distinct
+    values: by direct addressing (`_dense_code`) for a dense column, by a
+    1-D `np.unique` for any other (FNV-1a str keys, or int keys of both
+    signs, span most of 2^64).  The codes fold left to right into one
     mixed-radix int64 code per tuple (`code * len(values) + inverse`),
     and a 1-D `np.unique` after each fold turns the code back into a
     rank.  Ranks keep each column's value order, so the final ranks
@@ -220,7 +236,7 @@ def group_tuples(
     """
     n = len(deltas)
     cols = [np.asarray(columns[u], dtype=np.uint64) for u in attrs]
-    groups = [np.unique(col, return_inverse=True) for col in cols]
+    groups = [_dense_code(col) or np.unique(col, return_inverse=True) for col in cols]
     # A rank entering a fold is below n and a column has d <= n distinct
     # values, so every folded code stays below n * d <= n^2: no int64
     # overflow for any n < 3 * 10^9.
@@ -233,6 +249,37 @@ def group_tuples(
     row[rank] = np.arange(n)
     keep = sums != 0.0
     return [(values, inverse[row[keep]]) for values, inverse in groups], sums[keep]
+
+
+def dense_window(col: np.ndarray, rows: int | None = None) -> tuple[np.uint64, int] | None:
+    """`(lo, span)` of a nonempty uint64 column whose values all lie in
+    `[lo, lo + span)`, if span is at most DENSE_SPAN times `rows` (by
+    default the column's length); else None."""
+    if len(col) == 0:
+        return None
+    lo, hi = col.min(), col.max()
+    span = int(hi) - int(lo) + 1  # a Python int: 2^64 for the full range
+    return (lo, span) if span <= DENSE_SPAN * (len(col) if rows is None else rows) else None
+
+
+def _dense_code(col: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """`np.unique(col, return_inverse=True)` of a dense uint64 column, in
+    O(n + span) with no sort: mark each value in a presence array over its
+    span, number the marked offsets in ascending order in a rank array
+    over the span and gather each row's rank.  None for a sparse column."""
+    window = dense_window(col)
+    if window is None:
+        return None
+    lo, span = window
+    offset = (col - lo).view(np.intp)  # below span, so no sign bit
+    present = np.zeros(span, dtype=bool)
+    present[offset] = True
+    values = np.flatnonzero(present)
+    rank = np.empty(span, dtype=np.intp)  # read only at marked offsets
+    rank[values] = np.arange(len(values))
+    values = values.view(np.uint64)
+    values += lo
+    return values, rank[offset]
 
 
 def distinct_tuples(

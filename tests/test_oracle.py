@@ -9,8 +9,9 @@ import pytest
 
 from joinsketch.errors import BudgetError, DataError, QueryError
 from joinsketch.joingraph import build_join_graph, parse_query, traversal_plan
+from joinsketch import oracle
 from joinsketch.oracle import exact_cardinality, frequency_norms, materialize
-from joinsketch.sketch import TupleUpdate, distinct_tuples
+from joinsketch.sketch import TupleUpdate, dense_window, distinct_tuples
 
 from conftest import chain3_graph, multiway_graph, random_graph, two_rel_graph
 
@@ -212,6 +213,76 @@ def test_hash_join_is_bit_equal_to_the_dict_walk():
         assert total == _dict_hash_join([as_dict(f) for f in freqs], graph)
         nonzero += total != 0.0
     assert nonzero > 100, nonzero  # most instances join something
+
+
+# Value pools of the lookup cases: a dense window [100, 130), one that
+# reaches past it on both sides, and sparse values of up to 2^64 - 1.
+_POOLS = (
+    np.arange(100, 130, dtype=np.uint64),
+    np.arange(90, 145, dtype=np.uint64),
+    np.array([0, 7, 115, 2**40, 2**63, 2**64 - 1], dtype=np.uint64),
+)
+
+
+def _mixed_freqs(rng, graph):
+    """Pairs whose columns draw from a random pool each, with rows of
+    both signs, so children mix dense and sparse value sets and parents
+    look up keys below and above a dense child's span."""
+    freqs = []
+    for rel in range(graph.r):
+        omega = graph.omega[rel]
+        n = int(rng.integers(1, 30))
+        columns = {u: rng.choice(_POOLS[int(rng.integers(0, 3))], size=n) for u in omega}
+        freqs.append(distinct_tuples(columns, omega, rng.choice([-1.0, 1.0, 2.0], size=n)))
+    return freqs
+
+
+@pytest.mark.parametrize("graph", [chain3_graph(), multiway_graph()], ids=["chain3", "star4"])
+def test_hash_join_matches_the_nested_loop_on_mixed_lookups(graph, monkeypatch):
+    windows = []
+
+    def spy(col, rows=None):
+        window = dense_window(col, rows)
+        if rows is not None:  # a child lookup, not a column code
+            lo = int(col[0])
+            hi = lo + window[1] - 1 if window else int(col[-1])
+            windows.append((window is not None, lo, hi))
+        return window
+
+    monkeypatch.setattr(oracle, "dense_window", spy)
+    rng = np.random.default_rng(21)
+    nonzero = 0
+    for _ in range(200):
+        freqs = _mixed_freqs(rng, graph)
+        nested = exact_cardinality(freqs, graph, path="nested")
+        assert exact_cardinality(freqs, graph, path="auto") == nested
+        assert nested == _dict_hash_join([as_dict(f) for f in freqs], graph)
+        nonzero += nested != 0.0
+    assert nonzero > 10, nonzero  # enough instances join something
+    assert {dense for dense, _, _ in windows} == {True, False}  # both lookups ran
+    assert any(dense and lo == 100 and hi == 129 for dense, lo, hi in windows)
+
+
+def test_a_child_whose_weights_all_cancel_gives_zero():
+    # R1's rows at y = 1 weigh 1 * 2 + 1 * -2 against R2, so R1's subtree
+    # below R0 comes back empty.
+    graph = chain3_graph()
+    freqs = [
+        freq_single([1, 1]),
+        freq_of({(1, 5): 1.0, (1, 6): 1.0}),
+        freq_of({(5,): 2.0, (6,): -2.0}),
+    ]
+    assert exact_cardinality(freqs, graph, path="nested") == 0.0
+    assert exact_cardinality(freqs, graph, path="auto") == 0.0
+
+
+def test_lookup_table_sends_keys_outside_the_span_to_zero():
+    values = np.array([100, 101, 103], dtype=np.uint64)
+    weights = np.array([1.5, -2.0, 4.0])
+    keys = np.array([0, 99, 100, 102, 103, 104, 2**63, 2**64 - 1, 101], dtype=np.uint64)
+    got = oracle._weights_at(values, weights, keys)
+    assert dense_window(values, len(keys)) is not None  # the table path
+    assert got.tolist() == [0.0, 0.0, 1.5, 0.0, 4.0, 0.0, 0.0, 0.0, -2.0]
 
 
 class TestFrequencyNorms:

@@ -3,20 +3,25 @@ update-cost instrumentation, and the binary file format."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from joinsketch import sketch as sketch_module
 from joinsketch.cli import EXIT_DATA, main
 from joinsketch.errors import DataError, QueryError
 from joinsketch.hashing import bin_eval, derive_hash_set, sign_eval
+from joinsketch.ingest import fnv1a64
 from joinsketch.sketch import (
+    DENSE_SPAN,
     RelationSketch,
     SketchConfig,
     TupleUpdate,
     build_sketch,
     bulk_update,
     distinct_tuples,
+    group_tuples,
     merge,
     update,
     updates_to_columns,
@@ -300,11 +305,45 @@ def _stacked_distinct_tuples(columns, attrs, deltas):
     return keys[keep], sums[keep]
 
 
+TOP = 2**64 - 1
+
+
+def _fnv_column(rng, n):
+    """FNV-1a hashes of `cust-N` strings: keys spread over all of 2^64."""
+    return np.array([fnv1a64(f"cust-{k}".encode()) for k in rng.integers(0, 40, size=n)], np.uint64)
+
+
+def _column(case, rng, n):
+    """One uint64 column of `n` rows for a column-code case."""
+    if case == "all-equal":
+        return np.full(n, 12345, dtype=np.uint64)
+    if case in ("dense-bound", "past-bound"):
+        # Both ends present, so the span is DENSE_SPAN * n, or one more.
+        span = DENSE_SPAN * n + (case == "past-bound")
+        col = rng.integers(0, span, size=n).astype(np.uint64) + np.uint64(1000)
+        col[:2] = [1000, 1000 + span - 1]
+        return col
+    if case == "full-range":
+        col = rng.integers(0, 50, size=n).astype(np.uint64)
+        col[:2] = [0, TOP]  # a span of 2^64, one past the uint64 range
+        return col
+    if case == "top-window":
+        col = np.uint64(TOP) - rng.integers(0, n, size=n).astype(np.uint64)
+        col[0] = TOP
+        return col
+    if case == "negative":
+        # Int keys of both signs, canonical as two's complement.
+        return rng.integers(-250, 250, size=n).astype(np.int64).view(np.uint64)
+    if case == "fnv":
+        return _fnv_column(rng, n)
+    return rng.integers(0, 6, size=n).astype(np.uint64)
+
+
 def _tuple_batch(case):
     """(columns, attrs, deltas) for one grouping case."""
     rng = np.random.default_rng(sum(map(ord, case)))
     width = {"empty": 2, "one": 1, "two": 2, "three": 3, "four": 4}.get(case, 3)
-    n = 0 if case == "empty" else 500
+    n = {"empty": 0, "one-row": 1}.get(case, 500)
     # Attribute ids out of order: keys follow `attrs`, not the dict.
     attrs = tuple(range(width, 0, -1))
     columns = {u: rng.integers(0, 6, size=n).astype(np.uint64) for u in attrs}
@@ -320,11 +359,34 @@ def _tuple_batch(case):
         deltas[-10:] = 3.0
     elif case == "fractional":
         deltas = rng.random(n) * rng.choice([-1.0, 1.0], size=n) / 3.0
+    elif case == "dense-and-fnv":
+        columns[attrs[1]] = _fnv_column(rng, n)
+    elif case in COLUMN_CASES and case != "empty":
+        # The case's column first, then a dense and a sparse one to fold.
+        columns[attrs[0]] = _column(case, rng, n)
+        columns[attrs[2]] = _column("negative", rng, n)
     return columns, attrs, deltas
 
 
+# Column-code cases: the dense ones are coded without a sort.
+COLUMN_CASES = {
+    "empty": False,
+    "one-row": True,
+    "all-equal": True,
+    "dense-bound": True,
+    "past-bound": False,
+    "full-range": False,
+    "top-window": True,
+    "negative": False,
+    "fnv": False,
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["empty", "one", "two", "three", "four", "high-bit", "cancelling", "fractional"]
+    "case",
+    ["empty", "one", "two", "three", "four", "high-bit", "cancelling", "fractional"]
+    + ["one-row", "all-equal", "dense-bound", "past-bound", "full-range", "top-window"]
+    + ["negative", "dense-and-fnv"],
 )
 def test_distinct_tuples_matches_the_stacked_unique(case):
     columns, attrs, deltas = _tuple_batch(case)
@@ -342,6 +404,72 @@ def test_distinct_tuples_matches_the_stacked_unique(case):
         assert 0 < len(keys) < len(rows)
     if case in ("three", "four"):
         assert len(keys) > 6  # the batch had tuples to fold past the first column
+
+
+@pytest.mark.parametrize("case", list(COLUMN_CASES))
+def test_column_code_matches_np_unique(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    col = _column(case, rng, {"empty": 0, "one-row": 1}.get(case, 500))
+    dense = sketch_module._dense_code(col)
+    assert (dense is not None) == COLUMN_CASES[case]
+    values, inverse = dense or np.unique(col, return_inverse=True)
+    ref_values, ref_inverse = np.unique(col, return_inverse=True)
+    assert values.dtype == ref_values.dtype == np.uint64
+    assert inverse.dtype == ref_inverse.dtype == np.intp
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(inverse, ref_inverse)
+    if case == "top-window":
+        assert values[-1] == TOP
+
+
+def _unique_arguments(monkeypatch):
+    """Record the array of every np.unique call."""
+    calls = []
+    unique = np.unique
+
+    def spy(ar, *args, **kwargs):
+        calls.append(np.asarray(ar))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return calls
+
+
+def test_only_sparse_columns_are_sorted(monkeypatch):
+    rng = np.random.default_rng(4)
+    dense, fnv = _column("dense-bound", rng, 300), _fnv_column(rng, 300)
+    deltas = np.ones(300)
+    calls = _unique_arguments(monkeypatch)
+    group_tuples({1: dense}, (1,), deltas)
+    assert calls == []
+    group_tuples({2: fnv}, (2,), deltas)
+    assert len(calls) == 1 and calls[0].tobytes() == fnv.tobytes()
+    calls.clear()
+    group_tuples({1: dense, 2: fnv}, (1, 2), deltas)
+    # The fnv column and the one fold; the fold's codes are int64.
+    assert [c.dtype for c in calls] == [np.uint64, np.int64]
+    assert calls[0].tobytes() == fnv.tobytes()
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_code_peaks_below_the_sort(monkeypatch):
+    # The widest dense span, DENSE_SPAN * n, is the dense code's worst case.
+    n = 10**6
+    col = _column("dense-bound", np.random.default_rng(5), n)
+    deltas = np.ones(n)
+    dense = _peak_bytes(lambda: group_tuples({0: col}, (0,), deltas))
+    monkeypatch.setattr(sketch_module, "_dense_code", lambda col: None)
+    sort = _peak_bytes(lambda: group_tuples({0: col}, (0,), deltas))
+    assert dense <= sort, (dense, sort)
 
 
 class TestDirectSumOracle:

@@ -9,11 +9,12 @@ runs.  Recursion belongs in module-level functions.
 ten times slower than grouping by per-column codes with 1-D
 `np.unique` calls (`sketch.group_tuples`).
 
-In `sketch.py` and `ams.py`, `np.unique` runs only inside
+In `sketch.py`, `ams.py` and `oracle.py`, `np.unique` runs only inside
 `sketch.group_tuples`.  A batch is grouped into distinct tuples once, and
 the conv update, the AMS update and the oracle all read that one result,
 so no column is sorted twice and the three cannot fold duplicates three
-different ways.
+different ways; the oracle's per-node grouping by entry value calls
+`group_tuples` too, so a dense column skips the sort there as well.
 
 In `sketch.py`, no `bin_eval_vec` or `sign_eval_vec` call sits inside
 a loop over repetitions: each call takes an attribute's values with the
@@ -168,7 +169,7 @@ def test_finds_np_unique_outside_the_grouping():
     assert unique_outside_grouping(source) == [5, 10, 11]
 
 
-@pytest.mark.parametrize("name", ["sketch.py", "ams.py"])
+@pytest.mark.parametrize("name", ["sketch.py", "ams.py", "oracle.py"])
 def test_np_unique_only_in_the_grouping(name):
     assert unique_outside_grouping((PACKAGE / name).read_text(encoding="utf-8")) == []
 
