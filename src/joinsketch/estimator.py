@@ -134,8 +134,9 @@ def combine_sketches(node: PlanNode, sketches: list[RelationSketch], rep: int) -
     # counter grids alive until the cyclic garbage collector runs.
     x = sketches[node.relation].counters[rep]
     for _, children in node.cross_groups:
-        acc = np.ones(len(x), dtype=np.float64)
-        for child in children:
+        # Never empty: every attribute joins.
+        acc = combine_sketches(children[0], sketches, rep)
+        for child in children[1:]:
             acc = combine_sketches(child, sketches, rep) * acc
         x = circ_cross_correlate(acc, x)
     for child in node.hadamard_children:

@@ -4,10 +4,16 @@ Layout: magic "JSK1", version u32, method u8 (0=conv, 1=ams), m u64,
 l u32, master seed u64, relation count u32, then per relation a u32
 name length, the UTF-8 name, and the l*m float64 counter grid in
 repetition-major order.
+
+A file whose grids total at least MAP_BYTES is mapped copy-on-write and
+its grids are views of the mapping: a load shares the page-cache pages
+that `sketch` wrote instead of copying them into fresh memory, and a
+write into a grid stays in the process.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from typing import BinaryIO
@@ -23,12 +29,36 @@ VERSION = 1
 _METHOD_TAGS = {METHOD_CONV: 0, METHOD_AMS: 1}
 _TAG_METHODS = {v: k for k, v in _METHOD_TAGS.items()}
 
+# Grids totalling at least this many bytes are mapped, smaller ones read.
+# A mapping costs a fixed ~0.1 ms more per load (mmap, munmap, the fd
+# dup); a read faults in every fresh 4 KiB page of its grid buffers once
+# glibc serves them by mmap.  In-process `estimate` loops on a 4-relation
+# star, l=4 (2 CPUs, numpy 2.4.6, medians of 6 fresh processes), mapped
+# minus read: +0.10, +0.10, 0.0, -0.5, -1.2, -3.5, -7.0 ms at 0.125, 0.25,
+# 0.5, 1, 2, 4, 8 MiB of grids; the crossover lies between 0.5 and 1 MiB.
+MAP_BYTES = 1 << 20
+
 
 def save_sketch_file(
     path: str, config: SketchConfig, relations: list[tuple[str, np.ndarray]]
 ) -> None:
-    with open(path, "wb") as fh:
-        _write(fh, config, relations)
+    """Write a temporary file beside `path` and rename it onto `path`.
+
+    Grids a process already mapped from the old file keep their values:
+    rewriting the mapped file in place would change them, and truncating
+    it would kill the process with SIGBUS.  `open(tmp, "xb")` gives the
+    file the mode a plain `open` gives (`tempfile.mkstemp` would make it
+    0600).
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            _write(fh, config, relations)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write(fh: BinaryIO, config: SketchConfig, relations: list[tuple[str, np.ndarray]]) -> None:
@@ -87,22 +117,32 @@ def _read(fh: BinaryIO, path: str) -> tuple[SketchConfig, list[tuple[str, np.nda
     except QueryError as exc:
         raise DataError(f"{path}: bad sketch file header: {exc}") from exc
     grid_bytes = l * m * 8
-    relations: list[tuple[str, np.ndarray]] = []
+    offsets: list[tuple[str, int]] = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         try:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: relation name is not UTF-8: {exc}") from exc
-        what = f"counters for {name!r}"
         # A corrupt header can claim a grid far larger than memory; check
-        # the file holds it before allocating.
+        # the file holds it before allocating or mapping.
         if os.fstat(fh.fileno()).st_size - fh.tell() < grid_bytes:
-            raise truncated(what)
-        counters = np.empty((l, m), dtype="<f8")
-        if fh.readinto(counters) != grid_bytes:
-            raise truncated(what)
-        relations.append((name, counters))
+            raise truncated(f"counters for {name!r}")
+        offsets.append((name, fh.tell()))
+        fh.seek(grid_bytes, os.SEEK_CUR)
     if fh.read(1):
         raise DataError(f"{path}: trailing bytes after sketch data")
+    if count * grid_bytes >= MAP_BYTES:
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        return config, [
+            (name, np.frombuffer(mapped, "<f8", l * m, offset).reshape(l, m))
+            for name, offset in offsets
+        ]
+    relations = []
+    for name, offset in offsets:
+        counters = np.empty((l, m), dtype="<f8")
+        fh.seek(offset)
+        if fh.readinto(counters) != grid_bytes:
+            raise truncated(f"counters for {name!r}")
+        relations.append((name, counters))
     return config, relations

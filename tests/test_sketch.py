@@ -26,7 +26,8 @@ from joinsketch.sketch import (
     update,
     updates_to_columns,
 )
-from joinsketch.sketchfile import load_sketch_file, save_sketch_file
+from joinsketch import sketchfile
+from joinsketch.sketchfile import MAP_BYTES, load_sketch_file, save_sketch_file
 
 from conftest import (
     circ_convolve,
@@ -608,6 +609,91 @@ class TestSketchFile:
         assert loaded_config.method == "ams"
 
 
+def _big_relations(seed=0, l=2):
+    """Two relations A and B whose grids total MAP_BYTES rounded up to
+    whole columns: exactly MAP_BYTES for the default l."""
+    m = -(-MAP_BYTES // (2 * 8 * l))
+    rng = np.random.default_rng(seed)
+    return SketchConfig(m=m, l=l, seed=seed), [
+        ("A", rng.normal(size=(l, m))), ("B", rng.normal(size=(l, m)))
+    ]
+
+
+class TestMappedSketchFile:
+    """Files whose grids total at least MAP_BYTES are mapped copy-on-write."""
+
+    def _saved(self, tmp_path, seed=0):
+        config, relations = _big_relations(seed)
+        path = str(tmp_path / "big.jsk")
+        save_sketch_file(path, config, relations)
+        return path, config, relations
+
+    def test_round_trip_bit_exact_through_writable_views(self, tmp_path):
+        path, config, relations = self._saved(tmp_path)
+        before = open(path, "rb").read()
+        loaded_config, loaded = load_sketch_file(path)
+        assert loaded_config == config
+        assert [name for name, _ in loaded] == ["A", "B"]
+        for (_, a), (_, b) in zip(relations, loaded):
+            assert a.tobytes() == b.tobytes()
+            assert b.dtype == np.float64 and b.dtype.isnative
+            assert b.flags.c_contiguous and b.flags.writeable
+            assert not b.flags.owndata
+        # Copy-on-write: a write into a grid never reaches the file.
+        loaded[0][1][:] = -1.0
+        loaded[1][1][0, 0] = 7.0
+        assert open(path, "rb").read() == before
+
+    def test_one_column_under_the_threshold_is_read(self, tmp_path):
+        config, relations = _big_relations()
+        small = SketchConfig(m=config.m - 1, l=config.l, seed=config.seed)
+        path = str(tmp_path / "small.jsk")
+        save_sketch_file(path, small, [(name, grid[:, 1:]) for name, grid in relations])
+        for (_, a), (_, b) in zip(relations, load_sketch_file(path)[1]):
+            assert b.flags.owndata and b.flags.writeable
+            assert b.tobytes() == a[:, 1:].tobytes()
+
+    def test_saving_over_a_loaded_file_keeps_its_grids(self, tmp_path):
+        # The save replaces the file; rewriting the mapped inode in place
+        # would change these grids, and truncating it would raise SIGBUS.
+        path, _, relations = self._saved(tmp_path)
+        loaded = load_sketch_file(path)[1]
+        config, other = _big_relations(seed=1)
+        save_sketch_file(path, config, other)
+        for (_, a), (_, b) in zip(relations, loaded):
+            assert a.tobytes() == b.tobytes()
+        assert load_sketch_file(path)[1][1][1].tobytes() == other[1][1].tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.jsk"]
+
+    def test_estimate_prints_what_the_read_file_gives(self, tmp_path, capsys, monkeypatch):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(two_rel_query_doc()))
+        config, relations = _big_relations(l=5)
+        path = str(tmp_path / "big.jsk")
+        save_sketch_file(path, config, relations)
+        assert not load_sketch_file(path)[1][0][1].flags.owndata
+
+        def estimate_json():
+            assert main(["estimate", "--query", str(q), "--sketches", path]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["infer_ms"]
+            return payload
+
+        mapped = estimate_json()
+        monkeypatch.setattr(sketchfile, "MAP_BYTES", 2 * MAP_BYTES)
+        assert estimate_json() == mapped
+
+
+def test_failed_save_leaves_the_file_and_no_temporary(tmp_path):
+    path = tmp_path / "s.jsk"
+    _save_two(path)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="counter grid for 'A' has shape"):
+        _save_two(path, a_rows=1)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsk"]
+
+
 def _save_two(path, a_rows=2):
     """Save relations A and B under m=4, l=2; A's grid has `a_rows` rows."""
     save_sketch_file(
@@ -615,18 +701,22 @@ def _save_two(path, a_rows=2):
     )
 
 
-def _edited_file(tmp_path, edit):
-    """A valid two-relation file whose bytes `edit` then changed in place."""
+def _edited_file(tmp_path, edit, big=False):
+    """A valid two-relation file whose bytes `edit` then changed in place;
+    a `big` file's grids total MAP_BYTES, so it loads through a mapping."""
     path = tmp_path / "e.jsk"
-    _save_two(path)
+    if big:
+        save_sketch_file(str(path), *_big_relations())
+    else:
+        _save_two(path)
     data = bytearray(path.read_bytes())
     edit(data)
     path.write_bytes(bytes(data))
     return str(path)
 
 
-def _load_edited(edit):
-    return lambda tmp_path: load_sketch_file(_edited_file(tmp_path, edit))
+def _load_edited(edit, big=False):
+    return lambda tmp_path: load_sketch_file(_edited_file(tmp_path, edit, big))
 
 
 def _version_2(data):
@@ -647,6 +737,15 @@ _BAD_SKETCH_FILES = {
     "trailing-bytes": (
         _load_edited(lambda data: data.extend(b"\0")),
         "e.jsk: trailing bytes after sketch data"),
+    "mapped-truncated": (
+        _load_edited(lambda data: data.__delitem__(slice(-5, None)), big=True),
+        "e.jsk: truncated sketch file while reading counters for 'B'"),
+    "mapped-trailing-bytes": (
+        _load_edited(lambda data: data.extend(b"\0"), big=True),
+        "e.jsk: trailing bytes after sketch data"),
+    "mapped-huge-m": (
+        _load_edited(lambda data: struct.pack_into("<Q", data, 9, 2**40), big=True),
+        "e.jsk: truncated sketch file while reading counters for 'A'"),
     "grid-shape-on-save": (
         lambda tmp_path: _save_two(tmp_path / "s.jsk", a_rows=1),
         "counter grid for 'A' has shape (1, 4), expected (2, 4)"),

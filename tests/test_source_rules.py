@@ -32,6 +32,14 @@ defines, so two methods cannot derive one family two ways.
 The package does not read the process environment: a run is described
 by its command line and the arguments of the calls it makes, so a stray
 variable cannot change a sketch without showing in the argv.
+
+No module imports `ctypes`, and only `sketchfile.py` imports `mmap`:
+the one mapping is a loaded sketch file's, so the grids' memory never
+comes from the allocator.  Tuning the allocator instead (`mallopt`
+through `ctypes`, or freeing a larger block to lift glibc's dynamic
+mmap threshold) changes the state of the whole process, and perfbench
+times its reference mix in that same process, so it would speed up the
+reference along with the program and distort every scaled time.
 """
 
 import ast
@@ -395,3 +403,35 @@ def test_finds_an_environment_read():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_the_package_reads_no_environment(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> list[tuple[str, int]]:
+    """(top-level module, line) of every absolute `import` and `from ...
+    import` statement; relative imports of the package do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update((a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module.split(".")[0], node.lineno))
+    return sorted(found)
+
+
+def test_finds_imported_modules():
+    source = (
+        "import mmap, os.path\n"
+        "from ctypes import CDLL\n"
+        "from . import sketch\n"
+        "from .mmap import view\n"
+        "def load():\n"
+        "    'import ctypes in a docstring is not an import.'\n"
+        "    import ctypes.util as cu\n"
+    )
+    assert imported_modules(source) == [("ctypes", 2), ("ctypes", 7), ("mmap", 1), ("os", 1)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_sketchfile_maps_memory(path):
+    modules = {name for name, _ in imported_modules(path.read_text(encoding="utf-8"))}
+    assert "ctypes" not in modules
+    assert ("mmap" in modules) == (path.name == "sketchfile.py")
