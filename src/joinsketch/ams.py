@@ -10,11 +10,11 @@ across repetitions.  Update cost is Theta(m) per repetition, which is
 what the convolution sketch removes.
 
 The bulk update is vectorized and builds a query's sketches together:
-it takes each batch's distinct tuples from `sketch.group_tuples`, the
-grouping the conv sketch and the oracle use, evaluates one sign-parity
-table per (edge, repetition), a row of m parities for each value that a
-nonzero tuple uses at either endpoint of the edge, and adds each block
-of distinct tuples to the counters with one matrix product.  Both
+it takes each batch's distinct tuples, and the values they use, from
+`sketch.group_tuples`, the grouping the conv sketch and the oracle use,
+evaluates one sign-parity table per (edge, repetition), a row of m
+parities for each value at either endpoint of the edge, and adds each
+block of distinct tuples to the counters with one matrix product.  Both
 endpoints share the edge's family, so each table serves both relations.
 It stays Theta(m) per distinct tuple.
 """
@@ -68,16 +68,16 @@ def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> N
     The counter definition sums over distinct tuples weighted by their
     net frequency, so folding duplicates with `group_tuples` before the
     Theta(m) work is exact.  Each edge gets the sorted union of the
-    values its endpoints' nonzero tuples use, and each (attribute, edge)
-    pair an index into that union per distinct tuple.  Per repetition,
-    each edge's family is evaluated once, as one parity table over its
-    union; a block of distinct tuples XORs the rows gathered through its
-    indices and adds weights @ (1 - 2 * parity) to the counters, computed
-    as sum(weights) - 2 * (weights @ parity).  A parity depends only on
-    the family and the value, and for integer deltas every partial sum is
-    an integer below 2^53, so the result equals ams_update() per tuple bit
-    for bit, for one relation or many.  One repetition's tables are held
-    at a time.
+    values `group_tuples` keeps at its endpoints, those a nonzero tuple
+    uses, and each (attribute, edge) pair an index into that union per
+    distinct tuple.  Per repetition, each edge's family is evaluated once,
+    as one parity table over its union; a block of distinct tuples XORs
+    the rows gathered through its indices and adds weights @ (1 - 2 *
+    parity) to the counters, computed as sum(weights) - 2 * (weights @
+    parity).  A parity depends only on the family and the value, and for
+    integer deltas every partial sum is an integer below 2^53, so the
+    result equals ams_update() per tuple bit for bit, for one relation or
+    many.  One repetition's tables are held at a time.
     """
     if any(sk.config.method != METHOD_AMS for sk in sketches):
         raise QueryError("ams_bulk_update() applies to ams sketches")
@@ -89,11 +89,7 @@ def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> N
     used, weights = {}, []
     for sk, (columns, deltas) in zip(sketches, batches, strict=True):
         groups, sums = group_tuples(columns, graph.omega[sk.relation], deltas)
-        # A value that only cancelled tuples use would still cost a parity
-        # row of m counters; keep the values some nonzero tuple references.
-        for u, (values, inverse) in zip(graph.omega[sk.relation], groups):
-            kept = np.bincount(inverse, minlength=len(values)) > 0
-            used[u] = values[kept], (np.cumsum(kept) - 1)[inverse]
+        used.update(zip(graph.omega[sk.relation], groups))
         weights.append(sums)
     # Sorted merges, not np.union1d: a plain np.unique imports numpy.ma
     # (about 0.8 MiB) on its first call.

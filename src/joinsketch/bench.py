@@ -27,7 +27,7 @@ from .joingraph import JoinGraph, traversal_plan
 from .mersenne import mix64
 from .oracle import exact_cardinality
 from .sketch import (
-    METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, distinct_tuples,
+    METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, group_tuples,
 )
 
 BENCH_SCHEMA = "joinsketch-bench-v1"
@@ -138,11 +138,11 @@ def build_sketches(
 
 
 def freqs_from_columns(graph: JoinGraph, columns_by_relation: Iterable[Columns]):
-    """Each relation's (sorted distinct keys, nonzero sums) pair, the exact
+    """Each relation's `group_tuples` (groups, weights) pair, the exact
     oracle's frequency format, from columns in relation order.  Given a
     generator, it holds one relation's columns at a time."""
     return [
-        distinct_tuples(columns, graph.omega[rel], deltas)
+        group_tuples(columns, graph.omega[rel], deltas)
         for rel, (columns, deltas) in enumerate(columns_by_relation)
     ]
 

@@ -1,9 +1,9 @@
 """Exact multi-join cardinality on desk-scale data.
 
-One relation's frequencies are the `(keys, sums)` pair that
-`sketch.distinct_tuples` stacks from the grouping both sketch updates
-use: an (n, k) uint64 array of distinct attribute-ordered tuples in
-lexicographic row order, and their float64 net frequencies, zeros dropped.
+One relation's frequencies are the `(groups, weights)` pair of
+`sketch.group_tuples`, the grouping both sketch updates use: per
+attribute, the sorted distinct values its tuples use and each tuple's
+index into them; and the tuples' nonzero net frequencies.
 
 Two independent implementations: a hash join that walks the rooted
 traversal plan the FFT estimator walks, with sorted value arrays in
@@ -12,11 +12,11 @@ enumerates every combination of distinct tuples, shares no plan and is
 guarded by a combination budget.  Both compute the frequency-weighted
 count of joint assignments satisfying every join equality.
 
-The hash join sums each node's row weights per value of its entry
-attribute with `sketch.group_tuples`, dropping values whose weights
-cancel, and reads a child's weights at its parent's keys from a
-direct-address table over the child's span when that span is dense for
-the keys (`sketch.DENSE_SPAN`), by binary search otherwise.
+The hash join reads a child's weights once per distinct value of the
+parent's column, from a direct-address table over the child's span when
+that span is dense for those values (`sketch.DENSE_SPAN`), by binary
+search otherwise, gathers them per tuple through the column's inverse,
+and sums each node's tuple weights per entry value with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -29,28 +29,27 @@ import numpy as np
 
 from .errors import BudgetError, QueryError
 from .joingraph import JoinGraph, PlanNode, traversal_plan
-from .sketch import TupleUpdate, dense_window, distinct_tuples, group_tuples, updates_to_columns
+from .sketch import TupleUpdate, dense_window, group_tuples, updates_to_columns
 
-# Frequencies of one relation: (distinct key rows in lexicographic order,
-# their nonzero net frequencies), as `distinct_tuples` returns them.
-Freq = tuple[np.ndarray, np.ndarray]
+# One relation's frequencies, as `group_tuples` returns them.
+Freq = tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]
 
 NESTED_LOOP_BUDGET = 10**8
 
 
 def materialize(updates: Iterable[TupleUpdate], graph: JoinGraph, relation: int) -> Freq:
     """Fold a stream (a `read_stream` reader or any TupleUpdate iterable)
-    into the relation's (keys, sums) pair; a tuple of another relation or
-    over other attributes is a DataError."""
+    into the relation's `group_tuples` (groups, weights) pair; a tuple of
+    another relation or over other attributes is a DataError."""
     columns, deltas = updates_to_columns(updates, graph, relation)
-    return distinct_tuples(columns, graph.omega[relation], deltas)
+    return group_tuples(columns, graph.omega[relation], deltas)
 
 
 def frequency_norms(freq: Freq | Iterable[float]) -> float:
     """Squared 2-norm of a relation's frequency tensor: sum of freq^2.
 
-    Takes a (keys, sums) pair or the frequencies themselves; a pair is
-    told from a tuple of floats by its array of sums."""
+    Takes a (groups, weights) pair or the frequencies themselves; a pair
+    is told from a tuple of floats by its array of weights."""
     if isinstance(freq, tuple) and len(freq) == 2 and isinstance(freq[1], np.ndarray):
         freq = freq[1].tolist()
     return float(sum(f * f for f in freq))
@@ -84,7 +83,10 @@ def _nested_loop(freqs: list[Freq], graph: JoinGraph) -> float:
     edge_slots = [
         (graph.relation_of(u), pos[u], graph.relation_of(v), pos[v]) for u, v in graph.edges
     ]
-    items = [list(zip(map(tuple, keys.tolist()), sums.tolist())) for keys, sums in freqs]
+    items = []
+    for groups, sums in freqs:
+        keys = zip(*(values[inverse].tolist() for values, inverse in groups))
+        items.append(list(zip(keys, sums.tolist())))
     total = 0.0
     for combo in product(*items):
         for ru, pu, rv, pv in edge_slots:
@@ -100,7 +102,7 @@ def _nested_loop(freqs: list[Freq], graph: JoinGraph) -> float:
 
 def _hash_join(freqs: list[Freq], graph: JoinGraph) -> float:
     # The root enters relation 0 at its first column, so ascending value
-    # order is the order in which its lexicographic rows first show each
+    # order is the order in which its lexicographic tuples first show each
     # value; the total is a running sum in that order.
     _, weights = _subtree(traversal_plan(graph, "auto"), freqs, graph)
     return sum(weights.tolist(), 0.0)
@@ -116,10 +118,10 @@ def _subtree(
     # A module-level function, not a recursive closure: a closure that
     # calls itself is a reference cycle, which would keep `freqs` alive
     # until the cyclic garbage collector runs.
-    keys, sums = freqs[node.relation]
+    groups, sums = freqs[node.relation]
     omega = graph.omega[node.relation]
     entry = omega.index(node.attr)
-    # (key position, child): a cross-group child joins at its group's
+    # (column position, child): a cross-group child joins at its group's
     # attribute, a Hadamard child at the entry attribute.
     children = [
         (omega.index(other), child) for other, group in node.cross_groups for child in group
@@ -127,11 +129,13 @@ def _subtree(
     children += [(entry, child) for child in node.hadamard_children]
     acc = sums
     for p, child in children:
-        acc = acc * _weights_at(*_subtree(child, freqs, graph), keys[:, p])
-    # group_tuples adds each value's row weights in row order, as a running
-    # sum, and drops the values whose weights cancel.
-    [(values, inverse)], weights = group_tuples({0: keys[:, entry]}, (0,), acc)
-    return values[inverse], weights
+        values, inverse = groups[p]
+        acc = acc * _weights_at(*_subtree(child, freqs, graph), values)[inverse]
+    # np.bincount sums in tuple order, as a running sum; values that cancel drop.
+    values, inverse = groups[entry]
+    weights = np.bincount(inverse, weights=acc, minlength=len(values))
+    keep = weights != 0.0
+    return values[keep], weights[keep]
 
 
 def _weights_at(values: np.ndarray, weights: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -39,16 +39,16 @@ Columns = tuple[dict[int, np.ndarray], np.ndarray]
 
 # Values are dense over n rows when their span, max - min + 1, is at
 # most DENSE_SPAN * n: `group_tuples` then codes a column of n rows by
-# direct addressing, and the oracle looks n keys up in a table over a
-# child's span, with no sort and no binary search.  The multiple is set
-# by memory.  A dense code holds a bool presence array and an intp rank
-# array over the span, 9 bytes per slot, where
-# `np.unique(col, return_inverse=True)` holds an intp argsort, a sorted
-# uint64 copy and an intp rank array, 24 bytes per row; the lookup table
-# holds a float64 per slot, where `searchsorted` holds an intp position,
-# a gathered value and a gathered weight, 24 bytes per key.  At 2 slots
-# per row the span costs at most 18 bytes per row, so neither allocates
-# more than the path it replaces.
+# direct addressing, and the oracle looks a parent column's n distinct
+# values up in a table over a child's span, with no sort and no binary
+# search.  The multiple is set by memory.  A dense code holds a bool
+# presence array and an intp rank array over the span, 9 bytes per slot,
+# where `np.unique(col, return_inverse=True)` holds an intp argsort, a
+# sorted uint64 copy and an intp rank array, 24 bytes per row; the
+# lookup table holds a float64 per slot, where `searchsorted` holds an
+# intp position, a gathered value and a gathered weight, 24 bytes per
+# value.  At 2 slots per row or value the span costs at most 18 bytes
+# per row or value, so neither allocates more than the path it replaces.
 DENSE_SPAN = 2
 
 
@@ -218,21 +218,23 @@ def updates_to_columns(
 def group_tuples(
     columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Distinct tuples of nonzero net frequency: the one grouping of a batch.
+    """Distinct tuples of nonzero net frequency: the one grouping of a
+    batch, and the exact oracle's frequency format.
 
-    Returns, per attribute of `attrs`, `(values, inverse)`: the column's
-    sorted distinct uint64 values and each tuple's index into them; and
-    the tuples' net frequencies.  No structured rows are sorted.  Each
-    column gets a code, its value's rank among the column's distinct
-    values: by direct addressing (`_dense_code`) for a dense column, by a
-    1-D `np.unique` for any other (FNV-1a str keys, or int keys of both
-    signs, span most of 2^64).  The codes fold left to right into one
-    mixed-radix int64 code per tuple (`code * len(values) + inverse`),
-    and a 1-D `np.unique` after each fold turns the code back into a
-    rank.  Ranks keep each column's value order, so the final ranks
-    number the distinct tuples in lexicographic order.  `np.bincount`
-    adds each tuple's deltas in stream order, and tuples whose deltas
-    cancel to zero are dropped.
+    Returns, per attribute of `attrs`, `(values, inverse)`: the sorted
+    distinct uint64 values that the kept tuples use, and each kept
+    tuple's index into them; and the kept tuples' net frequencies.  No
+    structured rows are sorted.  Each column gets a code, its value's
+    rank among the column's distinct values: by direct addressing
+    (`_dense_code`) for a dense column, by a 1-D `np.unique` for any other
+    (FNV-1a str keys, or int keys of both signs, span most of 2^64).  The
+    codes fold left to right into one mixed-radix int64 code per tuple
+    (`code * len(values) + inverse`), and a 1-D `np.unique` after each
+    fold turns the code back into a rank.  Ranks keep each column's value
+    order, so the final ranks number the distinct tuples in lexicographic
+    order.  `np.bincount` adds each tuple's deltas in stream order; the
+    tuples whose deltas cancel to zero are dropped, and so is each value
+    that only they use.
     """
     n = len(deltas)
     cols = [np.asarray(columns[u], dtype=np.uint64) for u in attrs]
@@ -248,7 +250,14 @@ def group_tuples(
     row = np.empty(len(sums), dtype=np.intp)
     row[rank] = np.arange(n)
     keep = sums != 0.0
-    return [(values, inverse[row[keep]]) for values, inverse in groups], sums[keep]
+    groups = [(values, inverse[row[keep]]) for values, inverse in groups]
+    if keep.all():  # no tuple cancelled, so every value is used
+        return groups, sums
+    compact = []
+    for values, inverse in groups:
+        used = np.bincount(inverse, minlength=len(values)) > 0
+        compact.append((values[used], (np.cumsum(used) - 1)[inverse]))
+    return compact, sums[keep]
 
 
 def dense_window(col: np.ndarray, rows: int | None = None) -> tuple[np.uint64, int] | None:
@@ -280,16 +289,6 @@ def _dense_code(col: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     values = values.view(np.uint64)
     values += lo
     return values, rank[offset]
-
-
-def distinct_tuples(
-    columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`group_tuples` with the keys stacked: an (n, k) uint64 array of
-    distinct attribute-ordered rows in lexicographic order, and their
-    nonzero net frequencies."""
-    groups, sums = group_tuples(columns, attrs, deltas)
-    return np.stack([values[inverse] for values, inverse in groups], axis=1), sums
 
 
 def build_sketch(

@@ -37,8 +37,13 @@ class TestFreqsFromColumns:
         columns = [updates_to_columns(s, graph, rel) for rel, s in enumerate(streams)]
         expected = [materialize(s, graph, rel) for rel, s in enumerate(streams)]
         assert all(len(sums) > 0 for _, sums in expected[:3]) and len(expected[3][1]) == 0
-        for (keys, sums), (ref_keys, ref_sums) in zip(freqs_from_columns(graph, columns), expected):
-            assert keys.dtype == ref_keys.dtype and np.array_equal(keys, ref_keys)
+        for (groups, sums), (ref_groups, ref_sums) in zip(
+            freqs_from_columns(graph, columns), expected
+        ):
+            assert len(groups) == len(ref_groups)
+            for (values, inverse), (ref_values, ref_inverse) in zip(groups, ref_groups):
+                assert values.dtype == ref_values.dtype and np.array_equal(values, ref_values)
+                assert np.array_equal(inverse, ref_inverse)
             assert sums.tobytes() == ref_sums.tobytes()
 
 

@@ -345,6 +345,30 @@ class TestExactCommand:
         assert main(["exact", "--query", str(q), "--path", path]) == 0
         assert capsys.readouterr().out.strip() == str(int(expected))
 
+    def test_exact_codes_each_relation_once(self, tmp_path, monkeypatch, capsys):
+        # `exact` groups each relation with `group_tuples` once; the join
+        # reads those codes and groups nothing again.
+        from joinsketch import bench, oracle
+
+        graph = write_chain3_workload(tmp_path, np.random.default_rng(61))
+        q = tmp_path / "q.json"
+        sources = {name: str(tmp_path / f"{name.lower()}.csv") for name in ("R0", "R1", "R2")}
+        q.write_text(json.dumps(chain3_query_doc(sources)))
+        calls = []
+        for module in (bench, oracle):
+            def spy(columns, attrs, deltas, group_tuples=module.group_tuples):
+                calls.append(attrs)
+                return group_tuples(columns, attrs, deltas)
+
+            monkeypatch.setattr(module, "group_tuples", spy)
+        assert main(["exact", "--query", str(q)]) == 0
+        assert calls == list(graph.omega)
+        freqs = [materialize(read_stream(graph, rel), graph, rel) for rel in range(graph.r)]
+        calls.clear()
+        expected = exact_cardinality(freqs, graph)
+        assert calls == []
+        assert expected != 0 and capsys.readouterr().out.strip() == str(int(expected))
+
     def test_hash_path_is_usage_error(self, tmp_path):
         # The hash join is `--path auto`; it has no second name.
         with pytest.raises(SystemExit) as exc:

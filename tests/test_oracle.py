@@ -11,29 +11,33 @@ from joinsketch.errors import BudgetError, DataError, QueryError
 from joinsketch.joingraph import build_join_graph, parse_query, traversal_plan
 from joinsketch import oracle
 from joinsketch.oracle import exact_cardinality, frequency_norms, materialize
-from joinsketch.sketch import TupleUpdate, dense_window, distinct_tuples
+from joinsketch.sketch import TupleUpdate, dense_window, group_tuples
 
 from conftest import chain3_graph, multiway_graph, random_graph, two_rel_graph
 
 
 def freq_of(freq, width=1):
-    """The (keys, sums) pair of a {key tuple: frequency} dict."""
+    """The (groups, weights) pair of a {key tuple: frequency} dict."""
     keys = list(freq)
     width = len(keys[0]) if keys else width
     columns = {p: np.array([k[p] for k in keys], dtype=np.uint64) for p in range(width)}
     deltas = np.array(list(freq.values()), dtype=np.float64)
-    return distinct_tuples(columns, tuple(range(width)), deltas)
+    return group_tuples(columns, tuple(range(width)), deltas)
 
 
 def freq_single(values):
-    """The (keys, sums) pair of a single-attribute relation given a value list."""
-    return distinct_tuples({0: np.array(values, dtype=np.uint64)}, (0,), np.ones(len(values)))
+    """The (groups, weights) pair of a single-attribute relation given a value list."""
+    return group_tuples({0: np.array(values, dtype=np.uint64)}, (0,), np.ones(len(values)))
+
+
+def stacked(freq):
+    """The (n, k) uint64 key rows of a (groups, weights) pair, in tuple order."""
+    return np.stack([values[inverse] for values, inverse in freq[0]], axis=1)
 
 
 def as_dict(freq):
-    """{key tuple: frequency} of a (keys, sums) pair, in row order."""
-    keys, sums = freq
-    return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
+    """{key tuple: frequency} of a (groups, weights) pair, in tuple order."""
+    return dict(zip(map(tuple, stacked(freq).tolist()), freq[1].tolist()))
 
 
 class TestExactCardinality:
@@ -110,7 +114,7 @@ class TestExactCardinality:
             freq_of({(1, 7): 3.0, (2, 7): 1.0}),
             freq_single([7, 7, 7]),
         ]
-        middle = weakref.ref(freqs[1][0])
+        middle = weakref.ref(freqs[1][1])
         gc.collect()
         gc.disable()
         try:
@@ -186,7 +190,7 @@ _VALUES = np.array([*range(10), 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1], dtype=n
 
 
 def _random_freqs(rng, graph):
-    """Pairs with fractional deltas, keys of 2^63 and above, and rows
+    """Groupings with fractional deltas, keys of 2^63 and above, and rows
     whose deltas cancel to zero."""
     freqs = []
     for rel in range(graph.r):
@@ -198,7 +202,7 @@ def _random_freqs(rng, graph):
         k = n // 3
         columns = {u: np.concatenate([col, col[:k][::-1]]) for u, col in columns.items()}
         deltas = np.concatenate([deltas, -deltas[:k][::-1]])
-        freqs.append(distinct_tuples(columns, omega, deltas))
+        freqs.append(group_tuples(columns, omega, deltas))
     return freqs
 
 
@@ -225,7 +229,7 @@ _POOLS = (
 
 
 def _mixed_freqs(rng, graph):
-    """Pairs whose columns draw from a random pool each, with rows of
+    """Groupings whose columns draw from a random pool each, with rows of
     both signs, so children mix dense and sparse value sets and parents
     look up keys below and above a dense child's span."""
     freqs = []
@@ -233,7 +237,7 @@ def _mixed_freqs(rng, graph):
         omega = graph.omega[rel]
         n = int(rng.integers(1, 30))
         columns = {u: rng.choice(_POOLS[int(rng.integers(0, 3))], size=n) for u in omega}
-        freqs.append(distinct_tuples(columns, omega, rng.choice([-1.0, 1.0, 2.0], size=n)))
+        freqs.append(group_tuples(columns, omega, rng.choice([-1.0, 1.0, 2.0], size=n)))
     return freqs
 
 
@@ -309,7 +313,8 @@ class TestMaterialize:
             TupleUpdate(0, {0: 9}, 1.0),
             TupleUpdate(0, {0: 9}, -1.0),
         ]
-        keys, sums = materialize(updates, graph, 0)
+        freq = materialize(updates, graph, 0)
+        keys, sums = stacked(freq), freq[1]
         assert keys.dtype == np.uint64 and keys.tolist() == [[5]]
         assert sums.tolist() == [2.0]
 
@@ -320,7 +325,8 @@ class TestMaterialize:
             TupleUpdate(1, {1: 1, 2: 9}, 1.0),
             TupleUpdate(1, {1: 2, 2: 3}, 2.0),
         ]
-        keys, sums = materialize(updates, graph, 1)
+        freq = materialize(updates, graph, 1)
+        keys, sums = stacked(freq), freq[1]
         assert keys.tolist() == [[1, 9], [2, 3], [2, 2**64 - 1]]
         assert sums.tolist() == [1.0, 2.0, 0.5]
 

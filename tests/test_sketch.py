@@ -20,7 +20,6 @@ from joinsketch.sketch import (
     TupleUpdate,
     build_sketch,
     bulk_update,
-    distinct_tuples,
     group_tuples,
     merge,
     update,
@@ -286,6 +285,35 @@ class TestBulkUpdate:
         assert bulk.counters.tobytes() == scalar.counters.tobytes()
         assert bulk.touched_cells == 4 * sum(f != 0.0 for f in net.values())
 
+    def test_hashes_only_values_that_kept_tuples_use(self, monkeypatch):
+        graph = multiway_graph()
+        omega = graph.omega[1]
+        stream = turnstile_stream(np.random.default_rng(43), graph, 1, n=300)
+        # A tuple of a value no other tuple uses, inserted and deleted again.
+        stream += [TupleUpdate(1, dict.fromkeys(omega, 99), d) for d in (1.0, -1.0)]
+        net: dict[tuple, float] = {}
+        for t in stream:
+            key = tuple(t.values[u] for u in omega)
+            net[key] = net.get(key, 0.0) + t.delta
+        kept = [sorted({key[p] for key, f in net.items() if f != 0.0}) for p in range(len(omega))]
+        assert any(f == 0.0 for f in net.values()) and all(99 not in vals for vals in kept)
+
+        hashed = []
+        bin_eval_vec = sketch_module.bin_eval_vec
+
+        def spy(fns, values):
+            hashed.append(values.tolist())
+            return bin_eval_vec(fns, values)
+
+        monkeypatch.setattr(sketch_module, "bin_eval_vec", spy)
+        bulk, _ = make_conv(graph, 1, m=61, l=4, seed=12)
+        bulk_update(bulk, *updates_to_columns(stream, graph, 1))
+        assert hashed == kept  # one call per attribute, over its used values
+        scalar, _ = make_conv(graph, 1, m=61, l=4, seed=12)
+        for t in stream:
+            update(scalar, t)
+        assert bulk.counters.tobytes() == scalar.counters.tobytes()
+
     def test_rejects_mismatched_tuples(self):
         graph = multiway_graph()
         with pytest.raises(DataError, match="contains a tuple for relation 0"):
@@ -295,8 +323,8 @@ class TestBulkUpdate:
 
 
 def _stacked_distinct_tuples(columns, attrs, deltas):
-    """The structured-row grouping that `distinct_tuples` replaced, kept
-    as its reference: one `np.unique(axis=0)` over the stacked columns."""
+    """The structured-row grouping that `group_tuples` replaced, kept as
+    its reference: one `np.unique(axis=0)` over the stacked columns."""
     if len(deltas) == 0:
         return np.empty((0, len(attrs)), dtype=np.uint64), np.empty(0, dtype=np.float64)
     stacked = np.stack([np.asarray(columns[u], dtype=np.uint64) for u in attrs], axis=1)
@@ -358,6 +386,12 @@ def _tuple_batch(case):
         columns = {u: np.concatenate([col, col[::-1]]) for u, col in half.items()}
         deltas = np.concatenate([deltas[: n // 2], -deltas[: n // 2][::-1]])
         deltas[-10:] = 3.0
+    elif case == "cancelled-value":
+        # One tuple with 99 in every column is inserted and deleted again:
+        # no tuple that is kept uses 99.
+        extra = np.array([99, 99], dtype=np.uint64)
+        columns = {u: np.concatenate([col, extra]) for u, col in columns.items()}
+        deltas = np.concatenate([deltas, [1.0, -1.0]])
     elif case == "fractional":
         deltas = rng.random(n) * rng.choice([-1.0, 1.0], size=n) / 3.0
     elif case == "dense-and-fnv":
@@ -385,13 +419,18 @@ COLUMN_CASES = {
 
 @pytest.mark.parametrize(
     "case",
-    ["empty", "one", "two", "three", "four", "high-bit", "cancelling", "fractional"]
-    + ["one-row", "all-equal", "dense-bound", "past-bound", "full-range", "top-window"]
-    + ["negative", "dense-and-fnv"],
+    ["empty", "one", "two", "three", "four", "high-bit", "cancelling", "cancelled-value"]
+    + ["fractional", "one-row", "all-equal", "dense-bound", "past-bound", "full-range"]
+    + ["top-window", "negative", "dense-and-fnv"],
 )
-def test_distinct_tuples_matches_the_stacked_unique(case):
+def test_group_tuples_matches_the_stacked_unique(case):
     columns, attrs, deltas = _tuple_batch(case)
-    keys, sums = distinct_tuples(columns, attrs, deltas)
+    groups, sums = group_tuples(columns, attrs, deltas)
+    for values, inverse in groups:
+        assert np.all(values[:-1] < values[1:])  # sorted and distinct
+        # Every value is used by some kept tuple.
+        assert np.bincount(inverse, minlength=len(values)).all()
+    keys = np.stack([values[inverse] for values, inverse in groups], axis=1)
     ref_keys, ref_sums = _stacked_distinct_tuples(columns, attrs, deltas)
     assert keys.dtype == ref_keys.dtype == np.uint64
     assert keys.shape == ref_keys.shape
@@ -403,6 +442,9 @@ def test_distinct_tuples_matches_the_stacked_unique(case):
     if case == "cancelling":
         rows = {tuple(int(columns[u][i]) for u in attrs) for i in range(len(deltas))}
         assert 0 < len(keys) < len(rows)
+    if case == "cancelled-value":
+        assert all(99 in columns[u] for u in attrs)
+        assert all(99 not in values for values, _ in groups)
     if case in ("three", "four"):
         assert len(keys) > 6  # the batch had tuples to fold past the first column
 

@@ -13,8 +13,8 @@ In `sketch.py`, `ams.py` and `oracle.py`, `np.unique` runs only inside
 `sketch.group_tuples`.  A batch is grouped into distinct tuples once, and
 the conv update, the AMS update and the oracle all read that one result,
 so no column is sorted twice and the three cannot fold duplicates three
-different ways; the oracle's per-node grouping by entry value calls
-`group_tuples` too, so a dense column skips the sort there as well.
+different ways; the oracle sums per entry value over those same codes
+with `np.bincount`, so it sorts no column again.
 
 In `sketch.py`, no `bin_eval_vec` or `sign_eval_vec` call sits inside
 a loop over repetitions: each call takes an attribute's values with the
