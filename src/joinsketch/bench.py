@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .ams import ams_bulk_update, ams_estimate
-from .errors import QueryError
+from .errors import DataError, QueryError
 from .estimator import estimate
 from .hashing import derive_hash_set
 from .ingest import read_columns
@@ -257,38 +257,42 @@ def write_bench_csv(
     summaries: list[BenchSummary],
     slopes: dict[str, float],
 ) -> None:
-    """Serialize bench output; the schema line versions the layout."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema={BENCH_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "row_type", "method", "m", "trial", "seed", "estimate", "exact",
-                "abs_rel_error", "q_error", "sketch_ms", "infer_ms",
-                "median_are", "p95_are", "slope",
-            ]
-        )
-        for r in rows:
+    """Serialize bench output; the schema line versions the layout.  An
+    OSError is a DataError that names `path`."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# schema={BENCH_SCHEMA}\n")
+            writer = csv.writer(fh)
             writer.writerow(
                 [
-                    "row", r.method, r.m, r.trial, r.seed,
-                    repr(r.estimate), repr(r.exact),
-                    repr(r.abs_rel_error), repr(r.q_error),
-                    f"{r.sketch_ms:.3f}", f"{r.infer_ms:.3f}",
-                    "", "", "",
+                    "row_type", "method", "m", "trial", "seed", "estimate", "exact",
+                    "abs_rel_error", "q_error", "sketch_ms", "infer_ms",
+                    "median_are", "p95_are", "slope",
                 ]
             )
-        for s in summaries:
-            writer.writerow(
-                [
-                    "summary", s.method, s.m, "", "", "", "", "", "", "", "",
-                    repr(s.median_are), repr(s.p95_are), "",
-                ]
-            )
-        for method, slope in slopes.items():
-            writer.writerow(
-                ["slope", method, "", "", "", "", "", "", "", "", "", "", "", repr(slope)]
-            )
+            for r in rows:
+                writer.writerow(
+                    [
+                        "row", r.method, r.m, r.trial, r.seed,
+                        repr(r.estimate), repr(r.exact),
+                        repr(r.abs_rel_error), repr(r.q_error),
+                        f"{r.sketch_ms:.3f}", f"{r.infer_ms:.3f}",
+                        "", "", "",
+                    ]
+                )
+            for s in summaries:
+                writer.writerow(
+                    [
+                        "summary", s.method, s.m, "", "", "", "", "", "", "", "",
+                        repr(s.median_are), repr(s.p95_are), "",
+                    ]
+                )
+            for method, slope in slopes.items():
+                writer.writerow(
+                    ["slope", method, "", "", "", "", "", "", "", "", "", "", "", repr(slope)]
+                )
+    except OSError as exc:
+        raise DataError(f"cannot write bench output {path!r}: {exc}") from exc
 
 
 def run_throughput(

@@ -131,9 +131,9 @@ def update(sk: RelationSketch, t: TupleUpdate) -> None:
         j, s = 0, 1
         for u in graph.omega[sk.relation]:
             x = t.values[u]
-            j += bin_eval(hashes.bin_for(graph.psi[u], rep), x)
+            j += bin_eval(hashes.bin_for(graph.psi[u])[rep], x)
             for v in graph.gamma[u]:
-                s *= sign_eval(hashes.sign_for(u, v, rep), x)
+                s *= sign_eval(hashes.sign_for(u, v)[rep], x)
         sk.counters[rep, j % sk.config.m] += s * t.delta
     sk.touched_cells += sk.config.l
 
@@ -170,20 +170,21 @@ def bulk_update(
     if sk.config.method != METHOD_CONV:
         raise QueryError("bulk_update() applies to conv sketches; use ams_bulk_update for ams")
     graph, hashes, cfg = sk.graph, sk.hashes, sk.config
-    omega, reps = graph.omega[sk.relation], range(cfg.l)
+    omega, m = graph.omega[sk.relation], np.uint64(cfg.m)
     groups, weights = group_tuples(columns, omega, deltas)
     tables = []  # per attribute: (l, k) bins, (l, k) signs, inverse index
     for u, (values, inverse) in zip(omega, groups):
-        bins = bin_eval_vec([hashes.bin_for(graph.psi[u], rep) for rep in reps], values)
-        edges = [hashes.sign_for(u, v, rep) for rep in reps for v in graph.gamma[u]]
-        signs = sign_eval_vec(edges, values).reshape(cfg.l, len(graph.gamma[u]), -1)
-        tables.append((bins, signs.prod(axis=1), inverse))
-    for rep in reps:
+        # Reduced mod m per attribute, as 8 residues mod p could wrap uint64.
+        bins = bin_eval_vec(hashes.bin_for(graph.psi[u]), values) % m
+        edges = np.concatenate([hashes.sign_for(u, v) for v in graph.gamma[u]])
+        signs = sign_eval_vec(edges, values).reshape(len(graph.gamma[u]), cfg.l, -1)
+        tables.append((bins, signs.prod(axis=0), inverse))
+    for rep in range(cfg.l):
         bins, signed = np.zeros(len(weights), dtype=np.uint64), weights.copy()
         for value_bins, value_signs, inverse in tables:
             bins += value_bins[rep][inverse]
             signed *= value_signs[rep][inverse]
-        idx = (bins % np.uint64(cfg.m)).astype(np.int64)
+        idx = (bins % m).astype(np.int64)
         sk.counters[rep] += np.bincount(idx, weights=signed, minlength=cfg.m)
     sk.touched_cells += cfg.l * len(weights)
 

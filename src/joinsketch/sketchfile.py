@@ -48,17 +48,21 @@ def save_sketch_file(
     rewriting the mapped file in place would change them, and truncating
     it would kill the process with SIGBUS.  `open(tmp, "xb")` gives the
     file the mode a plain `open` gives (`tempfile.mkstemp` would make it
-    0600).
+    0600).  An OSError of the open, the writes or the rename is a
+    DataError that names `path`, and leaves no temporary file behind.
     """
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            _write(fh, config, relations)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                _write(fh, config, relations)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write sketch file {path!r}: {exc}") from exc
 
 
 def _write(fh: BinaryIO, config: SketchConfig, relations: list[tuple[str, np.ndarray]]) -> None:

@@ -132,19 +132,18 @@ class TestCriterion1GoldenConvolution:
         # attribute hashes producing exactly these two single-item
         # sketches (constant bins 2 and 3, signs -1 and +1) and ingest
         # one two-attribute tuple.
-        from joinsketch.hashing import BinHash, HashSet, SignHash
+        from joinsketch.hashing import HashSet
 
         graph = chain3_graph()  # relation 1 has two attributes (1, 2)
         config = SketchConfig(m=m, l=1, seed=0, method="conv")
         hashes = HashSet(
             signs={
-                (0, 1, 0): SignHash((0, 0, 0, 1)),  # constant odd -> -1
-                (2, 3, 0): SignHash((0, 0, 0, 0)),  # constant even -> +1
+                (0, 1): np.array([[[0, 0, 0, 1]]], dtype=np.uint64),  # constant odd -> -1
+                (2, 3): np.array([[[0, 0, 0, 0]]], dtype=np.uint64),  # constant even -> +1
             },
-            bins={
-                (0, 0): BinHash((0, 2), m),  # every item to bin 2
-                (1, 0): BinHash((0, 3), m),  # every item to bin 3
-            },
+            bins=np.array(
+                [[[0, 2]], [[0, 3]]], dtype=np.uint64  # every item to bin 2, to bin 3
+            ),
         )
         sk = RelationSketch(1, config, graph, hashes)
         update(sk, TupleUpdate(1, {1: 41, 2: 97}, 1.0))

@@ -141,6 +141,26 @@ class TestSketchCommand:
         code = main(["sketch", "--query", str(q), "--m", "4", "--out", str(tmp_path / "x.jsk")])
         assert code == EXIT_DATA
 
+    def test_unwritable_out_is_data_error(self, multiway_env, caplog):
+        tmp_path, query = multiway_env
+        out = tmp_path / "missing" / "x.jsk"
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            code = main(["sketch", "--query", query, "--m", "4", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"cannot write sketch file {str(out)!r}" in caplog.text
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_rename_leaves_no_temporary_file(self, multiway_env, caplog):
+        # --out names a directory: the open and the writes succeed, the rename fails.
+        tmp_path, query = multiway_env
+        out = tmp_path / "taken"
+        out.mkdir()
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            code = main(["sketch", "--query", query, "--m", "4", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"cannot write sketch file {str(out)!r}" in caplog.text
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_slow_throughput_warning(self, tmp_path, caplog):
         # A dense AMS sketch with a big m over a few thousand tuples drops
         # well under the warning rate.
@@ -510,6 +530,21 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# schema=")
         assert sum(1 for line in lines if line.startswith("row,")) == 9
+
+    def test_unwritable_out_is_data_error(self, tmp_path, caplog):
+        rng = np.random.default_rng(32)
+        write_chain3_workload(tmp_path, rng, sizes=(15, 20, 15))
+        q = tmp_path / "q.json"
+        sources = {f"R{k}": str(tmp_path / f"r{k}.csv") for k in range(3)}
+        q.write_text(json.dumps(chain3_query_doc(sources)))
+        out = tmp_path / "missing" / "bench.csv"
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            code = main(
+                ["bench", "--query", str(q), "--m-sweep", "2^4..2^4", "--trials", "1",
+                 "--methods", "conv", "--reps", "2", "--out", str(out)]
+            )
+        assert code == EXIT_DATA
+        assert f"cannot write bench output {str(out)!r}" in caplog.text
 
     @pytest.mark.parametrize(
         "command, flags, message",

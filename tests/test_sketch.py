@@ -55,9 +55,9 @@ def _relation_1_sign(hashes, rep, x1, x2):
     """Sign of multiway relation 1's tuple (x1, x2): attribute 1 joins
     attributes 0 and 3, attribute 2 joins attribute 4."""
     return (
-        sign_eval(hashes.sign_for(1, 3, rep), x1)
-        * sign_eval(hashes.sign_for(1, 0, rep), x1)
-        * sign_eval(hashes.sign_for(2, 4, rep), x2)
+        sign_eval(hashes.sign_for(1, 3)[rep], x1)
+        * sign_eval(hashes.sign_for(1, 0)[rep], x1)
+        * sign_eval(hashes.sign_for(2, 4)[rep], x2)
     )
 
 
@@ -72,15 +72,15 @@ class TestTupleHashing:
         graph = two_rel_graph()
         sk, hashes = make_conv(graph, relation=0, m=16, l=1, seed=11)
         update(sk, TupleUpdate(relation=0, values={0: 42}))
-        assert _written_cell(sk, 0)[1] == sign_eval(hashes.sign_for(0, 1, 0), 42)
+        assert _written_cell(sk, 0)[1] == sign_eval(hashes.sign_for(0, 1)[0], 42)
 
     def test_two_attr_bin_adds_component_hashes(self):
         graph = multiway_graph()
         sk, hashes = make_conv(graph, relation=1, m=8, l=1, seed=5)
         update(sk, TupleUpdate(relation=1, values={1: 7, 2: 9}))
         expected = (
-            bin_eval(hashes.bin_for(graph.psi[1], 0), 7)
-            + bin_eval(hashes.bin_for(graph.psi[2], 0), 9)
+            bin_eval(hashes.bin_for(graph.psi[1])[0], 7)
+            + bin_eval(hashes.bin_for(graph.psi[2])[0], 9)
         ) % 8
         assert _written_cell(sk, 0)[0] == expected
 
@@ -98,8 +98,8 @@ class TestUpdate:
         update(sk, TupleUpdate(relation=0, values={0: 5}, delta=1.0))
         for rep in range(3):
             expected = np.zeros(8)
-            expected[bin_eval(hashes.bin_for(graph.psi[0], rep), 5)] = sign_eval(
-                hashes.sign_for(0, 1, rep), 5
+            expected[bin_eval(hashes.bin_for(graph.psi[0])[rep], 5) % 8] = sign_eval(
+                hashes.sign_for(0, 1)[rep], 5
             )
             np.testing.assert_array_equal(sk.counters[rep], expected)
 
@@ -109,8 +109,8 @@ class TestUpdate:
         update(sk, TupleUpdate(0, {0: 5}, +2.0))
         for rep in range(3):
             assert _written_cell(sk, rep) == (
-                bin_eval(hashes.bin_for(graph.psi[0], rep), 5),
-                2 * sign_eval(hashes.sign_for(0, 1, rep), 5),
+                bin_eval(hashes.bin_for(graph.psi[0])[rep], 5) % 8,
+                2 * sign_eval(hashes.sign_for(0, 1)[rep], 5),
             )
         update(sk, TupleUpdate(0, {0: 5}, -2.0))
         assert not sk.counters.any()
@@ -547,13 +547,13 @@ class TestDirectSumOracle:
             update(sk, t)
 
             attr1 = np.zeros(m)
-            s1 = sign_eval(hashes.sign_for(1, 0, 0), 123) * sign_eval(
-                hashes.sign_for(1, 3, 0), 123
+            s1 = sign_eval(hashes.sign_for(1, 0)[0], 123) * sign_eval(
+                hashes.sign_for(1, 3)[0], 123
             )
-            attr1[bin_eval(hashes.bin_for(graph.psi[1], 0), 123)] = s1
+            attr1[bin_eval(hashes.bin_for(graph.psi[1])[0], 123) % m] = s1
             attr2 = np.zeros(m)
-            s2 = sign_eval(hashes.sign_for(2, 4, 0), 456)
-            attr2[bin_eval(hashes.bin_for(graph.psi[2], 0), 456)] = s2
+            s2 = sign_eval(hashes.sign_for(2, 4)[0], 456)
+            attr2[bin_eval(hashes.bin_for(graph.psi[2])[0], 456) % m] = s2
 
             np.testing.assert_allclose(
                 sk.counters[0], circ_convolve(attr1, attr2), atol=1e-9

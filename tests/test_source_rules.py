@@ -29,6 +29,11 @@ Hash functions come from the seed in one place, `hashing.derive_hash_set`:
 no other module reads the seed-expansion functions that `mersenne.py`
 defines, so two methods cannot derive one family two ways.
 
+Only `hashing.py` reads a HashSet's fields, `signs` and `bins`; every
+other module goes through `sign_for`, `bin_for` and `coefficients`.  One
+module knows how the uint64 coefficients are laid out, so a new layout
+(a fold of the sketch to a divisor of m, say) changes one file.
+
 The package does not read the process environment: a run is described
 by its command line and the arguments of the calls it makes, so a stray
 variable cannot change a sketch without showing in the argv.
@@ -368,6 +373,43 @@ def test_finds_a_seed_expansion_use():
 )
 def test_only_hashing_expands_the_seed(path):
     assert seed_expansion_uses(path.read_text(encoding="utf-8")) == []
+
+
+HASH_SET_FIELDS = {"signs", "bins"}
+
+
+def hash_set_field_reads(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every `<...>.signs` or `<...>.bins` attribute."""
+    return sorted(
+        (node.attr, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in HASH_SET_FIELDS
+    )
+
+
+def test_finds_a_hash_set_field_read():
+    source = (
+        "def bulk_update(sk, hashes, values):\n"
+        "    table = hashes.signs[(0, 1)][:, 0]\n"
+        "    bins = sk.hashes.bins[0] % sk.config.m\n"
+        "    signs = hashes.sign_for(0, 1)\n"
+        "    'hashes.bins in a docstring is not a read.'\n"
+        "    return hashes.coefficients(0, 1, 0), hashes.bin_for(0), bins, signs\n"
+        "class Layout:\n"
+        "    bins = None\n"
+        "    def width(self):\n"
+        "        return len(self.signs)\n"
+    )
+    assert hash_set_field_reads(source) == [("bins", 3), ("signs", 2), ("signs", 10)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "hashing.py"),
+    ids=lambda p: p.name,
+)
+def test_only_hashing_reads_hash_set_fields(path):
+    assert hash_set_field_reads(path.read_text(encoding="utf-8")) == []
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}
