@@ -11,6 +11,7 @@ denominator, and q-error with infinity for non-positive estimates.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .ams import ams_bulk_update, ams_estimate
-from .errors import DataError, QueryError
+from .errors import QueryError
 from .estimator import estimate
 from .hashing import derive_hash_set
 from .ingest import read_columns
@@ -29,6 +30,7 @@ from .oracle import exact_cardinality
 from .sketch import (
     METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, group_tuples,
 )
+from .sketchfile import Replacement
 
 BENCH_SCHEMA = "joinsketch-bench-v1"
 
@@ -256,43 +258,44 @@ def write_bench_csv(
     rows: list[BenchRow],
     summaries: list[BenchSummary],
     slopes: dict[str, float],
+    out: Replacement | None = None,
 ) -> None:
-    """Serialize bench output; the schema line versions the layout.  An
-    OSError is a DataError that names `path`."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# schema={BENCH_SCHEMA}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "row_type", "method", "m", "trial", "seed", "estimate", "exact",
-                    "abs_rel_error", "q_error", "sketch_ms", "infer_ms",
-                    "median_are", "p95_are", "slope",
-                ]
-            )
-            for r in rows:
-                writer.writerow(
-                    [
-                        "row", r.method, r.m, r.trial, r.seed,
-                        repr(r.estimate), repr(r.exact),
-                        repr(r.abs_rel_error), repr(r.q_error),
-                        f"{r.sketch_ms:.3f}", f"{r.infer_ms:.3f}",
-                        "", "", "",
-                    ]
-                )
-            for s in summaries:
-                writer.writerow(
-                    [
-                        "summary", s.method, s.m, "", "", "", "", "", "", "", "",
-                        repr(s.median_are), repr(s.p95_are), "",
-                    ]
-                )
-            for method, slope in slopes.items():
-                writer.writerow(
-                    ["slope", method, "", "", "", "", "", "", "", "", "", "", "", repr(slope)]
-                )
-    except OSError as exc:
-        raise DataError(f"cannot write bench output {path!r}: {exc}") from exc
+    """Serialize bench output through `out`, a Replacement of `path` made
+    before the sweep ran, or through a new one; the schema line versions
+    the layout."""
+    text = io.StringIO(newline="")
+    text.write(f"# schema={BENCH_SCHEMA}\n")
+    writer = csv.writer(text)
+    writer.writerow(
+        [
+            "row_type", "method", "m", "trial", "seed", "estimate", "exact",
+            "abs_rel_error", "q_error", "sketch_ms", "infer_ms",
+            "median_are", "p95_are", "slope",
+        ]
+    )
+    for r in rows:
+        writer.writerow(
+            [
+                "row", r.method, r.m, r.trial, r.seed,
+                repr(r.estimate), repr(r.exact),
+                repr(r.abs_rel_error), repr(r.q_error),
+                f"{r.sketch_ms:.3f}", f"{r.infer_ms:.3f}",
+                "", "", "",
+            ]
+        )
+    for s in summaries:
+        writer.writerow(
+            [
+                "summary", s.method, s.m, "", "", "", "", "", "", "", "",
+                repr(s.median_are), repr(s.p95_are), "",
+            ]
+        )
+    for method, slope in slopes.items():
+        writer.writerow(
+            ["slope", method, "", "", "", "", "", "", "", "", "", "", "", repr(slope)]
+        )
+    with out or Replacement(path, "bench output") as target:
+        target.commit(lambda fh: fh.write(text.getvalue().encode("utf-8")))
 
 
 def run_throughput(

@@ -33,7 +33,7 @@ from .ingest import read_columns, read_stream  # noqa: F401
 from .joingraph import build_join_graph, load_query, traversal_plan
 from .oracle import exact_cardinality, materialize  # noqa: F401
 from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig
-from .sketchfile import load_sketch_file, save_sketch_file
+from .sketchfile import Replacement, load_sketch_file, save_sketch_file
 
 logger = logging.getLogger("joinsketch")
 
@@ -114,20 +114,21 @@ def _parse_methods(text: str) -> list[str]:
 def cmd_sketch(args) -> int:
     graph = _load_graph(args.query)
     config = SketchConfig(m=args.m, l=args.reps, seed=args.seed, method=args.method)
-    columns = read_all_columns(graph)
-    n_tuples = sum(len(deltas) for _, deltas in columns)
-    start = time.perf_counter()
-    sketches = build_sketches(graph, config, columns)
-    elapsed = time.perf_counter() - start
-    if n_tuples >= _WARN_MIN_TUPLES and elapsed > 0 and n_tuples / elapsed < SLOW_RATE_WARN:
-        logger.warning(
-            "low sketch throughput: %.0f tuples/s over %d tuples (method=%s, m=%d)",
-            n_tuples / elapsed, n_tuples, config.method, config.m,
-        )
-    relations = [
-        (graph.spec.relations[k].name, sketches[k].counters) for k in range(graph.r)
-    ]
-    save_sketch_file(args.out, config, relations)
+    with Replacement(args.out, "sketch file") as out:
+        columns = read_all_columns(graph)
+        n_tuples = sum(len(deltas) for _, deltas in columns)
+        start = time.perf_counter()
+        sketches = build_sketches(graph, config, columns)
+        elapsed = time.perf_counter() - start
+        if n_tuples >= _WARN_MIN_TUPLES and elapsed > 0 and n_tuples / elapsed < SLOW_RATE_WARN:
+            logger.warning(
+                "low sketch throughput: %.0f tuples/s over %d tuples (method=%s, m=%d)",
+                n_tuples / elapsed, n_tuples, config.method, config.m,
+            )
+        relations = [
+            (graph.spec.relations[k].name, sketches[k].counters) for k in range(graph.r)
+        ]
+        save_sketch_file(args.out, config, relations, out)
     logger.info("wrote %s (%d relations, m=%d, l=%d)", args.out, graph.r, config.m, config.l)
     return 0
 
@@ -183,15 +184,16 @@ def cmd_bench(args) -> int:
     graph = _load_graph(args.query)
     m_values = parse_m_sweep(args.m_sweep)
     methods = _parse_methods(args.methods)
-    rows, summaries, slopes = run_bench(
-        graph,
-        m_values=m_values,
-        trials=args.trials,
-        master_seed=args.seed,
-        methods=methods,
-        l=args.reps,
-    )
-    write_bench_csv(args.out, rows, summaries, slopes)
+    with Replacement(args.out, "bench output") as out:
+        rows, summaries, slopes = run_bench(
+            graph,
+            m_values=m_values,
+            trials=args.trials,
+            master_seed=args.seed,
+            methods=methods,
+            l=args.reps,
+        )
+        write_bench_csv(args.out, rows, summaries, slopes, out)
     logger.info("wrote %s (%d rows)", args.out, len(rows))
     return 0
 

@@ -9,6 +9,11 @@ A file whose grids total at least MAP_BYTES is mapped copy-on-write and
 its grids are views of the mapping: a load shares the page-cache pages
 that `sketch` wrote instead of copying them into fresh memory, and a
 write into a grid stays in the process.
+
+A file is written through a `Replacement`: a temporary file beside the
+destination, renamed onto it when complete.  `sketch` and `bench` make
+theirs before reading any input, so an unwritable destination fails
+first and a failed run leaves the old file whole.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -39,30 +44,67 @@ _TAG_METHODS = {v: k for k, v in _METHOD_TAGS.items()}
 MAP_BYTES = 1 << 20
 
 
+class Replacement:
+    """A temporary file beside `path` that `commit` writes and renames onto
+    `path`.
+
+    Made before the work that fills it, so an unwritable `path` fails
+    before any input is read.  Leaving a `with` block without a commit
+    removes the temporary file, so a failure at any point leaves neither
+    it nor a truncated `path`.  `open(tmp, "xb")` gives the file the mode
+    a plain `open` gives (`tempfile.mkstemp` would make it 0600).  An
+    OSError of the open, the writes or the rename is a DataError that
+    names `what` and `path`.
+    """
+
+    def __init__(self, path: str, what: str) -> None:
+        self.path = path
+        self.what = what
+        self.tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            self.fh = open(self.tmp, "xb")
+        except OSError as exc:
+            raise self._error(exc) from exc
+        self.pending = True
+
+    def _error(self, exc: OSError) -> DataError:
+        return DataError(f"cannot write {self.what} {self.path!r}: {exc}")
+
+    def __enter__(self) -> Replacement:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.fh.close()
+        if self.pending:
+            self.pending = False
+            os.unlink(self.tmp)
+
+    def commit(self, write: Callable[[BinaryIO], object]) -> None:
+        """Write the file by `write(fh)`, close it and rename it onto `path`."""
+        try:
+            with self.fh:
+                write(self.fh)
+            os.replace(self.tmp, self.path)
+        except OSError as exc:
+            raise self._error(exc) from exc
+        self.pending = False
+
+
 def save_sketch_file(
-    path: str, config: SketchConfig, relations: list[tuple[str, np.ndarray]]
+    path: str,
+    config: SketchConfig,
+    relations: list[tuple[str, np.ndarray]],
+    out: Replacement | None = None,
 ) -> None:
-    """Write a temporary file beside `path` and rename it onto `path`.
+    """Write the sketch file through `out`, a Replacement of `path` made
+    before the sketches were built, or through a new one.
 
     Grids a process already mapped from the old file keep their values:
     rewriting the mapped file in place would change them, and truncating
-    it would kill the process with SIGBUS.  `open(tmp, "xb")` gives the
-    file the mode a plain `open` gives (`tempfile.mkstemp` would make it
-    0600).  An OSError of the open, the writes or the rename is a
-    DataError that names `path`, and leaves no temporary file behind.
+    it would kill the process with SIGBUS.
     """
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    try:
-        fh = open(tmp, "xb")
-        try:
-            with fh:
-                _write(fh, config, relations)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise DataError(f"cannot write sketch file {path!r}: {exc}") from exc
+    with out or Replacement(path, "sketch file") as target:
+        target.commit(lambda fh: _write(fh, config, relations))
 
 
 def _write(fh: BinaryIO, config: SketchConfig, relations: list[tuple[str, np.ndarray]]) -> None:

@@ -43,6 +43,21 @@ def multiway_env(tmp_path):
     return tmp_path, _write_multiway_workload(tmp_path, rng)
 
 
+def spy_on_source_reads(monkeypatch) -> list[int]:
+    """The relations whose sources are opened from now on."""
+    import joinsketch.ingest as ingest
+
+    opened = []
+    original = ingest.read_stream
+
+    def spy(graph, relation, path=None):
+        opened.append(relation)
+        return original(graph, relation, path)
+
+    monkeypatch.setattr(ingest, "read_stream", spy)
+    return opened
+
+
 class TestParser:
     def test_parser_is_built_once_per_process(self, multiway_env, monkeypatch, capsys):
         # Building the five subparsers costs far more than parsing, and a
@@ -141,14 +156,30 @@ class TestSketchCommand:
         code = main(["sketch", "--query", str(q), "--m", "4", "--out", str(tmp_path / "x.jsk")])
         assert code == EXIT_DATA
 
-    def test_unwritable_out_is_data_error(self, multiway_env, caplog):
+    def test_unwritable_out_is_data_error(self, multiway_env, caplog, monkeypatch):
         tmp_path, query = multiway_env
         out = tmp_path / "missing" / "x.jsk"
+        opened = spy_on_source_reads(monkeypatch)
         with caplog.at_level(logging.ERROR, logger="joinsketch"):
             code = main(["sketch", "--query", query, "--m", "4", "--out", str(out)])
         assert code == EXIT_DATA
         assert f"cannot write sketch file {str(out)!r}" in caplog.text
         assert not (tmp_path / "missing").exists()
+        assert opened == []  # found before the first source was read
+
+    def test_failed_sketch_keeps_the_old_out(self, multiway_env, caplog):
+        # A source fails after the temporary file was made: the old file
+        # stays whole and the temporary file goes.
+        tmp_path, query = multiway_env
+        out = tmp_path / "x.jsk"
+        assert main(["sketch", "--query", query, "--m", "4", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        (tmp_path / "r2.csv").write_text("a3\nnot-an-int\n")
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            code = main(["sketch", "--query", query, "--m", "8", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_rename_leaves_no_temporary_file(self, multiway_env, caplog):
         # --out names a directory: the open and the writes succeed, the rename fails.
@@ -531,13 +562,14 @@ class TestBenchCommand:
         assert lines[0].startswith("# schema=")
         assert sum(1 for line in lines if line.startswith("row,")) == 9
 
-    def test_unwritable_out_is_data_error(self, tmp_path, caplog):
+    def test_unwritable_out_is_data_error(self, tmp_path, caplog, monkeypatch):
         rng = np.random.default_rng(32)
         write_chain3_workload(tmp_path, rng, sizes=(15, 20, 15))
         q = tmp_path / "q.json"
         sources = {f"R{k}": str(tmp_path / f"r{k}.csv") for k in range(3)}
         q.write_text(json.dumps(chain3_query_doc(sources)))
         out = tmp_path / "missing" / "bench.csv"
+        opened = spy_on_source_reads(monkeypatch)
         with caplog.at_level(logging.ERROR, logger="joinsketch"):
             code = main(
                 ["bench", "--query", str(q), "--m-sweep", "2^4..2^4", "--trials", "1",
@@ -545,6 +577,24 @@ class TestBenchCommand:
             )
         assert code == EXIT_DATA
         assert f"cannot write bench output {str(out)!r}" in caplog.text
+        assert opened == []  # found before the first source was read
+
+    def test_failed_bench_keeps_the_old_out(self, tmp_path, caplog):
+        rng = np.random.default_rng(33)
+        write_chain3_workload(tmp_path, rng, sizes=(15, 20, 15))
+        q = tmp_path / "q.json"
+        sources = {f"R{k}": str(tmp_path / f"r{k}.csv") for k in range(3)}
+        q.write_text(json.dumps(chain3_query_doc(sources)))
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--query", str(q), "--m-sweep", "2^4..2^4", "--trials", "1",
+                "--methods", "conv", "--reps", "2", "--out", str(out)]
+        assert main(argv) == 0
+        before = out.read_bytes()
+        (tmp_path / "r1.csv").unlink()
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert main(argv) == EXIT_DATA
+        assert out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize(
         "command, flags, message",

@@ -2,12 +2,21 @@
 plan-based combination against direct evaluation, and report rules."""
 
 import gc
+import os
 import statistics
+import subprocess
+import sys
+import threading
+import time
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from joinsketch import estimator
+from joinsketch.ams import ams_estimate
 from joinsketch.errors import BudgetError, QueryError
 from joinsketch.estimator import (
     circ_cross_correlate,
@@ -105,6 +114,23 @@ class TestCircularKernels:
             np.testing.assert_allclose(circ_convolve(x, y), ref_c, atol=tol)
             tol = 1e-9 * (1 + np.abs(ref_x).max())
             np.testing.assert_allclose(circ_cross_correlate(x, y), ref_x, atol=tol)
+
+    def test_one_long_cross_correlation_allocates_only_its_result(self):
+        # The spectra go into per-thread scratch buffers; only the output is
+        # new.  Allocating both spectra per call peaks at twice the bound.
+        m = 65_536
+        rng = np.random.default_rng(15)
+        x, y = rng.normal(size=m), rng.normal(size=m)
+        want = circ_cross_correlate(x, y)  # sizes this thread's buffers
+        tracemalloc.start()
+        try:
+            got = circ_cross_correlate(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * got.nbytes
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, circ_cross_correlate(x, y))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -292,6 +318,212 @@ class TestEstimate:
             sketches.append(sk)
         with pytest.raises(QueryError, match="method"):
             estimate(sketches, graph)
+
+
+def split_everything(monkeypatch):
+    """Make every fft estimate with l > 1 split, on any host."""
+    monkeypatch.setattr(estimator, "PARALLEL_M", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def record_threads(monkeypatch, fail=None):
+    """Wrap combine_sketches; return the {rep: set of thread ids} it ran
+    on.  `fail(rep)` may raise instead of combining."""
+    threads: dict[int, set[int]] = {}
+    original = estimator.combine_sketches
+
+    def recorded(node, sketches, rep):
+        threads.setdefault(rep, set()).add(threading.get_ident())
+        if fail is not None:
+            fail(rep)
+        return original(node, sketches, rep)
+
+    monkeypatch.setattr(estimator, "combine_sketches", recorded)
+    return threads
+
+
+class ShareError(Exception):
+    pass
+
+
+class TestSplitRepetitions:
+    def test_matches_the_serial_loop_bit_for_bit(self, monkeypatch):
+        split_everything(monkeypatch)
+        threads = record_threads(monkeypatch)
+        main = {threading.get_ident()}
+        rng = np.random.default_rng(16)
+        for _ in range(8):
+            graph = random_graph(rng)
+            m = int(rng.choice([4, 8, 16]))
+            for l in (1, 2, 3, 5, 8):
+                grids = [rng.normal(size=(l, m)) for _ in range(graph.r)]
+                sketches = sketches_from_grids(graph, grids, m=m, l=l)
+                for root in range(graph.w):
+                    plan = traversal_plan(graph, root)
+                    serial = tuple(
+                        float(combine_sketches(plan, sketches, rep).sum()) for rep in range(l)
+                    )
+                    threads.clear()
+                    report = estimate(sketches, graph, plan)
+                    assert report.per_repetition == serial
+                    assert report.median == statistics.median(serial)
+                    assert all(threads[rep] == main for rep in range(0, l, 2))
+                    assert all(threads[rep] - main for rep in range(1, l, 2))
+                    assert len(set().union(*threads.values())) == min(l, 2)
+
+    def test_sketches_freed_without_the_cycle_collector(self, monkeypatch):
+        # The worker thread must not keep a finished job's closure either.
+        split_everything(monkeypatch)
+        TestEstimate().test_sketches_freed_without_the_cycle_collector()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        split_everything(monkeypatch)
+        graph = multiway_graph()
+        grids = random_sketch_grids(np.random.default_rng(17), graph, m=8, l=5)
+        sketches = sketches_from_grids(graph, grids, m=8, l=5)
+        serial = [float(combine_sketches(traversal_plan(graph, "auto"), sketches, rep).sum())
+                  for rep in range(5)]
+
+        def fail(rep):
+            if rep == 3:
+                raise ShareError("rep 3")
+
+        threads = record_threads(monkeypatch, fail)
+        with pytest.raises(ShareError, match="rep 3"):
+            estimate(sketches, graph)
+        assert sorted(threads) == [0, 1, 2, 3, 4]
+        monkeypatch.setattr(estimator, "combine_sketches", combine_sketches)
+        assert list(estimate(sketches, graph).per_repetition) == serial
+
+    def test_caller_exception_waits_for_the_worker(self, monkeypatch):
+        split_everything(monkeypatch)
+        graph = two_rel_graph()
+        grids = random_sketch_grids(np.random.default_rng(18), graph, m=8, l=4)
+        sketches = sketches_from_grids(graph, grids, m=8, l=4)
+        original = estimator.combine_sketches
+        finished = []
+
+        def slow(node, sketches, rep):
+            if rep == 0:
+                raise ShareError("rep 0")
+            time.sleep(0.02)
+            out = original(node, sketches, rep)
+            finished.append(rep)
+            return out
+
+        monkeypatch.setattr(estimator, "combine_sketches", slow)
+        with pytest.raises(ShareError, match="rep 0"):
+            estimate(sketches, graph)
+        # Two plan nodes per repetition: the worker's whole share ran.
+        assert finished == [1, 1, 3, 3]
+
+    @pytest.mark.parametrize(
+        "cpus, parallel_m, path",
+        [({0}, 1, "fft"), ({0, 1}, 16, "fft"), ({0, 1}, 1, "naive")],
+        ids=["one-cpu", "m-below-the-constant", "naive-path"],
+    )
+    def test_serial_cases_start_no_worker(self, monkeypatch, cpus, parallel_m, path):
+        monkeypatch.setattr(estimator, "PARALLEL_M", parallel_m)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+        def no_worker():
+            raise AssertionError("a worker thread was asked for")
+
+        monkeypatch.setattr(estimator, "_worker_jobs", no_worker)
+        threads = record_threads(monkeypatch)
+        graph = multiway_graph()
+        grids = random_sketch_grids(np.random.default_rng(19), graph, m=8, l=5)
+        report = estimate(sketches_from_grids(graph, grids, m=8, l=5), graph, path=path)
+        assert len(report.per_repetition) == 5
+        if path == "fft":
+            assert set().union(*threads.values()) == {threading.get_ident()}
+
+    def test_ams_estimate_starts_no_worker(self, monkeypatch):
+        split_everything(monkeypatch)
+
+        def no_worker():
+            raise AssertionError("a worker thread was asked for")
+
+        monkeypatch.setattr(estimator, "_worker_jobs", no_worker)
+        graph = two_rel_graph()
+        config = SketchConfig(m=8, l=3, seed=0, method="ams")
+        sketches = [RelationSketch(k, config, graph, None, np.ones((3, 8))) for k in range(2)]
+        assert ams_estimate(sketches, graph).per_repetition == (1.0,) * 3
+
+    def test_concurrent_callers_get_their_own_results(self, monkeypatch):
+        # More callers than cores share the one worker, with frequent
+        # thread switches: a result handed to the wrong caller shows.
+        split_everything(monkeypatch)
+        rng = np.random.default_rng(20)
+        cases = []
+        for _ in range(4):
+            graph = random_graph(rng)
+            grids = [rng.normal(size=(5, 16)) for _ in range(graph.r)]
+            sketches = sketches_from_grids(graph, grids, m=16, l=5)
+            cases.append((graph, sketches, estimate(sketches, graph).per_repetition))
+        wrong = []
+
+        def caller(graph, sketches, want):
+            for _ in range(30):
+                if estimate(sketches, graph).per_repetition != want:
+                    wrong.append(want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=case) for case in cases]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert wrong == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        split_everything(monkeypatch)
+        graph = multiway_graph()
+        grids = random_sketch_grids(np.random.default_rng(21), graph, m=8, l=5)
+        sketches = sketches_from_grids(graph, grids, m=8, l=5)
+        want = estimate(sketches, graph).per_repetition  # the parent's worker runs
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            ok = False
+            try:
+                ok = estimate(sketches, graph).per_repetition == want
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's estimate hung")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_small_m_estimate_starts_no_thread_and_imports_no_queue(self, tmp_path):
+        script = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from joinsketch.estimator import estimate\n"
+            "from joinsketch.sketch import RelationSketch, SketchConfig\n"
+            "from conftest import multiway_graph\n"
+            "graph = multiway_graph()\n"
+            "config = SketchConfig(m=4096, l=5, seed=0)\n"
+            "sketches = [RelationSketch(k, config, graph, None, np.ones((5, 4096)))\n"
+            "            for k in range(graph.r)]\n"
+            "estimate(sketches, graph)\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert 'queue' not in sys.modules and 'concurrent' not in sys.modules\n"
+        )
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRequiredBins:

@@ -45,6 +45,13 @@ through `ctypes`, or freeing a larger block to lift glibc's dynamic
 mmap threshold) changes the state of the whole process, and perfbench
 times its reference mix in that same process, so it would speed up the
 reference along with the program and distort every scaled time.
+
+Only `estimator.py` imports `threading`, `queue` or `concurrent.futures`
+(or their cores, `_thread` and `_queue`):
+one place starts threads, and only for FFT work, which releases the GIL.
+Threads running Python code take turns on the GIL, so they would add
+handoffs without overlap, and every module that shares state with a
+thread must be checked for races.
 """
 
 import ast
@@ -477,3 +484,34 @@ def test_only_sketchfile_maps_memory(path):
     modules = {name for name, _ in imported_modules(path.read_text(encoding="utf-8"))}
     assert "ctypes" not in modules
     assert ("mmap" in modules) == (path.name == "sketchfile.py")
+
+
+THREAD_MODULES = {"threading", "queue", "concurrent", "_thread", "_queue"}
+
+
+def thread_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) of every import of a THREAD_MODULES module, at any
+    depth of the module."""
+    return [(name, line) for name, line in imported_modules(source) if name in THREAD_MODULES]
+
+
+def test_finds_thread_imports():
+    source = (
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from . import queue\n"
+        "def split():\n"
+        "    'import queue in a docstring is not an import.'\n"
+        "    import queue as q\n"
+        "    import concurrent.futures\n"
+        "    from _queue import SimpleQueue\n"
+    )
+    assert thread_imports(source) == [
+        ("_queue", 8), ("concurrent", 2), ("concurrent", 7), ("queue", 6), ("threading", 1)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_estimator_starts_threads(path):
+    found = thread_imports(path.read_text(encoding="utf-8"))
+    assert (found != []) == (path.name == "estimator.py"), found
