@@ -17,6 +17,7 @@ import numpy as np
 from .ams import ams_estimate
 from .bench import (
     build_sketches,
+    conv_grids,
     freqs_from_columns,
     parse_m_sweep,
     read_all_columns,
@@ -41,8 +42,8 @@ EXIT_USAGE = 1
 EXIT_QUERY = 2
 EXIT_DATA = 3
 
-# Below this measured ingestion rate (tuples/second) on a non-trivial
-# stream, cmd_sketch logs a throughput warning.
+# Below this measured rate (tuples/second) of building and writing the
+# sketches of a non-trivial stream, cmd_sketch logs a throughput warning.
 SLOW_RATE_WARN = 100_000.0
 _WARN_MIN_TUPLES = 1000
 
@@ -112,23 +113,29 @@ def _parse_methods(text: str) -> list[str]:
 
 
 def cmd_sketch(args) -> int:
+    """Conv grids are built and written one relation at a time through one
+    grid (`conv_grids`); the AMS sketches of a query are built together,
+    as they share sign tables."""
     graph = _load_graph(args.query)
     config = SketchConfig(m=args.m, l=args.reps, seed=args.seed, method=args.method)
     with Replacement(args.out, "sketch file") as out:
         columns = read_all_columns(graph)
         n_tuples = sum(len(deltas) for _, deltas in columns)
         start = time.perf_counter()
-        sketches = build_sketches(graph, config, columns)
+        if config.method == METHOD_AMS:
+            sketches = build_sketches(graph, config, columns)
+            relations = [
+                (graph.spec.relations[k].name, sketches[k].counters) for k in range(graph.r)
+            ]
+        else:
+            relations = conv_grids(graph, config, columns)
+        save_sketch_file(args.out, config, relations, out)
         elapsed = time.perf_counter() - start
         if n_tuples >= _WARN_MIN_TUPLES and elapsed > 0 and n_tuples / elapsed < SLOW_RATE_WARN:
             logger.warning(
                 "low sketch throughput: %.0f tuples/s over %d tuples (method=%s, m=%d)",
                 n_tuples / elapsed, n_tuples, config.method, config.m,
             )
-        relations = [
-            (graph.spec.relations[k].name, sketches[k].counters) for k in range(graph.r)
-        ]
-        save_sketch_file(args.out, config, relations, out)
     logger.info("wrote %s (%d relations, m=%d, l=%d)", args.out, graph.r, config.m, config.l)
     return 0
 

@@ -162,10 +162,15 @@ def bulk_update(
     Folds the batch into its distinct nonzero tuples (`group_tuples`) and
     hashes each attribute's distinct values once for all repetitions; each
     repetition gathers every tuple's bin and sign through the inverse index
-    and sums the signed net frequencies per bin with `np.bincount`: l
-    counter writes per distinct tuple.  Equivalent to calling update() per
-    tuple, as counters are linear in the net frequencies and every partial
-    sum of integer deltas is an integer, so the order cannot matter.
+    and adds the signed net frequencies into the grid in place with
+    `np.add.at`: l counter writes per distinct tuple, and no (m,)
+    temporary, so the grid's pages are the only ones an update writes.
+    `np.add.at` adds the tuples one by one in group order, as
+    `np.bincount` does, so on a zero grid the counters are bit-identical
+    to `np.bincount`'s sums for any deltas.  Equivalent to calling
+    update() per tuple, as counters are linear in the net frequencies and
+    every partial sum of integer deltas is an integer, so the order
+    cannot matter.
     """
     if sk.config.method != METHOD_CONV:
         raise QueryError("bulk_update() applies to conv sketches; use ams_bulk_update for ams")
@@ -184,8 +189,7 @@ def bulk_update(
         for value_bins, value_signs, inverse in tables:
             bins += value_bins[rep][inverse]
             signed *= value_signs[rep][inverse]
-        idx = (bins % m).astype(np.int64)
-        sk.counters[rep] += np.bincount(idx, weights=signed, minlength=cfg.m)
+        np.add.at(sk.counters[rep], (bins % m).astype(np.intp), signed)
     sk.touched_cells += cfg.l * len(weights)
 
 

@@ -13,7 +13,11 @@ write into a grid stays in the process.
 A file is written through a `Replacement`: a temporary file beside the
 destination, renamed onto it when complete.  `sketch` and `bench` make
 theirs before reading any input, so an unwritable destination fails
-first and a failed run leaves the old file whole.
+first and a failed run leaves the old file whole.  `save_sketch_file`
+takes the relations as any iterable of (name, grid) pairs and writes
+each grid before it asks for the next, so a producer may build every
+relation into one reused grid; the relation count goes into the header
+once the last grid is written.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -93,11 +97,15 @@ class Replacement:
 def save_sketch_file(
     path: str,
     config: SketchConfig,
-    relations: list[tuple[str, np.ndarray]],
+    relations: Iterable[tuple[str, np.ndarray]],
     out: Replacement | None = None,
 ) -> None:
     """Write the sketch file through `out`, a Replacement of `path` made
     before the sketches were built, or through a new one.
+
+    `relations` is any iterable of (name, grid) pairs in relation order;
+    each grid is written before the next pair is asked for.  An error
+    the iterable raises leaves `path` as it was.
 
     Grids a process already mapped from the old file keep their values:
     rewriting the mapped file in place would change them, and truncating
@@ -107,15 +115,19 @@ def save_sketch_file(
         target.commit(lambda fh: _write(fh, config, relations))
 
 
-def _write(fh: BinaryIO, config: SketchConfig, relations: list[tuple[str, np.ndarray]]) -> None:
+def _write(
+    fh: BinaryIO, config: SketchConfig, relations: Iterable[tuple[str, np.ndarray]]
+) -> None:
     fh.write(MAGIC)
     fh.write(struct.pack("<I", VERSION))
     fh.write(struct.pack("<B", _METHOD_TAGS[config.method]))
     fh.write(struct.pack("<Q", config.m))
     fh.write(struct.pack("<I", config.l))
     fh.write(struct.pack("<Q", config.seed & 0xFFFFFFFFFFFFFFFF))
-    fh.write(struct.pack("<I", len(relations)))
-    for name, counters in relations:
+    count_at = fh.tell()
+    fh.write(struct.pack("<I", 0))  # the relation count, known after the last grid
+    count = 0
+    for count, (name, counters) in enumerate(relations, 1):
         if counters.shape != (config.l, config.m):
             raise DataError(
                 f"counter grid for {name!r} has shape {counters.shape}, "
@@ -125,6 +137,8 @@ def _write(fh: BinaryIO, config: SketchConfig, relations: list[tuple[str, np.nda
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)
         fh.write(np.ascontiguousarray(counters, dtype="<f8"))  # its buffer, not a copy
+    fh.seek(count_at)
+    fh.write(struct.pack("<I", count))
 
 
 def load_sketch_file(path: str) -> tuple[SketchConfig, list[tuple[str, np.ndarray]]]:

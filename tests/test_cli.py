@@ -2,22 +2,27 @@
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from joinsketch import cli
+from joinsketch.bench import build_sketches, read_all_columns
 from joinsketch.cli import EXIT_DATA, EXIT_QUERY, EXIT_USAGE, main
 from joinsketch.ingest import read_stream
 from joinsketch.joingraph import build_join_graph, load_query
 from joinsketch.oracle import exact_cardinality, materialize
-from joinsketch.sketchfile import load_sketch_file
+from joinsketch.sketch import SketchConfig
+from joinsketch.sketchfile import load_sketch_file, save_sketch_file
 
 from conftest import (
     chain3_query_doc,
     multiway_query_doc,
     patch_sketch_header,
+    random_graph,
     write_chain3_workload,
+    zipf_values,
 )
 
 
@@ -35,6 +40,27 @@ def _write_multiway_workload(tmp_path, rng, n=12, domain=5):
     qpath = tmp_path / "query.json"
     qpath.write_text(json.dumps(multiway_query_doc(sources)))
     return str(qpath)
+
+
+def _write_random_workload(tmp_path, rng, n=40):
+    """Sources and a query document for a `random_graph` query, in a new
+    directory; every row has a turnstile `__delta`, some of them negative."""
+    spec = random_graph(rng).spec
+    tmp_path.mkdir()
+    relations = []
+    for decl in spec.relations:
+        path = tmp_path / f"{decl.name}.csv"
+        cols = [zipf_values(rng, n, 8, 1.2) for _ in decl.join_columns]
+        deltas = rng.choice([-2, -1, 1, 1, 2, 3], size=n)
+        rows = [",".join(str(int(v)) for v in row) for row in zip(*cols, deltas)]
+        path.write_text(",".join([*decl.join_columns, "__delta"]) + "\n" + "\n".join(rows) + "\n")
+        relations.append({"name": decl.name, "source": str(path),
+                          "join_columns": [f"{c}:int" for c in decl.join_columns]})
+    joins = [[f"{spec.relations[a].name}.{ca}", f"{spec.relations[b].name}.{cb}"]
+             for (a, ca), (b, cb) in spec.joins]
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps({"relations": relations, "joins": joins}))
+    return str(query)
 
 
 @pytest.fixture()
@@ -113,6 +139,50 @@ class TestSketchCommand:
         assert main(["sketch", *flags, "--out", a]) == 0
         assert main(["sketch", *flags, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("method", ["conv", "ams"])
+    @pytest.mark.parametrize("m", [24, 64])
+    @pytest.mark.parametrize("l", [1, 5])
+    def test_file_equals_the_saved_build_sketches_grids(self, tmp_path, method, m, l):
+        # conv `sketch` builds and writes one relation at a time through
+        # one grid, ams `sketch` builds all first; either file must be the
+        # one written from build_sketches' grids.
+        rng = np.random.default_rng([m, l, method == "ams"])
+        for case in range(3):
+            query = _write_random_workload(tmp_path / f"w{case}", rng)
+            seed = int(rng.integers(0, 2**62))
+            out = tmp_path / f"{case}.jsk"
+            assert main(["sketch", "--query", query, "--m", str(m), "--reps", str(l),
+                         "--seed", str(seed), "--method", method, "--out", str(out)]) == 0
+            graph = build_join_graph(load_query(query))
+            config = SketchConfig(m=m, l=l, seed=seed, method=method)
+            sketches = build_sketches(graph, config, read_all_columns(graph))
+            expected = tmp_path / f"{case}-expected.jsk"
+            save_sketch_file(str(expected), config, [
+                (decl.name, sk.counters) for decl, sk in zip(graph.spec.relations, sketches)
+            ])
+            assert out.read_bytes() == expected.read_bytes()
+
+    def test_conv_sketch_holds_one_grid(self, tmp_path):
+        # A conv `sketch` of the 4-relation star holds one l x m grid, so
+        # raising m from 2^6 to 2^16 adds less than two grids to its traced
+        # peak; one grid per relation would add four.
+        query = _write_multiway_workload(tmp_path, np.random.default_rng(5), n=2000, domain=500)
+        l = 5
+
+        def peak_bytes(m):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(["sketch", "--query", query, "--m", str(m), "--reps", str(l),
+                             "--out", str(tmp_path / f"{m}.jsk")]) == 0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(2**6)  # imports and caches
+        small, large = peak_bytes(2**6), peak_bytes(2**16)
+        assert large - small < 2 * l * 2**16 * 8, (small, large)
 
     def test_environment_supplies_no_flag(self, multiway_env, monkeypatch, capsys):
         # JSK_METHOD is outside --method's choices and JSK_PATH=fft is not

@@ -314,6 +314,47 @@ class TestBulkUpdate:
             update(scalar, t)
         assert bulk.counters.tobytes() == scalar.counters.tobytes()
 
+    def test_fractional_deltas_into_a_zero_grid_equal_bincount(self):
+        # np.add.at adds the distinct tuples into each bin in group order,
+        # as np.bincount does, so even sums that rounding makes
+        # order-dependent come out bit for bit the same.
+        graph = multiway_graph()
+        rng = np.random.default_rng(44)
+        n, m, l = 500, 7, 3
+        stream = [TupleUpdate(1, {1: int(a), 2: int(b)}, float(d)) for a, b, d in zip(
+            rng.integers(0, 30, n), rng.integers(0, 30, n), rng.uniform(-1.0, 2.0, n))]
+        sk, hashes = make_conv(graph, 1, m=m, l=l, seed=13)
+        columns, deltas = updates_to_columns(stream, graph, 1)
+        bulk_update(sk, columns, deltas)
+        groups, weights = group_tuples(columns, graph.omega[1], deltas)
+        tuples = [dict(zip(graph.omega[1], row)) for row in zip(
+            *(values[inverse].tolist() for values, inverse in groups))]
+        for rep in range(l):
+            bins, signs = [], []
+            for values in tuples:
+                j, s = 0, 1
+                for u, x in values.items():
+                    j += bin_eval(hashes.bin_for(graph.psi[u])[rep], x)
+                    for v in graph.gamma[u]:
+                        s *= sign_eval(hashes.sign_for(u, v)[rep], x)
+                bins.append(j % m)
+                signs.append(s)
+            expected = np.bincount(bins, weights=np.array(signs) * weights, minlength=m)
+            assert sk.counters[rep].tobytes() == expected.tobytes()
+
+    def test_integer_deltas_into_a_nonzero_grid_equal_per_tuple_updates(self):
+        graph = multiway_graph()
+        rng = np.random.default_rng(45)
+        stream = turnstile_stream(rng, graph, 1, n=400)
+        start = rng.integers(-50, 50, size=(4, 61)).astype(np.float64)
+        bulk, hashes = make_conv(graph, 1, m=61, l=4, seed=12)
+        bulk.counters[:] = start
+        bulk_update(bulk, *updates_to_columns(stream, graph, 1))
+        scalar = RelationSketch(1, bulk.config, graph, hashes, start.copy())
+        for t in stream:
+            update(scalar, t)
+        assert bulk.counters.tobytes() == scalar.counters.tobytes()
+
     def test_rejects_mismatched_tuples(self):
         graph = multiway_graph()
         with pytest.raises(DataError, match="contains a tuple for relation 0"):
@@ -734,6 +775,41 @@ def test_failed_save_leaves_the_file_and_no_temporary(tmp_path):
         _save_two(path, a_rows=1)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["s.jsk"]
+
+
+def test_failing_producer_leaves_the_file_and_no_temporary(tmp_path):
+    path = tmp_path / "s.jsk"
+    _save_two(path)
+    before = path.read_bytes()
+    asked = []
+
+    def relations():
+        yield "A", np.zeros((2, 4))
+        asked.append("B")
+        raise DataError("source of B is bad")
+
+    with pytest.raises(DataError, match="source of B is bad"):
+        save_sketch_file(str(path), SketchConfig(m=4, l=2), relations())
+    assert asked == ["B"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsk"]
+
+
+def test_save_writes_each_grid_before_asking_for_the_next(tmp_path):
+    # A producer may hand over one grid, refilled for every relation.
+    grid = np.empty((2, 4))
+
+    def relations():
+        for k, name in enumerate("ABC"):
+            grid.fill(k + 1.5)
+            yield name, grid
+
+    path = str(tmp_path / "s.jsk")
+    save_sketch_file(path, SketchConfig(m=4, l=2), relations())
+    _, loaded = load_sketch_file(path)
+    assert [(name, g.tolist()) for name, g in loaded] == [
+        (name, [[k + 1.5] * 4] * 2) for k, name in enumerate("ABC")
+    ]
 
 
 def _save_two(path, a_rows=2):
