@@ -144,18 +144,16 @@ def conv_grids(
     config: SketchConfig,
     columns_by_relation: Iterable[Columns],
 ) -> Iterator[tuple[str, np.ndarray]]:
-    """Each relation's (name, conv counter grid) in relation order, built
-    one at a time into one reused l x m grid, for `save_sketch_file`,
-    which takes an iterable and writes each grid before it asks for the
-    next.  A yielded grid holds its relation's counters only until the
-    next one is asked for.
+    """Each relation's (name, conv counter grid) in relation order, all
+    built into one reused l x m grid: a yielded grid holds its relation's
+    counters only until the next is asked for, as `save_sketch_file`
+    needs.
 
-    The grids equal `build_sketches`' counters.  `sketch` so holds one
-    grid instead of one per relation (2.6 MB each at m = 65,536, l = 5)
-    and writes the same pages for every relation instead of faulting in
-    fresh ones.  The grid is filled with zeros, not made by `np.zeros`,
-    whose shared zero pages would fault once on a scatter's read and
-    again on its write.
+    The counters equal `build_sketches`'.  `sketch` so holds one grid,
+    not one per relation (2.6 MB each at m = 65,536, l = 5), and writes
+    the same pages for every relation.  The grid is filled with zeros
+    rather than made by `np.zeros`, whose shared zero pages would fault
+    once on a scatter's read and again on its write.
     """
     hashes = derive_hash_set(config, graph)
     grid = np.empty((config.l, config.m), dtype=np.float64)
