@@ -34,6 +34,7 @@ from .sketch import (
     RelationSketch,
     SketchConfig,
     TupleUpdate,
+    _check_float_grid,
     _check_tuple,
     group_tuples,
 )
@@ -49,6 +50,7 @@ def ams_update(sk: RelationSketch, t: TupleUpdate) -> None:
     """Apply one tuple: every one of the m counters changes, per repetition."""
     if sk.config.method != METHOD_AMS:
         raise QueryError("ams_update() applies to ams sketches")
+    _check_float_grid(sk)
     _check_tuple(sk.graph, sk.relation, t.relation, t.values)
     graph, hashes = sk.graph, sk.hashes
     for rep in range(sk.config.l):
@@ -81,6 +83,8 @@ def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> N
     """
     if any(sk.config.method != METHOD_AMS for sk in sketches):
         raise QueryError("ams_bulk_update() applies to ams sketches")
+    for sk in sketches:
+        _check_float_grid(sk)
     graph, config, hashes = sketches[0].graph, sketches[0].config, sketches[0].hashes
     if len({sk.relation for sk in sketches}) < len(sketches) or any(
         sk.graph is not graph or sk.config != config for sk in sketches
@@ -128,11 +132,14 @@ def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> N
 
 
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:
-    """Mean-of-products estimate per repetition, median across repetitions."""
+    """Mean-of-products estimate per repetition, median across repetitions.
+
+    Each repetition's rows are stacked as float64, so integer grids loaded
+    from a file multiply as the float64 grids they were built as."""
     _check_sketches(sketches, graph, METHOD_AMS)
 
     def estimate_rep(rep: int) -> float:
-        stacked = np.stack([sk.counters[rep] for sk in sketches])
+        stacked = np.stack([sk.counters[rep] for sk in sketches], dtype=np.float64)
         return float(np.prod(stacked, axis=0).mean())
 
     return repetition_report(METHOD_AMS, sketches[0].config.l, estimate_rep)

@@ -12,8 +12,6 @@ import logging
 import sys
 import time
 
-import numpy as np
-
 from .ams import ams_estimate
 from .bench import (
     build_sketches,
@@ -129,7 +127,7 @@ def cmd_sketch(args) -> int:
             ]
         else:
             relations = conv_grids(graph, config, columns)
-        save_sketch_file(args.out, config, relations, out)
+        save_sketch_file(args.out, graph, config, relations, out)
         elapsed = time.perf_counter() - start
         if n_tuples >= _WARN_MIN_TUPLES and elapsed > 0 and n_tuples / elapsed < SLOW_RATE_WARN:
             logger.warning(
@@ -142,14 +140,7 @@ def cmd_sketch(args) -> int:
 
 def cmd_estimate(args) -> int:
     graph = _load_graph(args.query)
-    config, stored = load_sketch_file(args.sketches)
-    expected_names = [decl.name for decl in graph.spec.relations]
-    stored_names = [name for name, _ in stored]
-    if stored_names != expected_names:
-        raise QueryError(
-            f"sketch file relations {stored_names} do not match query relations {expected_names}"
-        )
-
+    config, stored = load_sketch_file(args.sketches, graph)
     sketches = _rebind(graph, config, stored)
     if config.method == METHOD_AMS:
         if args.path != "auto":
@@ -167,14 +158,14 @@ def cmd_estimate(args) -> int:
 
 
 def _rebind(graph, config, stored):
-    """Sketches over loaded counters, with no hash functions: neither
-    estimator reads them."""
+    """Sketches over loaded counters, in their stored dtype, with no hash
+    functions: neither estimator reads them, and both convert one counter
+    row at a time to float64."""
     sketches = []
     shape = (config.l, config.m)
     for rel, (name, counters) in enumerate(stored):
         if counters.shape != shape:
             raise QueryError(f"sketch for {name!r} has shape {counters.shape}, expected {shape}")
-        counters = counters.astype(np.float64, copy=False)
         sketches.append(RelationSketch(rel, config, graph, None, counters))
     return sketches
 

@@ -235,12 +235,14 @@ def combine_sketches(node: PlanNode, sketches: list[RelationSketch], rep: int) -
     vector into the relation's sketch.  The element sum of the vector
     returned for the plan's root is the repetition's estimate.  That
     vector is never a view of a counter grid: every attribute joins, so
-    the root has a Hadamard child to multiply in.
+    the root has a Hadamard child to multiply in.  Each counter row is
+    read as float64, so an integer grid loaded from a file is converted
+    one row at a time and no product is taken in a narrow integer dtype.
     """
     # Recursion at module level, not in a closure: a closure that calls
     # itself is a reference cycle, which would keep `sketches` and their
     # counter grids alive until the cyclic garbage collector runs.
-    x = sketches[node.relation].counters[rep]
+    x = sketches[node.relation].counters[rep].astype(np.float64, copy=False)
     for _, children in node.cross_groups:
         # Never empty: every attribute joins.
         acc = combine_sketches(children[0], sketches, rep)

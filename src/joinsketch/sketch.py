@@ -86,7 +86,9 @@ class RelationSketch:
     counter addition.  `hashes` is the config's HashSet, or None for
     sketches loaded from a file, as neither estimator reads hash
     functions.  `counters` hands over an existing l x m grid (a loaded
-    or merged one) in place of a fresh zero grid.  `touched_cells`
+    or merged one) in place of a fresh zero grid.  A loaded grid keeps
+    the dtype its file stored, maybe an integer one: the estimators read
+    it and the updates refuse it.  `touched_cells`
     counts counter writes: per tuple for the per-tuple updates, per
     distinct nonzero tuple of a batch for the bulk updates.
     """
@@ -121,10 +123,22 @@ def _check_tuple(graph: JoinGraph, relation: int, found: int, attrs) -> None:
         )
 
 
+def _check_float_grid(sk: RelationSketch) -> None:
+    """Raise QueryError unless `sk`'s counters are float64.  An update into
+    an integer grid, as a sketch file may load, would truncate or wrap
+    each sum without a word."""
+    if sk.counters.dtype != np.float64:
+        raise QueryError(
+            f"cannot update the {sk.counters.dtype} counter grid of relation {sk.relation}: "
+            "updates add into float64 grids only"
+        )
+
+
 def update(sk: RelationSketch, t: TupleUpdate) -> None:
     """Apply one tuple to a conv sketch; writes exactly l counters."""
     if sk.config.method != METHOD_CONV:
         raise QueryError("update() applies to conv sketches; use ams_update for ams")
+    _check_float_grid(sk)
     _check_tuple(sk.graph, sk.relation, t.relation, t.values)
     graph, hashes = sk.graph, sk.hashes
     for rep in range(sk.config.l):
@@ -139,15 +153,17 @@ def update(sk: RelationSketch, t: TupleUpdate) -> None:
 
 
 def merge(a: RelationSketch, b: RelationSketch) -> RelationSketch:
-    """Sum two sketches of the same relation built under one config; a
-    DataError once a counter of an input or of the sum reaches COUNTER_LIMIT
-    in magnitude, where float64 starts to round."""
+    """Sum two sketches of the same relation built under one config, in
+    float64 whatever the grids' dtypes; a DataError once a counter of an
+    input or of the sum reaches COUNTER_LIMIT in magnitude, where float64
+    starts to round."""
     if a.config != b.config:
         raise QueryError(f"cannot merge sketches with configs {a.config} and {b.config}")
     if a.relation != b.relation:
         raise QueryError(f"cannot merge sketches of relations {a.relation} and {b.relation}")
-    out = RelationSketch(a.relation, a.config, a.graph, a.hashes, a.counters + b.counters)
-    if max(np.abs(sk.counters).max() for sk in (a, b, out)) >= COUNTER_LIMIT:
+    total = np.add(a.counters, b.counters, dtype=np.float64)
+    out = RelationSketch(a.relation, a.config, a.graph, a.hashes, total)
+    if max(np.abs(sk.counters, dtype=np.float64).max() for sk in (a, b, out)) >= COUNTER_LIMIT:
         raise DataError("merged counters reach 2^53 in magnitude; they are exact only below that")
     return out
 
@@ -174,6 +190,7 @@ def bulk_update(
     """
     if sk.config.method != METHOD_CONV:
         raise QueryError("bulk_update() applies to conv sketches; use ams_bulk_update for ams")
+    _check_float_grid(sk)
     graph, hashes, cfg = sk.graph, sk.hashes, sk.config
     omega, m = graph.omega[sk.relation], np.uint64(cfg.m)
     groups, weights = group_tuples(columns, omega, deltas)

@@ -170,17 +170,23 @@ def write_chain3_workload(
     return build_join_graph(parse_query(doc))
 
 
-# Byte offset and struct format of the JSK1 fields tests corrupt: magic
-# (4), version u32, method u8, then m u64 and l u32; "name0" is the first
-# byte of the first relation's name, after seed u64, relation count u32
-# and its name length u32.
-_JSK1_HEADER_FIELDS = {"m": (9, "<Q"), "l": (17, "<I"), "name0": (37, "<B")}
+# Byte offset and struct format of the JSK2 fields tests corrupt: magic
+# (4), method u8, then m u64 and l u32; "name0" is the first byte of the
+# first relation's name, after seed u64, the 32-byte fingerprint,
+# relation count u32 and its name length u32.  "tag0" is the encoding tag
+# that follows that name, at an offset `patch_sketch_header` reads.
+_JSK2_HEADER_FIELDS = {"m": (5, "<Q"), "l": (13, "<I"), "name0": (65, "<B")}
+_JSK2_NAME0_LENGTH = 61
 
 
 def patch_sketch_header(path, field: str, value: int) -> None:
-    """Overwrite one header field of a JSK1 sketch file in place."""
-    offset, fmt = _JSK1_HEADER_FIELDS[field]
+    """Overwrite one header field of a JSK2 sketch file in place."""
     data = bytearray(Path(path).read_bytes())
+    if field == "tag0":
+        (name_len,) = struct.unpack_from("<I", data, _JSK2_NAME0_LENGTH)
+        offset, fmt = _JSK2_NAME0_LENGTH + 4 + name_len, "<B"
+    else:
+        offset, fmt = _JSK2_HEADER_FIELDS[field]
     struct.pack_into(fmt, data, offset, value)
     Path(path).write_bytes(bytes(data))
 

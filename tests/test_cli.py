@@ -158,7 +158,7 @@ class TestSketchCommand:
             config = SketchConfig(m=m, l=l, seed=seed, method=method)
             sketches = build_sketches(graph, config, read_all_columns(graph))
             expected = tmp_path / f"{case}-expected.jsk"
-            save_sketch_file(str(expected), config, [
+            save_sketch_file(str(expected), graph, config, [
                 (decl.name, sk.counters) for decl, sk in zip(graph.spec.relations, sketches)
             ])
             assert out.read_bytes() == expected.read_bytes()
@@ -370,6 +370,52 @@ class TestEstimateCommand:
         code = main(["estimate", "--sketches", out, "--query", str(other_q)])
         assert code == EXIT_QUERY
 
+    @pytest.mark.parametrize("method", ["conv", "ams"])
+    @pytest.mark.parametrize("mutation", ["joins-swapped", "filter-added", "type-changed"])
+    def test_a_file_under_another_query_is_query_error(self, tmp_path, caplog, method, mutation):
+        # A file sketched for R0.x=R1.y, R1.z=R2.w (m=256, l=5, seed 1,
+        # 200-row relations over 0-9) answers that query only.  Without
+        # the binding each mutated query printed the original's median.
+        rng = np.random.default_rng(11)
+        for name, cols in (("r0", "x"), ("r1", "y,z"), ("r2", "w")):
+            rows = rng.integers(0, 10, size=(200, len(cols.split(","))))
+            (tmp_path / f"{name}.csv").write_text(
+                cols + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+            )
+        doc = chain3_query_doc({f"R{k}": str(tmp_path / f"r{k}.csv") for k in range(3)})
+        query, other = tmp_path / "q.json", tmp_path / "other.json"
+        query.write_text(json.dumps(doc))
+        if mutation == "joins-swapped":
+            doc["joins"] = [["R0.x", "R1.z"], ["R1.y", "R2.w"]]
+        elif mutation == "filter-added":
+            doc["relations"][0]["filters"] = [{"column": "x", "op": "<", "value": 5}]
+        else:
+            doc["relations"][0]["join_columns"] = ["x:str"]
+            doc["relations"][1]["join_columns"] = ["y:str", "z:int"]
+        other.write_text(json.dumps(doc))
+        out = str(tmp_path / "s.jsk")
+        assert main(["sketch", "--query", str(query), "--m", "256", "--reps", "5", "--seed", "1",
+                     "--method", method, "--out", out]) == 0
+        assert main(["estimate", "--sketches", out, "--query", str(query)]) == 0
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert main(["estimate", "--sketches", out, "--query", str(other)]) == EXIT_QUERY
+        assert "was sketched for another query" in caplog.text
+
+    def test_moved_sources_keep_their_sketch_file(self, multiway_env, tmp_path, capsys):
+        wd, query = multiway_env
+        out = str(wd / "s.jsk")
+        assert main(["sketch", "--query", query, "--m", "8", "--out", out]) == 0
+        assert main(["estimate", "--sketches", out, "--query", query]) == 0
+        here = json.loads(capsys.readouterr().out)
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(multiway_query_doc(
+            {f"R{k}": f"/nowhere/r{k}.csv" for k in range(4)}
+        )))
+        assert main(["estimate", "--sketches", out, "--query", str(moved)]) == 0
+        there = json.loads(capsys.readouterr().out)
+        del here["infer_ms"], there["infer_ms"]
+        assert here == there
+
     def test_loaded_grid_of_the_wrong_shape_is_query_error(
         self, multiway_env, monkeypatch, caplog
     ):
@@ -379,7 +425,7 @@ class TestEstimateCommand:
         main(["sketch", "--query", query, "--m", "8", "--out", out])
         config, relations = load_sketch_file(out)
         relations[1] = (relations[1][0], relations[1][1][:, :4])
-        monkeypatch.setattr(cli, "load_sketch_file", lambda path: (config, relations))
+        monkeypatch.setattr(cli, "load_sketch_file", lambda path, graph: (config, relations))
         with caplog.at_level(logging.ERROR, logger="joinsketch"):
             assert main(["estimate", "--sketches", out, "--query", query]) == EXIT_QUERY
         assert "has shape (5, 4), expected (5, 8)" in caplog.text

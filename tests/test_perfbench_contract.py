@@ -6,7 +6,8 @@ and its setup_probe.py derives each method's hash functions in a fresh
 interpreter.  These tests fail when a name either of them uses is
 deleted or renamed, or when a layer stops being called through it.  Its
 workload generator's truth also checks `joinsketch exact` here, on
-every workload.
+every workload, and the pinned counter digests are checked against
+the grids a sketch file loads as.
 """
 
 import json
@@ -18,7 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from joinsketch import sketchfile
 from joinsketch.cli import main
+from joinsketch.joingraph import build_join_graph, load_query
+from joinsketch.sketchfile import load_sketch_file, save_sketch_file
 
 from conftest import chain3_query_doc, write_chain3_workload
 
@@ -107,3 +111,31 @@ def test_exact_matches_every_workloads_truth(tmp_path, monkeypatch, capsys, name
     graph = build_join_graph(load_query(query))
     norms = [frequency_norms(materialize(read_stream(graph, k), graph, k)) for k in range(graph.r)]
     assert norms == truth["f2"]
+
+
+@pytest.mark.parametrize(
+    "name", ["chain3-int", "star4-wide", "chain3-str-turnstile", "chain3-ams"]
+)
+def test_narrow_grids_digest_as_the_pinned_float64_counters(tmp_path, monkeypatch, name):
+    # perfbench pins a sha256 over each grid's float64 values.  A sketch
+    # file stores the grids as int16; loaded through load_sketch_file they
+    # must digest as the same grids saved as float64, and as the pin.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from session import counter_digest, pinned
+
+    w = workloads.WORKLOADS[name]
+    workloads.generate(name, 0, str(tmp_path / "w"))
+    query = str(tmp_path / "w" / "query.json")
+    narrow, wide = str(tmp_path / "n.jsk"), str(tmp_path / "w.jsk")
+    assert main(["sketch", "--query", query, "--m", str(w.m), "--reps", str(w.l),
+                 "--seed", "0", "--out", narrow, "--method", w.method]) == 0
+    graph = build_join_graph(load_query(query))
+    config, relations = load_sketch_file(narrow, graph)
+    assert {grid.dtype for _, grid in relations} == {np.dtype(np.int16)}
+    with monkeypatch.context() as patched:
+        patched.setattr(sketchfile, "_encode", lambda grid: (0, grid.astype("<f8")))
+        save_sketch_file(wide, graph, config, relations)
+    as_float64 = load_sketch_file(wide)[1]
+    assert {grid.dtype for _, grid in as_float64} == {np.dtype(np.float64)}
+    assert counter_digest(relations) == counter_digest(as_float64) == pinned(name, 0)["counters"]

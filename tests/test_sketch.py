@@ -627,7 +627,7 @@ class TestSketchFile:
             sk.counters = rng.normal(size=(5, 8))
             relations.append((graph.spec.relations[rel].name, sk.counters))
         path = str(tmp_path / "x.jsk")
-        save_sketch_file(path, config, relations)
+        save_sketch_file(path, graph, config, relations)
         loaded_config, loaded = load_sketch_file(path)
         assert loaded_config == config
         assert [name for name, _ in loaded] == [name for name, _ in relations]
@@ -652,7 +652,7 @@ class TestSketchFile:
         config = SketchConfig(m=4, l=1, seed=0)
         relations = [("A", np.zeros((1, 4))), ("B", np.zeros((1, 4)))]
         path = str(tmp_path / "t.jsk")
-        save_sketch_file(path, config, relations)
+        save_sketch_file(path, graph, config, relations)
         data = open(path, "rb").read()
         open(path, "wb").write(data[:-5])
         with pytest.raises(DataError, match="truncated"):
@@ -661,7 +661,8 @@ class TestSketchFile:
     def _saved(self, tmp_path):
         config = SketchConfig(m=4, l=2, seed=0)
         path = str(tmp_path / "h.jsk")
-        save_sketch_file(path, config, [("A", np.zeros((2, 4))), ("B", np.ones((2, 4)))])
+        relations = [("A", np.zeros((2, 4))), ("B", np.ones((2, 4)))]
+        save_sketch_file(path, two_rel_graph(), config, relations)
         return path
 
     def test_huge_grid_claim_is_truncated_not_allocated(self, tmp_path):
@@ -687,7 +688,7 @@ class TestSketchFile:
         config = SketchConfig(m=4, l=2, seed=9, method="ams")
         relations = [("A", np.ones((2, 4))), ("B", np.ones((2, 4)))]
         path = str(tmp_path / "a.jsk")
-        save_sketch_file(path, config, relations)
+        save_sketch_file(path, two_rel_graph(), config, relations)
         loaded_config, _ = load_sketch_file(path)
         assert loaded_config.method == "ams"
 
@@ -708,7 +709,7 @@ class TestMappedSketchFile:
     def _saved(self, tmp_path, seed=0):
         config, relations = _big_relations(seed)
         path = str(tmp_path / "big.jsk")
-        save_sketch_file(path, config, relations)
+        save_sketch_file(path, two_rel_graph(), config, relations)
         return path, config, relations
 
     def test_round_trip_bit_exact_through_writable_views(self, tmp_path):
@@ -731,7 +732,9 @@ class TestMappedSketchFile:
         config, relations = _big_relations()
         small = SketchConfig(m=config.m - 1, l=config.l, seed=config.seed)
         path = str(tmp_path / "small.jsk")
-        save_sketch_file(path, small, [(name, grid[:, 1:]) for name, grid in relations])
+        save_sketch_file(
+            path, two_rel_graph(), small, [(name, grid[:, 1:]) for name, grid in relations]
+        )
         for (_, a), (_, b) in zip(relations, load_sketch_file(path)[1]):
             assert b.flags.owndata and b.flags.writeable
             assert b.tobytes() == a[:, 1:].tobytes()
@@ -742,7 +745,7 @@ class TestMappedSketchFile:
         path, _, relations = self._saved(tmp_path)
         loaded = load_sketch_file(path)[1]
         config, other = _big_relations(seed=1)
-        save_sketch_file(path, config, other)
+        save_sketch_file(path, two_rel_graph(), config, other)
         for (_, a), (_, b) in zip(relations, loaded):
             assert a.tobytes() == b.tobytes()
         assert load_sketch_file(path)[1][1][1].tobytes() == other[1][1].tobytes()
@@ -753,7 +756,7 @@ class TestMappedSketchFile:
         q.write_text(json.dumps(two_rel_query_doc()))
         config, relations = _big_relations(l=5)
         path = str(tmp_path / "big.jsk")
-        save_sketch_file(path, config, relations)
+        save_sketch_file(path, two_rel_graph(), config, relations)
         assert not load_sketch_file(path)[1][0][1].flags.owndata
 
         def estimate_json():
@@ -789,7 +792,7 @@ def test_failing_producer_leaves_the_file_and_no_temporary(tmp_path):
         raise DataError("source of B is bad")
 
     with pytest.raises(DataError, match="source of B is bad"):
-        save_sketch_file(str(path), SketchConfig(m=4, l=2), relations())
+        save_sketch_file(str(path), two_rel_graph(), SketchConfig(m=4, l=2), relations())
     assert asked == ["B"]
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["s.jsk"]
@@ -805,7 +808,7 @@ def test_save_writes_each_grid_before_asking_for_the_next(tmp_path):
             yield name, grid
 
     path = str(tmp_path / "s.jsk")
-    save_sketch_file(path, SketchConfig(m=4, l=2), relations())
+    save_sketch_file(path, two_rel_graph(), SketchConfig(m=4, l=2), relations())
     _, loaded = load_sketch_file(path)
     assert [(name, g.tolist()) for name, g in loaded] == [
         (name, [[k + 1.5] * 4] * 2) for k, name in enumerate("ABC")
@@ -814,9 +817,8 @@ def test_save_writes_each_grid_before_asking_for_the_next(tmp_path):
 
 def _save_two(path, a_rows=2):
     """Save relations A and B under m=4, l=2; A's grid has `a_rows` rows."""
-    save_sketch_file(
-        str(path), SketchConfig(m=4, l=2), [("A", np.zeros((a_rows, 4))), ("B", np.ones((2, 4)))]
-    )
+    relations = [("A", np.zeros((a_rows, 4))), ("B", np.ones((2, 4)))]
+    save_sketch_file(str(path), two_rel_graph(), SketchConfig(m=4, l=2), relations)
 
 
 def _edited_file(tmp_path, edit, big=False):
@@ -824,7 +826,7 @@ def _edited_file(tmp_path, edit, big=False):
     a `big` file's grids total MAP_BYTES, so it loads through a mapping."""
     path = tmp_path / "e.jsk"
     if big:
-        save_sketch_file(str(path), *_big_relations())
+        save_sketch_file(str(path), two_rel_graph(), *_big_relations())
     else:
         _save_two(path)
     data = bytearray(path.read_bytes())
@@ -837,21 +839,22 @@ def _load_edited(edit, big=False):
     return lambda tmp_path: load_sketch_file(_edited_file(tmp_path, edit, big))
 
 
-def _version_2(data):
-    struct.pack_into("<I", data, 4, 2)
+def _version_1(data):
+    data[:4] = b"JSK1"
 
 
-# Offsets: magic 0, version 4, method tag 8, m 9.
+# Offsets: magic 0, method tag 4, m 5.
 _BAD_SKETCH_FILES = {
     "unsupported-version": (
-        _load_edited(_version_2),
-        "e.jsk: unsupported sketch file version 2"),
+        _load_edited(_version_1),
+        "e.jsk: a JSK1 sketch file, which this version no longer reads; "
+        "re-run `joinsketch sketch`"),
     "unknown-method-tag": (
-        _load_edited(lambda data: struct.pack_into("<B", data, 8, 7)),
+        _load_edited(lambda data: struct.pack_into("<B", data, 4, 7)),
         "e.jsk: unknown method tag 7"),
     "cut-in-the-header": (
         _load_edited(lambda data: data.__delitem__(slice(12, None))),
-        "e.jsk: truncated sketch file while reading m"),
+        "e.jsk: truncated sketch file while reading header"),
     "trailing-bytes": (
         _load_edited(lambda data: data.extend(b"\0")),
         "e.jsk: trailing bytes after sketch data"),
@@ -862,7 +865,7 @@ _BAD_SKETCH_FILES = {
         _load_edited(lambda data: data.extend(b"\0"), big=True),
         "e.jsk: trailing bytes after sketch data"),
     "mapped-huge-m": (
-        _load_edited(lambda data: struct.pack_into("<Q", data, 9, 2**40), big=True),
+        _load_edited(lambda data: struct.pack_into("<Q", data, 5, 2**40), big=True),
         "e.jsk: truncated sketch file while reading counters for 'A'"),
     "grid-shape-on-save": (
         lambda tmp_path: _save_two(tmp_path / "s.jsk", a_rows=1),
@@ -882,6 +885,6 @@ def test_bad_sketch_file_raises(tmp_path, case):
 def test_bad_sketch_file_exits_3(tmp_path, caplog):
     q = tmp_path / "q.json"
     q.write_text(json.dumps(two_rel_query_doc()))
-    path = _edited_file(tmp_path, _version_2)
+    path = _edited_file(tmp_path, _version_1)
     assert main(["estimate", "--query", str(q), "--sketches", path]) == EXIT_DATA
-    assert "unsupported sketch file version 2" in caplog.text
+    assert "re-run `joinsketch sketch` to write it as JSK2" in caplog.text
