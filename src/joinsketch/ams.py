@@ -134,12 +134,17 @@ def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> N
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:
     """Mean-of-products estimate per repetition, median across repetitions.
 
-    Each repetition's rows are stacked as float64, so integer grids loaded
-    from a file multiply as the float64 grids they were built as."""
+    The rows multiply in float64 in relation order, as a product over a
+    stack of them would, so integer grids loaded from a file multiply as
+    the float64 grids they were built as.  A query joins at least two
+    relations."""
     _check_sketches(sketches, graph, METHOD_AMS)
 
     def estimate_rep(rep: int) -> float:
-        stacked = np.stack([sk.counters[rep] for sk in sketches], dtype=np.float64)
-        return float(np.prod(stacked, axis=0).mean())
+        rows = [sk.counters[rep] for sk in sketches]
+        product = np.multiply(rows[0], rows[1], dtype=np.float64)
+        for row in rows[2:]:
+            np.multiply(product, row, out=product)
+        return float(product.mean())
 
     return repetition_report(METHOD_AMS, sketches[0].config.l, estimate_rep)

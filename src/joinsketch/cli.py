@@ -159,8 +159,8 @@ def cmd_estimate(args) -> int:
 
 def _rebind(graph, config, stored):
     """Sketches over loaded counters, in their stored dtype, with no hash
-    functions: neither estimator reads them, and both convert one counter
-    row at a time to float64."""
+    functions: neither estimator reads them, and both read the rows as
+    float64 where they use them."""
     sketches = []
     shape = (config.l, config.m)
     for rel, (name, counters) in enumerate(stored):

@@ -176,10 +176,11 @@ def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Computed by real FFT (`rfft`/`irfft`); `n=len(x)` keeps odd m exact.
     Both spectra go into this thread's scratch buffers, so a call
     allocates only its result, which is a fresh array: a plan node may
-    still hold an earlier one.
+    still hold an earlier one.  `rfft` into a complex128 buffer reads an
+    integer row as float64 itself, with no float64 copy of the row.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     spec_x, spec_y = _spectra(len(x))
@@ -235,22 +236,23 @@ def combine_sketches(node: PlanNode, sketches: list[RelationSketch], rep: int) -
     vector into the relation's sketch.  The element sum of the vector
     returned for the plan's root is the repetition's estimate.  That
     vector is never a view of a counter grid: every attribute joins, so
-    the root has a Hadamard child to multiply in.  Each counter row is
-    read as float64, so an integer grid loaded from a file is converted
-    one row at a time and no product is taken in a narrow integer dtype.
+    the root has a Hadamard child to multiply in.  A counter row of an
+    integer grid loaded from a file is never converted on its own: the
+    `rfft` of `circ_cross_correlate` reads it as float64, and every
+    product is taken in float64, so none wraps in a narrow dtype.
     """
     # Recursion at module level, not in a closure: a closure that calls
     # itself is a reference cycle, which would keep `sketches` and their
     # counter grids alive until the cyclic garbage collector runs.
-    x = sketches[node.relation].counters[rep].astype(np.float64, copy=False)
+    x = sketches[node.relation].counters[rep]
     for _, children in node.cross_groups:
         # Never empty: every attribute joins.
         acc = combine_sketches(children[0], sketches, rep)
         for child in children[1:]:
-            acc = combine_sketches(child, sketches, rep) * acc
+            acc = np.multiply(combine_sketches(child, sketches, rep), acc, dtype=np.float64)
         x = circ_cross_correlate(acc, x)
     for child in node.hadamard_children:
-        x = combine_sketches(child, sketches, rep) * x
+        x = np.multiply(combine_sketches(child, sketches, rep), x, dtype=np.float64)
     return x
 
 

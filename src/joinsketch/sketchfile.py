@@ -13,13 +13,14 @@ round trip check rather than assume.  Any other grid, with a fractional,
 NaN or infinite counter or a -0.0, is stored as float64 (tag 0).  Built
 counters are integers, so a built grid takes 2 bytes per counter until
 a counter reaches 2^15.  `load_sketch_file` returns each grid in its
-stored dtype; the estimators convert one counter row at a time to
-float64, so an estimate equals the one from float64 grids bit for bit.
+stored dtype; the estimators read its rows as float64 where they use
+them, never a whole grid, so an estimate equals the one from float64
+grids bit for bit.
 
 The fingerprint is a sha256 over what the counters depend on besides
-the rows and m (`_fingerprint`).  `load_sketch_file` given the query's
-join graph raises QueryError for a file sketched for another query
-before it reads any grid.  m is a plain header value, so a sketch
+the rows and m (`_digest`), computed once per query per process.
+`load_sketch_file` given the query's join graph raises QueryError for a
+file sketched for another query before it reads any grid.  m is a plain header value, so a sketch
 folded to a divisor of its m can keep its fingerprint.  A JSK1 file
 (float64 grids, no fingerprint) is a DataError that asks for a new
 `sketch`.
@@ -41,6 +42,7 @@ once the last grid is written.
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import os
@@ -157,28 +159,39 @@ def save_sketch_file(
 
 def _fingerprint(graph: JoinGraph, config: SketchConfig) -> bytes:
     """sha256 of a canonical JSON encoding of what a query's counters
-    depend on besides the rows and m.
+    depend on besides the rows and m (`_digest`).
 
-    Per relation: each join attribute's column, type, component id and
-    edges, the ids that choose its hash functions, and the filters; then
-    the method, l and seed.  Source paths and relation names are left
-    out, so a moved data directory keeps its sketches.
+    Every load checks it, and right after other work the encoding and
+    the hash cost an `estimate` about 50 us, so a process computes it
+    once per query: the arguments of `_digest` are its cache key.  They
+    need not be canonical, only determine the digest.
     """
+    relations = graph.spec.relations
+    return _digest(
+        config.method, config.l, config.seed & _U64, tuple(graph.attrs), tuple(graph.edges),
+        tuple(graph.psi),
+        tuple([(tuple(d.column_types.items()), tuple(d.filters)) for d in relations]),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _digest(method, l, seed, attrs, edges, psi, relations) -> bytes:
+    """sha256 of the method, l and seed; each join attribute's relation,
+    column and type, in attribute id order; the join edges between
+    attribute ids and the component ids, which choose the hash
+    functions; and each relation's filters, as a sorted set, since they
+    are ANDed.  `relations` holds each relation's (column, type) pairs
+    and filters.  Source paths and relation names are left out, so a
+    moved data directory keeps its sketches."""
     # Imported here: hashlib loads OpenSSL, about 5 ms in a fresh process,
     # which `exact`, `bench` and `throughput` need not pay.
     import hashlib
 
-    relations = []
-    for k, decl in enumerate(graph.spec.relations):
-        attrs = []
-        for u in graph.omega[k]:
-            col = graph.attrs[u][1]
-            edges = [sorted((u, v)) for v in graph.gamma[u]]
-            attrs.append([col, decl.column_types[col], graph.psi[u], edges])
-        filters = [[f.column, f.op, f.value, f.col_type] for f in decl.filters]
-        relations.append([attrs, filters])
-    doc = [config.method, config.l, config.seed & _U64, relations]
-    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).digest()
+    types = [dict(relations[k][0])[col] for k, col in attrs]
+    # The type before the value: values of one type compare.
+    filters = [sorted({(f.column, f.op, f.col_type, f.value) for f in fs}) for _, fs in relations]
+    doc = [method, l, seed, attrs, types, sorted(edges), psi, filters]
+    return hashlib.sha256(json.dumps(doc).encode()).digest()
 
 
 def _encode(counters: np.ndarray) -> tuple[int, np.ndarray]:

@@ -13,9 +13,9 @@ from joinsketch.ams import ams_bulk_update, ams_estimate, ams_update
 from joinsketch.bench import build_sketches, read_all_columns
 from joinsketch.cli import EXIT_DATA, main
 from joinsketch.errors import DataError, QueryError
-from joinsketch.estimator import estimate
+from joinsketch.estimator import circ_cross_correlate, estimate
 from joinsketch.hashing import derive_hash_set
-from joinsketch.joingraph import build_join_graph, load_query, parse_query
+from joinsketch.joingraph import build_join_graph, load_query, parse_query, traversal_plan
 from joinsketch.sketch import (
     RelationSketch,
     SketchConfig,
@@ -212,6 +212,22 @@ def test_conv_estimate_over_integer_grids_is_the_float64_estimate(dtype, graph_o
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_conv_estimate_from_every_root_is_the_float64_estimate(dtype):
+    # Rooted at R3's a4, the plan enters R1 through a2 and multiplies the
+    # rows of R0 and R2, the two relations a1 joins, before it
+    # cross-correlates them: two raw counter rows meet.
+    graph, rng = multiway_graph(), np.random.default_rng(9)
+    config = SketchConfig(m=16, l=3)
+    grids = _big_counters(rng, graph, config.l, config.m, dtype)
+    wide = [g.astype(np.float64) for g in grids]
+    for root in range(graph.w):
+        plan = traversal_plan(graph, root)
+        narrow = estimate(_sketches(graph, config, grids), graph, plan)
+        want = estimate(_sketches(graph, config, wide), graph, plan)
+        assert narrow.per_repetition == want.per_repetition, root
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
 @pytest.mark.parametrize("graph_of", [two_rel_graph, multiway_graph])
 def test_ams_estimate_over_integer_grids_is_the_float64_estimate(dtype, graph_of):
     # Four int16 counters multiply past 2^53 in int64, and int32 ones
@@ -222,6 +238,17 @@ def test_ams_estimate_over_integer_grids_is_the_float64_estimate(dtype, graph_of
     narrow = ams_estimate(_sketches(graph, config, grids), graph)
     wide = ams_estimate(_sketches(graph, config, [g.astype(np.float64) for g in grids]), graph)
     assert narrow.per_repetition == wide.per_repetition
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("m", [7, 64, 4096])
+def test_cross_correlation_reads_integer_rows_as_float64(dtype, m):
+    rng = np.random.default_rng(m)
+    top = np.iinfo(dtype).max
+    x, y = (rng.integers(-top, top, size=m).astype(dtype) for _ in range(2))
+    got = circ_cross_correlate(x, y)
+    want = circ_cross_correlate(x.astype(np.float64), y.astype(np.float64))
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_merge_of_int16_grids_sums_in_float64():
@@ -360,3 +387,21 @@ def test_a_file_loads_for_its_query_only(tmp_path):
         load_sketch_file(path, _chain3(filters=[{"column": "x", "op": "<", "value": 5}]))
     with pytest.raises(QueryError, match=r"relations \['R0', 'R1', 'R2'\] do not match"):
         load_sketch_file(path, multiway_graph())
+
+
+def test_filters_in_another_order_or_repeated_load_the_file(tmp_path):
+    # The filters are ANDed, so neither their order nor a repeat changes
+    # the counters.
+    x_lt, x_gt, s_eq = (
+        {"column": "x", "op": "<", "value": 5},
+        {"column": "x", "op": ">", "value": 1},
+        {"column": "s", "op": "=", "value": "5"},
+    )
+    config = SketchConfig(m=8, l=2, seed=4)
+    path = str(tmp_path / "f.jsk")
+    grids = [(f"R{k}", np.ones((2, 8))) for k in range(3)]
+    save_sketch_file(path, _chain3(filters=[x_lt, x_gt, s_eq]), config, grids)
+    for filters in ([s_eq, x_gt, x_lt], [x_gt, x_lt, s_eq, x_lt]):
+        assert load_sketch_file(path, _chain3(filters=filters))[0] == config
+    with pytest.raises(QueryError, match="was sketched for another query"):
+        load_sketch_file(path, _chain3(filters=[x_lt, x_gt]))
