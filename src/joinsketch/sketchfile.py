@@ -20,10 +20,10 @@ grids bit for bit.
 The fingerprint is a sha256 over what the counters depend on besides
 the rows and m (`_digest`), computed once per query per process.
 `load_sketch_file` given the query's join graph raises QueryError for a
-file sketched for another query before it reads any grid.  m is a plain header value, so a sketch
-folded to a divisor of its m can keep its fingerprint.  A JSK1 file
-(float64 grids, no fingerprint) is a DataError that asks for a new
-`sketch`.
+file sketched for another query before it reads any grid.  m is a plain
+header value, so a sketch folded to a divisor of its m can keep its
+fingerprint.  A JSK1 file (float64 grids, no fingerprint) is a DataError
+that asks for a new `sketch`.
 
 A file whose encoded grids total at least MAP_BYTES is mapped
 copy-on-write and its grids are views of the mapping: a load shares the
