@@ -4,10 +4,13 @@ A source is read as bytes, in blocks of about BLOCK_BYTES that end at a
 newline, and tokenized one of two ways:
 
 - a *plain* block (no quote, CR or NUL byte, no blank line, and exactly
-  width - 1 commas on every line, width being the header's): one pass
-  finds its commas and newlines, and column i of the block is every
-  width-th cell from i; a cell longer than `csv.field_size_limit()` is
-  an error here too, with csv.reader's message;
+  width - 1 commas on every line, width being the header's): a byte
+  search rejects the three bytes, then one numpy pass indexes its commas
+  and newlines, which must be width per newline with every width-th a
+  newline (at width 1, none first or right after another); column i of
+  the block is every width-th cell from i; a cell longer than
+  `csv.field_size_limit()` is an error here too, with csv.reader's
+  message;
 - from the first block that is not plain to the end of the file,
   `csv.reader` tokenizes instead, with csv.DictReader's row rules: blank
   lines are skipped, a short row's missing cells are None and a long
@@ -17,8 +20,9 @@ newline, and tokenized one of two ways:
 
 Every plain block is decoded, which checks that it is UTF-8.  numpy
 kernels then read its columns straight from the block's bytes, through
-one index of its separators (vectorized parsing as in Mühlbauer et al.,
-"Instant Loading for Main Memory Databases", PVLDB 2013):
+the separator index the plain check built (vectorized parsing as in
+Mühlbauer et al., "Instant Loading for Main Memory Databases", PVLDB
+2013):
 
 - a joined `str` column is hashed with FNV-1a over each cell's UTF-8
   bytes, all cells at once through a byte window that ends at each
@@ -36,8 +40,8 @@ A column the kernels decline (an int cell with a space, a '+', 19
 digits or more, or a lone '-', and any int filter) is read from the
 block split into str cells, for that block only, as is every block that
 csv.reader tokenizes, and so is a `__delta` column with an empty cell,
-which is an error in a kept row.  A block no column declines is never
-split.
+which is an error in a kept row.  A block no column declines, and with
+no cell over the length limit in bytes, is never split.
 
 Both tokenizers feed one column assembler, where a kernel column and a
 str-cell column alike come back as block-length uint64 arrays plus a
@@ -80,16 +84,12 @@ DELTA_COLUMN = "__delta"
 # Bytes per read block: large enough that each numpy call of a kernel
 # covers thousands of rows, small enough that ingest holds one block's
 # cells, not the file's.  With blocks of 16, 32, 64, 128 and 256 KiB,
-# read_all_columns (seed 3; median of 6 fresh processes, each the median
-# of 9 reads; 2 CPUs, numpy 2.4) read chain3-str-turnstile in 60, 44,
-# 37, 43 and 78 ms, and chain3-int in 20, 18, 17, 16 and 31 ms.  A block
-# longer than csv.field_size_limit() (128 KiB by default) is split into
-# str cells to check their lengths, most of the cost at 256 KiB, so a
-# block must stay well below that limit.
+# read_columns of every relation (seed 3; median of 27 reads, the sizes
+# interleaved in one process; 2 CPUs, numpy 2.4) read chain3-str-turnstile
+# in 24.2, 17.8, 14.7, 15.1 and 15.9 ms, and chain3-int in 6.6, 6.1, 6.1,
+# 6.5 and 6.6 ms; a second process read each within 0.4 ms of these.
 BLOCK_BYTES = 1 << 16
 _NEWLINE, _COMMA, _MINUS, _ZERO = b"\n,-0"
-# Every byte but a comma, a newline and the bytes only csv.reader handles.
-_CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
 # Digits an int cell may have for the numpy kernel: 10^18 - 1 < 2^63, so
 # a longer cell, which may be out of range, is left to `canonicalize`.
 _KERNEL_DIGITS = 18
@@ -186,18 +186,26 @@ def _blocks(fh) -> Iterator[tuple[int, bytes]]:
         yield offset, carry
 
 
-def _plain_rows(block: bytes, width: int) -> int:
-    """The lines of `block`, whole lines ending in a newline, if splitting
-    at commas and newlines reads it as csv.reader does, else 0.  It does if
-    the block has no quote, CR or NUL byte, no blank line, and width - 1
-    commas on every line."""
-    # Left with its commas, newlines and special bytes only, a plain block
-    # is one line pattern repeated; a blank line breaks it unless width is 1.
-    structure = block.translate(None, _CELL_TEXT)
-    rows = len(structure) // width
-    if structure != (b"," * (width - 1) + b"\n") * rows:
-        return 0
-    return rows if width > 1 or not (block[0] == _NEWLINE or b"\n\n" in block) else 0
+def _separators(block: bytes, width: int) -> np.ndarray | None:
+    """The offset of every comma and newline of `block`, whole lines ending
+    in a newline, if splitting there reads it as csv.reader does, else None.
+    It does if the block has no quote, CR or NUL byte, no blank line, and
+    width - 1 commas on every line: with width separators per newline, if
+    every width-th one is a newline, as then no other is."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    data = np.frombuffer(block, np.uint8)
+    separator = data == _NEWLINE
+    rows = np.count_nonzero(separator)
+    separator |= data == _COMMA
+    separators = np.flatnonzero(separator)
+    if len(separators) != rows * width:
+        return None
+    if width == 1:  # all are newlines: a blank line is one first or after another
+        plain = not (separator[0] or (separator[1:] & separator[:-1]).any())
+    else:  # a blank line has too few commas
+        plain = (data[separators[width - 1 :: width]] == _NEWLINE).all()
+    return separators if plain else None
 
 
 class _PlainBlock:
@@ -205,14 +213,13 @@ class _PlainBlock:
     through one separator index, or split into str cells for a column that
     a kernel declines."""
 
-    def __init__(self, block: bytes, width: int, rows: int):
+    def __init__(self, block: bytes, width: int, separators: np.ndarray):
         self.text = block.decode("utf-8")  # checks every block is UTF-8
         self.block = block
         self.width = width
-        self.rows = rows
+        self.rows = len(separators) // width
         self._cells: list[str] | None = None
         self._data = np.frombuffer(block, np.uint8)
-        separators = np.flatnonzero((self._data == _COMMA) | (self._data == _NEWLINE))
         # The separator before each cell; the first cell's is at -1.
         self._ends = np.concatenate(([-1], separators))
 
@@ -224,6 +231,16 @@ class _PlainBlock:
 
     def cells(self, at: int) -> list[str]:
         return self.split()[at :: self.width]
+
+    def check_cell_length(self) -> None:
+        """Raise csv.reader's error for a cell longer than csv.field_size_limit(),
+        so that both tokenizers accept the same cells.  A cell has no fewer
+        bytes than characters, so only a block with a longer cell in bytes,
+        read from the separators, is split."""
+        limit = csv.field_size_limit()
+        if (len(self.block) > limit and int(np.diff(self._ends).max()) - 1 > limit
+                and max(map(len, self.split())) > limit):
+            raise csv.Error(f"field larger than field limit ({limit})")
 
     def _bounds(self, at: int) -> tuple[np.ndarray, np.ndarray]:
         """Offsets of the first byte of each cell of column `at`, and of the
@@ -372,33 +389,23 @@ def _tokenize(fh) -> Iterator[list[str] | _Batch]:
     first = next(blocks, (0, b""))[1]
     head, newline, rest = first.partition(b"\n")
     width = head.count(b",") + 1
-    if not _plain_rows(head + b"\n", width):
+    if (separators := _separators(head + b"\n", width)) is None:
         yield from _csv_tokenize(fh, 0, with_header=True)
         return
-    header = head.decode("utf-8").split(",")
-    _check_cell_length(head, lambda: header)
-    yield header
+    header = _PlainBlock(head + b"\n", width, separators)
+    header.check_cell_length()
+    yield header.text[:-1].split(",")
     for offset, block in chain([(len(head) + len(newline), rest)], blocks):
         if not block:
             continue
         if block[-1] != _NEWLINE:  # the last line of a file without a final newline
             block += b"\n"
-        rows = _plain_rows(block, width)
-        if not rows:
+        if (separators := _separators(block, width)) is None:
             yield from _csv_tokenize(fh, offset, with_header=False)
             return
-        plain = _PlainBlock(block, width, rows)
-        _check_cell_length(block, plain.split)
+        plain = _PlainBlock(block, width, separators)
+        plain.check_cell_length()
         yield plain
-
-
-def _check_cell_length(block: bytes, cells: Callable[[], list[str]]) -> None:
-    """Raise csv.reader's error for a cell longer than csv.field_size_limit(),
-    so that both tokenizers accept the same cells.  A cell is no longer
-    than the bytes of its block, so only a longer block is split."""
-    limit = csv.field_size_limit()
-    if len(block) > limit and max(map(len, cells())) > limit:
-        raise csv.Error(f"field larger than field limit ({limit})")
 
 
 def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _Batch]:

@@ -341,7 +341,7 @@ class TestStrKernel:
                                     rng.choice(["active", "closed", ""], rows))
         )
         _, block = next(ingest._blocks(io.BytesIO(text.encode("utf-8"))))
-        plain = ingest._PlainBlock(block, 4, ingest._plain_rows(block, 4))
+        plain = ingest._PlainBlock(block, 4, ingest._separators(block, 4))
         assert len(block) > ingest.BLOCK_BYTES - 100 and plain.rows > 0
         tracemalloc.start()
         try:
@@ -355,8 +355,8 @@ class TestStrKernel:
         assert hashes[present].tolist() == [fnv1a64(c.encode("utf-8")) for c in cells if c]
 
     def test_default_blocks_are_never_split(self, tmp_path, monkeypatch, str_path):
-        # A block longer than csv.field_size_limit() is split into str cells
-        # to check their lengths; a default block must stay well below it.
+        # No kernel declines a column of these blocks and no cell is longer
+        # than csv.field_size_limit() in bytes, so no block is split.
         import joinsketch.ingest as ingest
 
         splits, original = [], ingest._PlainBlock.split
@@ -924,25 +924,125 @@ class TestTokenizers:
     @pytest.mark.parametrize("form", ["plain", "csv"])
     @pytest.mark.parametrize(
         "header_cell, s_cell, outcome",
-        [("h" * 8, "s" * 8, "read"), ("h" * 9, "s", "error"), ("h", "s" * 9, "error")],
-        ids=["at-the-limit", "long-header-cell", "long-row-cell"],
+        [("h" * 8, "s" * 8, "read"), ("h" * 9, "s", "error"), ("h", "s" * 9, "error"),
+         ("h", "\u00e9" * 8, "read")],
+        ids=["at-the-limit", "long-header-cell", "long-row-cell", "long-in-bytes-only"],
     )
-    def test_cell_length_limit(self, tmp_path, fallbacks, form, header_cell, s_cell, outcome):
+    def test_cell_length_limit(self, tmp_path, monkeypatch, fallbacks, form, header_cell,
+                               s_cell, outcome):
         # Both tokenizers read a cell of csv.field_size_limit() characters
         # and reject one character more, with csv.reader's message; the
-        # limit in force at the call applies.
+        # limit in force at the call applies.  Every block is longer than
+        # the limit, but a plain one is split into str cells only when a
+        # cell is longer than the limit in bytes: with no int filter, which
+        # reads split cells, no kernel declines a column.
+        import joinsketch.ingest as ingest
+
+        splits, original = [], ingest._PlainBlock.split
+
+        def spy(block):
+            splits.append(block.block)
+            return original(block)
+
+        monkeypatch.setattr(ingest._PlainBlock, "split", spy)
         text = _TOKENIZER_HEADER.replace("\n", f",{header_cell}\n") + f"active,1,1,{s_cell},1,x\n"
-        graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text))
+        graph = _tokenizer_graph(tmp_path, "a.csv", text if form == "plain" else _csv_only(text),
+                                 filters=_TOKENIZER_FILTERS[:1])
         old = csv.field_size_limit(8)
         try:
             got = _read_outcome(graph)
         finally:
             csv.field_size_limit(old)
         assert (fallbacks == []) == (form == "plain")
+        long_in_bytes = max(len(header_cell.encode()), len(s_cell.encode())) > 8
+        assert (splits != []) == (form == "plain" and long_in_bytes)
         if outcome == "read":
             assert got[0][1] == [fnv1a64(s_cell.encode())]
         else:
             assert got == ("error", "<path>: field larger than field limit (8)")
+
+
+# The plain rule before the separator index, kept as its reference: a block
+# left with only its commas, newlines and the bytes only csv.reader handles
+# is plain if that is one line pattern repeated, and, at width 1, no line
+# is blank.
+_CELL_TEXT = bytes(b for b in range(256) if b not in b',\n"\r\0')
+
+
+def _translate_plain_rows(block, width):
+    structure = block.translate(None, _CELL_TEXT)
+    rows = len(structure) // width
+    if structure != (b"," * (width - 1) + b"\n") * rows:
+        return 0
+    return rows if width > 1 or not (block[0] == ord("\n") or b"\n\n" in block) else 0
+
+
+_PLAIN_CHARS = list("0123456789a") + ["\u00e9"]
+_STRUCTURE_CHARS = [",", "\n", '"', "\r", "\0"]
+
+
+def _random_lines(rng, width, count):
+    """`count` lines of `width` cells from digits, 'a' and e-acute, some of
+    them blank, ragged (one cell more or less) or with a comma, newline,
+    quote, CR or NUL put in at random."""
+    lines = []
+    for _ in range(count):
+        shape = rng.random()
+        cells = width + (int(rng.choice([-1, 1])) if shape < 0.1 else 0)
+        line = ",".join("".join(rng.choice(_PLAIN_CHARS, size=rng.integers(0, 4)))
+                        for _ in range(max(cells, 1)))
+        if 0.1 <= shape < 0.15:
+            line = ""
+        elif 0.15 <= shape < 0.25:
+            at = int(rng.integers(0, len(line) + 1))
+            # By index: numpy's str dtype would drop a trailing NUL.
+            line = line[:at] + _STRUCTURE_CHARS[rng.integers(len(_STRUCTURE_CHARS))] + line[at:]
+        lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_separator_index_accepts_what_the_translate_rule_accepts(monkeypatch, seed):
+    # Seeds 0-4, each 400 blocks (100 per width 1-4) of 1 to 8 random lines,
+    # and 100 files through _tokenize: header only or with lines, with or
+    # without a final newline, read in blocks of 16 bytes.  The separator
+    # index accepts exactly the blocks the translate rule accepts, with its
+    # row count, and holds the offset of every comma and newline.
+    import joinsketch.ingest as ingest
+
+    rng = np.random.default_rng(seed)
+    verdicts = []
+
+    def check(block, width):
+        separators = original(block, width)
+        rows = _translate_plain_rows(block, width)
+        assert (separators is not None) == (rows > 0), (block, width)
+        if separators is not None:
+            assert len(separators) == rows * width
+            assert separators.tolist() == [i for i, b in enumerate(block) if b in b",\n"]
+        verdicts.append(rows > 0)
+        return separators
+
+    original = ingest._separators
+    for width in (1, 2, 3, 4):
+        for _ in range(100):
+            lines = _random_lines(rng, width, int(rng.integers(1, 9)))
+            check(("\n".join(lines) + "\n").encode("utf-8"), width)
+    assert 100 < sum(verdicts) < 300
+
+    monkeypatch.setattr(ingest, "_separators", check)
+    monkeypatch.setattr(ingest, "_csv_tokenize", lambda fh, offset, with_header: iter(()))
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 16)
+    verdicts.clear()
+    for _ in range(100):
+        width = int(rng.integers(1, 5))
+        lines = _random_lines(rng, width, int(rng.integers(0, 6)))
+        header = ",".join(f"c{i}" for i in range(width))
+        end = "\n" if rng.random() < 0.7 else ""
+        text = "\n".join([header] + lines) + end
+        for _ in ingest._tokenize(io.BytesIO(text.encode("utf-8"))):
+            pass
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def _reference_read(graph, relation):
