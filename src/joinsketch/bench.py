@@ -82,6 +82,8 @@ def parse_m_sweep(text: str) -> list[int]:
             raise QueryError(f"bad m-sweep bound {s!r}") from exc
 
     a, b = parse_power(lo), parse_power(hi)
+    if a < 0:
+        raise QueryError(f"m-sweep exponents must be >= 0, got 2^{a}")
     if a > b:
         raise QueryError(f"m-sweep lower bound 2^{a} exceeds upper bound 2^{b}")
     return [2**e for e in range(a, b + 1, step)]
@@ -289,35 +291,31 @@ def write_bench_csv(
     the layout."""
     text = io.StringIO(newline="")
     text.write(f"# schema={BENCH_SCHEMA}\n")
-    writer = csv.writer(text)
-    writer.writerow(
-        [
-            "row_type", "method", "m", "trial", "seed", "estimate", "exact",
-            "abs_rel_error", "q_error", "sketch_ms", "infer_ms",
-            "median_are", "p95_are", "slope",
-        ]
+    columns = (
+        "row_type", "method", "m", "trial", "seed", "estimate", "exact",
+        "abs_rel_error", "q_error", "sketch_ms", "infer_ms",
+        "median_are", "p95_are", "slope",
     )
+    writer = csv.DictWriter(text, columns, restval="")
+    writer.writeheader()
     for r in rows:
         writer.writerow(
-            [
-                "row", r.method, r.m, r.trial, r.seed,
-                repr(r.estimate), repr(r.exact),
-                repr(r.abs_rel_error), repr(r.q_error),
-                f"{r.sketch_ms:.3f}", f"{r.infer_ms:.3f}",
-                "", "", "",
-            ]
+            {
+                "row_type": "row", "method": r.method, "m": r.m, "trial": r.trial,
+                "seed": r.seed, "estimate": repr(r.estimate), "exact": repr(r.exact),
+                "abs_rel_error": repr(r.abs_rel_error), "q_error": repr(r.q_error),
+                "sketch_ms": f"{r.sketch_ms:.3f}", "infer_ms": f"{r.infer_ms:.3f}",
+            }
         )
     for s in summaries:
         writer.writerow(
-            [
-                "summary", s.method, s.m, "", "", "", "", "", "", "", "",
-                repr(s.median_are), repr(s.p95_are), "",
-            ]
+            {
+                "row_type": "summary", "method": s.method, "m": s.m,
+                "median_are": repr(s.median_are), "p95_are": repr(s.p95_are),
+            }
         )
     for method, slope in slopes.items():
-        writer.writerow(
-            ["slope", method, "", "", "", "", "", "", "", "", "", "", "", repr(slope)]
-        )
+        writer.writerow({"row_type": "slope", "method": method, "slope": repr(slope)})
     with out or Replacement(path, "bench output") as target:
         target.commit(lambda fh: fh.write(text.getvalue().encode("utf-8")))
 

@@ -13,11 +13,12 @@ value and cross-check each other in tests.
 No repetition reads another's data, and numpy's FFT releases the GIL.
 So an fft estimate with m >= PARALLEL_M, in a process that may run on
 more than one CPU, splits its repetitions: the calling thread computes
-the even ones while one persistent worker thread computes the odd ones,
-and the estimates go back in repetition order, so the report is the one
-a serial run gives.  The worker and the `queue` module are set up on the
-first split.  Smaller m, the naive path and the AMS estimate run in the
-calling thread.  Each thread cross-correlates through its own two
+the even ones while the one worker thread of a process-wide
+`concurrent.futures` executor computes the odd ones, and the estimates
+go back in repetition order, so the report is the one a serial run
+gives.  The executor, and with it `concurrent.futures`, is set up on
+the first split.  Smaller m, the naive path and the AMS estimate run in
+the calling thread.  Each thread cross-correlates through its own two
 scratch spectra, so two repetitions in flight allocate only their
 results.
 """
@@ -97,57 +98,38 @@ def repetition_report(
     )
 
 
-def _serve(jobs) -> None:
-    """The worker thread's loop: run each `(job, done)` from `jobs` and put
-    `(result, None)` or `(None, exception)` on `done`."""
-    while True:
-        job, done = jobs.get()
-        try:
-            outcome = (job(), None)
-        except BaseException as exc:  # the caller raises it
-            outcome = (None, exc)
-        # Hold nothing of a finished job while waiting for the next: its
-        # closure holds the sketches, whose grids may map a sketch file.
-        del job
-        done.put(outcome)
-        del outcome, done
-
-
 @functools.cache
-def _worker_jobs():
-    """The job queue of the worker thread, which starts on the first call."""
-    import queue
+def _executor():
+    """The single-worker executor of the odd repetitions; its thread starts
+    on the first split."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    jobs = queue.SimpleQueue()
-    threading.Thread(target=_serve, args=(jobs,), name="joinsketch-fft", daemon=True).start()
-    return jobs
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="joinsketch-fft")
 
 
 # A forked child has no worker thread: it starts its own on its first split.
-os.register_at_fork(after_in_child=_worker_jobs.cache_clear)
+os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def _split_repetitions(l: int, estimate_rep: Callable[[int], float]) -> list[float]:
-    """`estimate_rep` of repetitions 0 to l - 1, in order: the worker
-    thread computes the odd ones while the calling thread computes the
+    """`estimate_rep` of repetitions 0 to l - 1, in order: the executor's
+    worker computes the odd ones while the calling thread computes the
     even ones.
 
     Returns or raises only after both shares have finished.  An exception
     from the calling thread's share wins over one from the worker's.
     """
-    import queue
-
-    done = queue.SimpleQueue()
-    _worker_jobs().put((lambda: [estimate_rep(rep) for rep in range(1, l, 2)], done))
+    future = _executor().submit(lambda: [estimate_rep(rep) for rep in range(1, l, 2)])
     try:
         evens = [estimate_rep(rep) for rep in range(0, l, 2)]
     finally:
-        odds, error = done.get()
-    if error is not None:
-        try:
-            raise error
-        finally:
-            del error  # its traceback holds this frame: break the cycle
+        future.exception()  # waits for the worker's share, raising nothing
+    try:
+        odds = future.result()
+    finally:
+        # A worker exception raised here holds this frame in its traceback,
+        # and the future holds the exception: break the cycle.
+        del future
     per_rep = [0.0] * l
     per_rep[0::2] = evens
     per_rep[1::2] = odds

@@ -8,6 +8,8 @@ import pytest
 
 from joinsketch.bench import (
     BENCH_SCHEMA,
+    BenchRow,
+    BenchSummary,
     abs_rel_error,
     freqs_from_columns,
     loglog_slope,
@@ -76,7 +78,7 @@ class TestMSweep:
         assert parse_m_sweep("2^4..2^4") == [16]
 
     def test_rejects_garbage(self):
-        for bad in ("64..128", "2^8", "2^9..2^6", "2^a..2^b"):
+        for bad in ("64..128", "2^8", "2^9..2^6", "2^a..2^b", "2^-1..2^2"):
             with pytest.raises(QueryError):
                 parse_m_sweep(bad)
 
@@ -159,6 +161,22 @@ class TestRunBench:
         assert kinds.count("row") == 4
         assert kinds.count("summary") == 2
         assert kinds.count("slope") == 1
+
+    def test_csv_bytes_of_each_line_kind(self, tmp_path):
+        # Where each line kind leaves its cells empty, and how non-finite
+        # and very small floats are written.
+        rows = [BenchRow("conv", 16, 1, 12345, 1e-300, 7.0, math.nan, math.inf, 1.23456, 0.5)]
+        summaries = [BenchSummary("conv", 16, 0.25, math.inf)]
+        out = tmp_path / "bench.csv"
+        write_bench_csv(str(out), rows, summaries, {"conv": math.nan})
+        assert out.read_bytes() == (
+            b"# schema=joinsketch-bench-v1\n"
+            b"row_type,method,m,trial,seed,estimate,exact,abs_rel_error,q_error,"
+            b"sketch_ms,infer_ms,median_are,p95_are,slope\r\n"
+            b"row,conv,16,1,12345,1e-300,7.0,nan,inf,1.235,0.500,,,\r\n"
+            b"summary,conv,16,,,,,,,,,0.25,inf,\r\n"
+            b"slope,conv,,,,,,,,,,,,nan\r\n"
+        )
 
 
 @pytest.mark.parametrize("run", ["bench", "throughput"])

@@ -416,20 +416,6 @@ class TestEstimateCommand:
         del here["infer_ms"], there["infer_ms"]
         assert here == there
 
-    def test_loaded_grid_of_the_wrong_shape_is_query_error(
-        self, multiway_env, monkeypatch, caplog
-    ):
-        # A loaded grid is handed to its sketch as is, after a shape check.
-        tmp_path, query = multiway_env
-        out = str(tmp_path / "s.jsk")
-        main(["sketch", "--query", query, "--m", "8", "--out", out])
-        config, relations = load_sketch_file(out)
-        relations[1] = (relations[1][0], relations[1][1][:, :4])
-        monkeypatch.setattr(cli, "load_sketch_file", lambda path, graph: (config, relations))
-        with caplog.at_level(logging.ERROR, logger="joinsketch"):
-            assert main(["estimate", "--sketches", out, "--query", query]) == EXIT_QUERY
-        assert "has shape (5, 4), expected (5, 8)" in caplog.text
-
 
 class TestExactCommand:
     def test_single_join_toy(self, tmp_path, capsys):
@@ -720,9 +706,12 @@ class TestBenchCommand:
             ("throughput", ["--methods", "ams,ams"], "a method is listed twice"),
             ("bench", ["--reps", "0"], "repetition count l must be >= 1, got 0"),
             ("throughput", ["--reps", "0"], "repetition count l must be >= 1, got 0"),
+            ("bench", ["--m-sweep", "2^-1..2^2"], "m-sweep exponents must be >= 0, got 2^-1"),
+            ("throughput", ["--m-sweep", "2^-2..2^2"], "m-sweep exponents must be >= 0, got 2^-2"),
         ],
         ids=["zero-trials", "bench-repeated-method", "throughput-repeated-method",
-             "bench-zero-reps", "throughput-zero-reps"],
+             "bench-zero-reps", "throughput-zero-reps", "bench-negative-exponent",
+             "throughput-negative-exponent"],
     )
     def test_bad_sweep_is_rejected_before_any_source_is_read(
         self, tmp_path, caplog, command, flags, message

@@ -342,6 +342,15 @@ def record_threads(monkeypatch, fail=None):
     return threads
 
 
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports joinsketch from src
+    and the test helpers from tests, within 120 s."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 class ShareError(Exception):
     pass
 
@@ -375,6 +384,37 @@ class TestSplitRepetitions:
         # The worker thread must not keep a finished job's closure either.
         split_everything(monkeypatch)
         TestEstimate().test_sketches_freed_without_the_cycle_collector()
+
+    @pytest.mark.parametrize("failing_rep", [1, 0], ids=["worker-share", "caller-share"])
+    def test_sketches_freed_after_a_share_raises(self, monkeypatch, failing_rep):
+        # Nothing the split keeps after an exception, such as the worker's
+        # exception in a cycle with the frame that raised it, may hold the
+        # sketches once the caller drops the exception.
+        split_everything(monkeypatch)
+
+        def fail(rep):
+            if rep == failing_rep:
+                raise ShareError(f"rep {rep}")
+
+        record_threads(monkeypatch, fail)
+        graph = multiway_graph()
+        sketches = sketches_from_grids(
+            graph, random_sketch_grids(np.random.default_rng(4), graph, m=8, l=3), m=8, l=3
+        )
+        grid = weakref.ref(sketches[0].counters)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                estimate(sketches, graph)
+            except ShareError as exc:
+                assert str(exc) == f"rep {failing_rep}"
+            else:
+                pytest.fail("the share's exception was lost")
+            del sketches
+            assert grid() is None
+        finally:
+            gc.enable()
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         split_everything(monkeypatch)
@@ -429,7 +469,7 @@ class TestSplitRepetitions:
         def no_worker():
             raise AssertionError("a worker thread was asked for")
 
-        monkeypatch.setattr(estimator, "_worker_jobs", no_worker)
+        monkeypatch.setattr(estimator, "_executor", no_worker)
         threads = record_threads(monkeypatch)
         graph = multiway_graph()
         grids = random_sketch_grids(np.random.default_rng(19), graph, m=8, l=5)
@@ -444,7 +484,7 @@ class TestSplitRepetitions:
         def no_worker():
             raise AssertionError("a worker thread was asked for")
 
-        monkeypatch.setattr(estimator, "_worker_jobs", no_worker)
+        monkeypatch.setattr(estimator, "_executor", no_worker)
         graph = two_rel_graph()
         config = SketchConfig(m=8, l=3, seed=0, method="ams")
         sketches = [RelationSketch(k, config, graph, None, np.ones((3, 8))) for k in range(2)]
@@ -519,11 +559,33 @@ class TestSplitRepetitions:
             "assert threading.active_count() == 1, threading.enumerate()\n"
             "assert 'queue' not in sys.modules and 'concurrent' not in sys.modules\n"
         )
-        tests = Path(__file__).resolve().parent
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
+
+    def test_split_estimate_exits_promptly(self):
+        # The executor's worker is not a daemon thread: the interpreter
+        # joins it at exit, which an idle worker must not hold up.  A hang
+        # fails at run_script's timeout; a slow exit, at 10 s after the
+        # script's last statement.
+        script = (
+            "import os, threading, time\n"
+            "import numpy as np\n"
+            "from joinsketch.estimator import PARALLEL_M, estimate\n"
+            "from joinsketch.sketch import RelationSketch, SketchConfig\n"
+            "from conftest import multiway_graph\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "graph = multiway_graph()\n"
+            "config = SketchConfig(m=PARALLEL_M, l=2, seed=0)\n"
+            "sketches = [RelationSketch(k, config, graph, None, np.ones((2, PARALLEL_M)))\n"
+            "            for k in range(graph.r)]\n"
+            "estimate(sketches, graph)\n"
+            "assert threading.active_count() == 2, threading.enumerate()\n"
+            "print(time.monotonic())\n"
+        )
+        proc = run_script(script)
+        exited = time.monotonic()
+        assert proc.returncode == 0, proc.stderr
+        assert exited - float(proc.stdout) < 10.0
 
 
 class TestRequiredBins:
