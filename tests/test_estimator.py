@@ -405,12 +405,8 @@ class TestSplitRepetitions:
         gc.collect()
         gc.disable()
         try:
-            try:
+            with pytest.raises(ShareError, match=f"rep {failing_rep}"):
                 estimate(sketches, graph)
-            except ShareError as exc:
-                assert str(exc) == f"rep {failing_rep}"
-            else:
-                pytest.fail("the share's exception was lost")
             del sketches
             assert grid() is None
         finally:
