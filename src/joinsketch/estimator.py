@@ -118,8 +118,14 @@ def _split_repetitions(l: int, estimate_rep: Callable[[int], float]) -> list[flo
 
     Returns or raises only after both shares have finished.  An exception
     from the calling thread's share wins over one from the worker's.
+    Once interpreter shutdown has begun, as in an `atexit` handler or a
+    thread that outlives the main thread, the executor takes no new work,
+    and the calling thread computes every repetition.
     """
-    future = _executor().submit(lambda: [estimate_rep(rep) for rep in range(1, l, 2)])
+    try:
+        future = _executor().submit(lambda: [estimate_rep(rep) for rep in range(1, l, 2)])
+    except RuntimeError:  # "cannot schedule new futures after ... shutdown"
+        return [estimate_rep(rep) for rep in range(l)]
     try:
         evens = [estimate_rep(rep) for rep in range(0, l, 2)]
     finally:

@@ -351,6 +351,22 @@ def run_script(script: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+# A script prefix whose `estimate(sketches, graph)` splits, on any host.
+SPLIT_SCRIPT = (
+    "import os, threading, time\n"
+    "import numpy as np\n"
+    "from joinsketch.estimator import PARALLEL_M, estimate\n"
+    "from joinsketch.sketch import RelationSketch, SketchConfig\n"
+    "from conftest import multiway_graph\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "graph = multiway_graph()\n"
+    "config = SketchConfig(m=PARALLEL_M, l=2, seed=0)\n"
+    "sketches = [RelationSketch(k, config, graph, None, np.ones((2, PARALLEL_M)))\n"
+    "            for k in range(graph.r)]\n"
+    "estimate(sketches, graph)\n"
+)
+
+
 class ShareError(Exception):
     pass
 
@@ -563,25 +579,24 @@ class TestSplitRepetitions:
         # joins it at exit, which an idle worker must not hold up.  A hang
         # fails at run_script's timeout; a slow exit, at 10 s after the
         # script's last statement.
-        script = (
-            "import os, threading, time\n"
-            "import numpy as np\n"
-            "from joinsketch.estimator import PARALLEL_M, estimate\n"
-            "from joinsketch.sketch import RelationSketch, SketchConfig\n"
-            "from conftest import multiway_graph\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "graph = multiway_graph()\n"
-            "config = SketchConfig(m=PARALLEL_M, l=2, seed=0)\n"
-            "sketches = [RelationSketch(k, config, graph, None, np.ones((2, PARALLEL_M)))\n"
-            "            for k in range(graph.r)]\n"
-            "estimate(sketches, graph)\n"
-            "assert threading.active_count() == 2, threading.enumerate()\n"
+        proc = run_script(
+            SPLIT_SCRIPT + "assert threading.active_count() == 2, threading.enumerate()\n"
             "print(time.monotonic())\n"
         )
-        proc = run_script(script)
         exited = time.monotonic()
         assert proc.returncode == 0, proc.stderr
         assert exited - float(proc.stdout) < 10.0
+
+    def test_split_estimate_after_shutdown_began_runs_serially(self):
+        # An atexit handler runs after concurrent.futures has stopped
+        # taking work; its estimate still returns the split's result.
+        proc = run_script(
+            SPLIT_SCRIPT + "import atexit\n"
+            "want = estimate(sketches, graph).per_repetition\n"
+            "atexit.register(lambda: print(estimate(sketches, graph).per_repetition == want))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n", proc.stderr
 
 
 class TestRequiredBins:
