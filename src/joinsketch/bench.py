@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -298,24 +298,16 @@ def write_bench_csv(
     )
     writer = csv.DictWriter(text, columns, restval="")
     writer.writeheader()
+    # The writer puts floats as their repr, the shortest exact text.
     for r in rows:
         writer.writerow(
-            {
-                "row_type": "row", "method": r.method, "m": r.m, "trial": r.trial,
-                "seed": r.seed, "estimate": repr(r.estimate), "exact": repr(r.exact),
-                "abs_rel_error": repr(r.abs_rel_error), "q_error": repr(r.q_error),
-                "sketch_ms": f"{r.sketch_ms:.3f}", "infer_ms": f"{r.infer_ms:.3f}",
-            }
+            {"row_type": "row", **asdict(r),
+             "sketch_ms": f"{r.sketch_ms:.3f}", "infer_ms": f"{r.infer_ms:.3f}"}
         )
     for s in summaries:
-        writer.writerow(
-            {
-                "row_type": "summary", "method": s.method, "m": s.m,
-                "median_are": repr(s.median_are), "p95_are": repr(s.p95_are),
-            }
-        )
+        writer.writerow({"row_type": "summary", **asdict(s)})
     for method, slope in slopes.items():
-        writer.writerow({"row_type": "slope", "method": method, "slope": repr(slope)})
+        writer.writerow({"row_type": "slope", "method": method, "slope": slope})
     with out or Replacement(path, "bench output") as target:
         target.commit(lambda fh: fh.write(text.getvalue().encode("utf-8")))
 
