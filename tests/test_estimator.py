@@ -351,7 +351,8 @@ def run_script(script: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-# A script prefix whose `estimate(sketches, graph)` splits, on any host.
+# A script prefix whose `report = estimate(sketches, graph)` splits, on
+# any host.
 SPLIT_SCRIPT = (
     "import os, threading, time\n"
     "import numpy as np\n"
@@ -363,7 +364,7 @@ SPLIT_SCRIPT = (
     "config = SketchConfig(m=PARALLEL_M, l=2, seed=0)\n"
     "sketches = [RelationSketch(k, config, graph, None, np.ones((2, PARALLEL_M)))\n"
     "            for k in range(graph.r)]\n"
-    "estimate(sketches, graph)\n"
+    "report = estimate(sketches, graph)\n"
 )
 
 
@@ -592,8 +593,8 @@ class TestSplitRepetitions:
         # taking work; its estimate still returns the split's result.
         proc = run_script(
             SPLIT_SCRIPT + "import atexit\n"
-            "want = estimate(sketches, graph).per_repetition\n"
-            "atexit.register(lambda: print(estimate(sketches, graph).per_repetition == want))\n"
+            "atexit.register(lambda: print(\n"
+            "    estimate(sketches, graph).per_repetition == report.per_repetition))\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n", proc.stderr
