@@ -134,17 +134,18 @@ def ams_bulk_update(sketches: list[RelationSketch], batches: list[Columns]) -> N
 def ams_estimate(sketches: list[RelationSketch], graph: JoinGraph) -> EstimateReport:
     """Mean-of-products estimate per repetition, median across repetitions.
 
-    The rows multiply in float64 in relation order, as a product over a
-    stack of them would, so integer grids loaded from a file multiply as
-    the float64 grids they were built as.  A query joins at least two
+    The whole (l, m) grids multiply in float64 in relation order, so
+    integer grids loaded from a file multiply as the float64 grids they
+    were built as, and each row's mean is, bit for bit, the mean of that
+    repetition's row product alone.  A query joins at least two
     relations."""
     _check_sketches(sketches, graph, METHOD_AMS)
 
-    def estimate_rep(rep: int) -> float:
-        rows = [sk.counters[rep] for sk in sketches]
-        product = np.multiply(rows[0], rows[1], dtype=np.float64)
-        for row in rows[2:]:
-            np.multiply(product, row, out=product)
-        return float(product.mean())
+    def estimates() -> list[float]:
+        grids = [sk.counters for sk in sketches]
+        product = np.multiply(grids[0], grids[1], dtype=np.float64)
+        for grid in grids[2:]:
+            np.multiply(product, grid, out=product)
+        return product.mean(axis=1).tolist()
 
-    return repetition_report(METHOD_AMS, sketches[0].config.l, estimate_rep)
+    return repetition_report(METHOD_AMS, estimates)

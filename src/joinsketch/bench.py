@@ -28,7 +28,8 @@ from .joingraph import JoinGraph, traversal_plan
 from .mersenne import mix64
 from .oracle import exact_cardinality
 from .sketch import (
-    METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, group_tuples,
+    METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, check_grid_fits,
+    group_tuples,
 )
 from .sketchfile import Replacement
 
@@ -212,6 +213,7 @@ def run_bench(
     for method in methods:
         if method not in (METHOD_CONV, METHOD_AMS):
             raise QueryError(f"unknown method {method!r}")
+    check_grid_fits(SketchConfig(m=max(m_values), l=l))
     if columns_by_relation is None:
         columns_by_relation = read_all_columns(graph)
 
@@ -328,6 +330,7 @@ def run_throughput(
     """
     if l < 1:
         raise QueryError(f"repetition count l must be >= 1, got {l}")
+    check_grid_fits(SketchConfig(m=max(m_values), l=l))
     if columns_by_relation is None:
         columns_by_relation = read_all_columns(graph)
     sizes = [len(deltas) for _, deltas in columns_by_relation]

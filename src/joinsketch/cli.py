@@ -31,7 +31,7 @@ from .hashing import derive_hash_set  # noqa: F401
 from .ingest import read_columns, read_stream  # noqa: F401
 from .joingraph import build_join_graph, load_query, traversal_plan
 from .oracle import exact_cardinality, materialize  # noqa: F401
-from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig
+from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, check_grid_fits
 from .sketchfile import Replacement, load_sketch_file, save_sketch_file
 
 logger = logging.getLogger("joinsketch")
@@ -116,6 +116,7 @@ def cmd_sketch(args) -> int:
     as they share sign tables."""
     graph = _load_graph(args.query)
     config = SketchConfig(m=args.m, l=args.reps, seed=args.seed, method=args.method)
+    check_grid_fits(config)
     with Replacement(args.out, "sketch file") as out:
         columns = read_all_columns(graph)
         n_tuples = sum(len(deltas) for _, deltas in columns)

@@ -10,17 +10,21 @@ products and circular cross-correlation by real FFT (`rfft`/`irfft`),
 which is O(r * m log m) per repetition.  Both paths compute the same
 value and cross-check each other in tests.
 
-No repetition reads another's data, and numpy's FFT releases the GIL.
-So an fft estimate with m >= PARALLEL_M, in a process that may run on
-more than one CPU, splits its repetitions: the calling thread computes
-the even ones while the one worker thread of a process-wide
-`concurrent.futures` executor computes the odd ones, and the estimates
-go back in repetition order, so the report is the one a serial run
-gives.  The executor, and with it `concurrent.futures`, is set up on
-the first split.  Smaller m, the naive path and the AMS estimate run in
-the calling thread.  Each thread cross-correlates through its own two
-scratch spectra, so two repetitions in flight allocate only their
-results.
+No repetition reads another's data.  Below PARALLEL_M an fft estimate
+combines all l repetitions at once, as (l, m) blocks: numpy's FFT
+transforms a block row by row along its last axis, with each row's bits
+the same as a transform of that row alone, so one call per plan step
+replaces l.  From PARALLEL_M up a block transform is slower than its
+rows, and numpy's FFT releases the GIL, so an fft estimate combines one
+repetition at a time and, in a process that may run on more than one
+CPU, splits them: the calling thread computes the even ones while the
+one worker thread of a process-wide `concurrent.futures` executor
+computes the odd ones.  Either way the estimates go back in repetition
+order, so the report is the one a serial row-by-row run gives.  The
+executor, and with it `concurrent.futures`, is set up on the first
+split.  The naive path and the AMS estimate run in the calling thread.
+Each thread cross-correlates through its own two scratch spectra, so a
+transform allocates only its result.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 from math import ceil
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -42,13 +46,19 @@ from .sketch import METHOD_CONV, RelationSketch
 
 NAIVE_CELL_BUDGET = 10**7
 
-# An fft estimate splits its repetitions between two threads from this m
-# up; below it, the GIL handoffs between short transforms cost about what
-# the overlap saves.  Split over serial `estimate` time on a 4-relation
-# star, l=5 (2 CPUs, numpy 2.4.6), in rounds of one `sketch` and 24
-# `estimate` calls with other work after each call; medians per process,
-# 3 to 6 processes: 1.02-1.09 at m = 4,096, 0.92-1.01 at 8,192,
-# 0.78-0.86 at 16,384, 0.68-0.76 at 32,768, 0.65-0.66 at 65,536.
+# The one crossover of the fft path.  Below it an estimate combines all
+# repetitions as one (l, m) block: `rfft` of 5 rows as a block against 5
+# single-row calls (2 CPUs, numpy 2.4.6, warm) took 0.039 against 0.095 ms
+# at m = 1,024, 0.163 against 0.268 ms at 4,096 (`irfft` 0.183 against
+# 0.287 ms), 0.499 against 0.560 ms at 8,192, but 0.926 against 0.665 ms
+# at 16,384 and 5.49 against 4.79 ms at 65,536.  From it up an estimate
+# goes row by row and splits its repetitions between two threads; below
+# it, the GIL handoffs between short transforms cost about what the
+# overlap saves.  Split over serial `estimate` time on a 4-relation star,
+# l=5, in rounds of one `sketch` and 24 `estimate` calls with other work
+# after each call; medians per process, 3 to 6 processes: 1.02-1.09 at
+# m = 4,096, 0.92-1.01 at 8,192, 0.78-0.86 at 16,384, 0.68-0.76 at
+# 32,768, 0.65-0.66 at 65,536.
 PARALLEL_M = 1 << 14
 
 
@@ -74,24 +84,18 @@ class EstimateReport:
 
 def repetition_report(
     method: str,
-    l: int,
-    estimate_rep: Callable[[int], float],
+    estimates: Callable[[], Iterable[float]],
     path: str = "",
-    split: bool = False,
 ) -> EstimateReport:
-    """Time `estimate_rep` over repetitions 0 to l - 1 and report the
-    estimates with their median; with an even repetition count the median
-    is the mean of the two middle values.  With `split`, the odd
-    repetitions run on the worker thread (`_split_repetitions`)."""
+    """Time `estimates()`, the per-repetition estimates in repetition
+    order, and report them with their median; with an even repetition
+    count the median is the mean of the two middle values."""
     start = time.perf_counter()
-    if split:
-        per_rep = _split_repetitions(l, estimate_rep)
-    else:
-        per_rep = [estimate_rep(rep) for rep in range(l)]
+    per_rep = tuple(estimates())
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return EstimateReport(
         method=method,
-        per_repetition=tuple(per_rep),
+        per_repetition=per_rep,
         median=float(statistics.median(per_rep)),
         infer_ms=elapsed_ms,
         path=path,
@@ -146,14 +150,16 @@ def _split_repetitions(l: int, estimate_rep: Callable[[int], float]) -> list[flo
 _scratch = threading.local()
 
 
-def _spectra(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two complex buffers for the rfft of a length-m vector;
-    the last length's buffers are kept."""
+def _spectra(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two complex buffers for the rfft of a block of
+    `shape`, a length-m vector or an (l, m) block of rows; the last
+    shape's buffers are kept."""
+    spec_shape = (*shape[:-1], shape[-1] // 2 + 1)
     bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or len(bufs[0]) != m // 2 + 1:
+    if bufs is None or bufs[0].shape != spec_shape:
         bufs = _scratch.bufs = (
-            np.empty(m // 2 + 1, dtype=np.complex128),
-            np.empty(m // 2 + 1, dtype=np.complex128),
+            np.empty(spec_shape, dtype=np.complex128),
+            np.empty(spec_shape, dtype=np.complex128),
         )
     return bufs
 
@@ -161,21 +167,24 @@ def _spectra(m: int) -> tuple[np.ndarray, np.ndarray]:
 def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Circular cross-correlation: out[j] = sum_i x[i] * y[(j + i) mod m].
 
-    Computed by real FFT (`rfft`/`irfft`); `n=len(x)` keeps odd m exact.
-    Both spectra go into this thread's scratch buffers, so a call
-    allocates only its result, which is a fresh array: a plan node may
-    still hold an earlier one.  `rfft` into a complex128 buffer reads an
-    integer row as float64 itself, with no float64 copy of the row.
+    `x` and `y` are length-m vectors, or (l, m) blocks correlated row by
+    row along the last axis; numpy's FFT gives each row of a block the
+    bits it gives that row alone.  Computed by real FFT (`rfft`/`irfft`);
+    `n=m` keeps odd m exact.  Both spectra go into this thread's scratch
+    buffers, so a call allocates only its result, which is a fresh
+    array: a plan node may still hold an earlier one.  `rfft` into a
+    complex128 buffer reads integer rows as float64 itself, with no
+    float64 copy of them.
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1:
+    if x.shape != y.shape or x.ndim not in (1, 2):
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    spec_x, spec_y = _spectra(len(x))
+    spec_x, spec_y = _spectra(x.shape)
     np.fft.rfft(x, out=spec_x)
     np.conj(spec_x, out=spec_x)
     spec_x *= np.fft.rfft(y, out=spec_y)
-    return np.fft.irfft(spec_x, n=len(x))
+    return np.fft.irfft(spec_x, n=x.shape[-1])
 
 
 def _check_sketches(sketches: list[RelationSketch], graph: JoinGraph, method: str) -> None:
@@ -216,31 +225,37 @@ def naive_estimate(sketches: list[RelationSketch], graph: JoinGraph, rep: int) -
     return float(total.sum())
 
 
-def combine_sketches(node: PlanNode, sketches: list[RelationSketch], rep: int) -> np.ndarray:
+def combine_sketches(
+    node: PlanNode, sketches: list[RelationSketch], reps: int | slice
+) -> np.ndarray:
     """Combine sketch vectors along the traversal plan below `node`.
 
-    Sibling subtrees multiply element-wise; descending through a
-    relation's other attribute cross-correlates the accumulated subtree
-    vector into the relation's sketch.  The element sum of the vector
-    returned for the plan's root is the repetition's estimate.  That
-    vector is never a view of a counter grid: every attribute joins, so
-    the root has a Hadamard child to multiply in.  A counter row of an
-    integer grid loaded from a file is never converted on its own: the
-    `rfft` of `circ_cross_correlate` reads it as float64, and every
+    `reps` is one repetition, whose counter rows are combined as vectors,
+    or a slice of repetitions, whose rows are combined as (l, m) blocks:
+    every product and cross-correlation works along the last axis, so
+    each row of a block's result is, bit for bit, the vector of its
+    repetition alone.  Sibling subtrees multiply element-wise; descending
+    through a relation's other attribute cross-correlates the accumulated
+    subtree vector into the relation's sketch.  The element sum of the
+    vector returned for the plan's root is the repetition's estimate.
+    That vector is never a view of a counter grid: every attribute joins,
+    so the root has a Hadamard child to multiply in.  The counter rows of
+    an integer grid loaded from a file are never converted on their own:
+    the `rfft` of `circ_cross_correlate` reads them as float64, and every
     product is taken in float64, so none wraps in a narrow dtype.
     """
     # Recursion at module level, not in a closure: a closure that calls
     # itself is a reference cycle, which would keep `sketches` and their
     # counter grids alive until the cyclic garbage collector runs.
-    x = sketches[node.relation].counters[rep]
+    x = sketches[node.relation].counters[reps]
     for _, children in node.cross_groups:
         # Never empty: every attribute joins.
-        acc = combine_sketches(children[0], sketches, rep)
+        acc = combine_sketches(children[0], sketches, reps)
         for child in children[1:]:
-            acc = np.multiply(combine_sketches(child, sketches, rep), acc, dtype=np.float64)
+            acc = np.multiply(combine_sketches(child, sketches, reps), acc, dtype=np.float64)
         x = circ_cross_correlate(acc, x)
     for child in node.hadamard_children:
-        x = np.multiply(combine_sketches(child, sketches, rep), x, dtype=np.float64)
+        x = np.multiply(combine_sketches(child, sketches, reps), x, dtype=np.float64)
     return x
 
 
@@ -253,30 +268,35 @@ def estimate(
     """Estimate the query cardinality from conv sketches.
 
     Computes one estimate per repetition (FFT combination or the naive
-    sum, per `path`) and reports their median.  The fft path splits the
-    repetitions between two threads when m >= PARALLEL_M and the process
-    may run on more than one CPU.
+    sum, per `path`) and reports their median.  Below PARALLEL_M the fft
+    path combines every repetition in one block pass; from there up it
+    combines one repetition at a time, split between two threads when
+    the process may run on more than one CPU.
     """
     _check_sketches(sketches, graph, METHOD_CONV)
     if path not in ("fft", "naive"):
         raise QueryError(f"unknown inference path {path!r}")
     if plan is None:
         plan = traversal_plan(graph, "auto")
+    l = sketches[0].config.l
 
-    def estimate_rep(rep: int) -> float:
-        if path == "fft":
-            return float(combine_sketches(plan, sketches, rep).sum())
-        return naive_estimate(sketches, graph, rep)
+    def fft_rep(rep: int) -> float:
+        return float(combine_sketches(plan, sketches, rep).sum())
 
-    config = sketches[0].config
-    split = (
-        path == "fft"
-        and config.l > 1
-        and config.m >= PARALLEL_M
-        and hasattr(os, "sched_getaffinity")  # not on every platform
-        and len(os.sched_getaffinity(0)) > 1
-    )
-    return repetition_report(METHOD_CONV, config.l, estimate_rep, path, split)
+    def estimates() -> list[float]:
+        if path == "naive":
+            return [naive_estimate(sketches, graph, rep) for rep in range(l)]
+        if sketches[0].config.m < PARALLEL_M:
+            return combine_sketches(plan, sketches, slice(None)).sum(axis=-1).tolist()
+        if (
+            l > 1
+            and hasattr(os, "sched_getaffinity")  # not on every platform
+            and len(os.sched_getaffinity(0)) > 1
+        ):
+            return _split_repetitions(l, fft_rep)
+        return [fft_rep(rep) for rep in range(l)]
+
+    return repetition_report(METHOD_CONV, estimates, path)
 
 
 def required_bins(epsilon: float, r: int, norm_product: float) -> int:

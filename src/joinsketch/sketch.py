@@ -111,6 +111,19 @@ class RelationSketch:
         self.touched_cells = 0
 
 
+def check_grid_fits(config: SketchConfig) -> None:
+    """Raise QueryError unless one l x m float64 counter grid of `config`
+    can be allocated.  The probe grid is freed untouched, so no page of it
+    is written; commands call this before they read any source."""
+    try:
+        np.empty((config.l, config.m), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:  # ValueError: the size overflows
+        raise QueryError(
+            f"an l x m = {config.l} x {config.m} counter grid needs "
+            f"{8 * config.l * config.m:,} bytes, more than can be allocated"
+        ) from exc
+
+
 def _check_tuple(graph: JoinGraph, relation: int, found: int, attrs) -> None:
     """Raise DataError unless a tuple of relation `found` over attribute
     ids `attrs` belongs in relation `relation`'s sketch."""

@@ -760,3 +760,51 @@ class TestThroughputCommand:
         assert lines[0] == "method,m,relation,tuples,seconds,tuples_per_sec"
         assert len(lines) == 1 + 4  # 2 methods x 2 sizes
         assert all(line.split(",")[2] == "R1" for line in lines[1:])
+
+
+HUGE_M = 1 << 40
+
+
+class TestUnallocatableGrid:
+    @pytest.mark.parametrize(
+        "argv, m",
+        [
+            (["sketch", "--m", str(HUGE_M), "--out", "{out}"], HUGE_M),
+            (["sketch", "--m", str(HUGE_M), "--method", "ams", "--out", "{out}"], HUGE_M),
+            (["bench", "--m-sweep", "2^40..2^40", "--out", "{out}"], HUGE_M),
+            (["throughput", "--m-sweep", "2^40..2^40"], HUGE_M),
+            # 8 * 3 * 2^61 bytes overflows numpy's size type: a ValueError.
+            (["sketch", "--m", str(1 << 61), "--out", "{out}"], 1 << 61),
+        ],
+        ids=["sketch-conv", "sketch-ams", "bench", "throughput", "sketch-size-overflow"],
+    )
+    def test_found_before_any_source_is_read(self, tmp_path, caplog, monkeypatch, argv, m):
+        rng = np.random.default_rng(38)
+        write_chain3_workload(tmp_path, rng, sizes=(10, 20, 10))
+        q = tmp_path / "q.json"
+        sources = {f"R{k}": str(tmp_path / f"r{k}.csv") for k in range(3)}
+        q.write_text(json.dumps(chain3_query_doc(sources)))
+        out = tmp_path / "out"
+        for name in ("empty", "zeros"):
+            # Refuse an l x m grid as an exhausted address space would,
+            # without asking for the memory, wherever it is made.
+            original = getattr(np, name)
+
+            def refuse(shape, *args, original=original, **kwargs):
+                if isinstance(shape, tuple) and HUGE_M in shape:
+                    raise MemoryError(f"cannot allocate an array of shape {shape}")
+                return original(shape, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, refuse)
+        opened = spy_on_source_reads(monkeypatch)
+        argv = [arg.format(out=out) for arg in argv]
+        with caplog.at_level(logging.INFO, logger="joinsketch"):
+            code = main([argv[0], "--query", str(q), "--reps", "3", *argv[1:]])
+        assert code == EXIT_QUERY
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query error: an l x m = 3 x {m} counter grid needs {24 * m:,} bytes, "
+            "more than can be allocated"
+        ]
+        assert opened == []
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))

@@ -115,12 +115,12 @@ class TestCircularKernels:
             tol = 1e-9 * (1 + np.abs(ref_x).max())
             np.testing.assert_allclose(circ_cross_correlate(x, y), ref_x, atol=tol)
 
-    def test_one_long_cross_correlation_allocates_only_its_result(self):
+    @pytest.mark.parametrize("shape", [(65_536,), (5, 16_384)], ids=["vector", "block"])
+    def test_one_long_cross_correlation_allocates_only_its_result(self, shape):
         # The spectra go into per-thread scratch buffers; only the output is
         # new.  Allocating both spectra per call peaks at twice the bound.
-        m = 65_536
         rng = np.random.default_rng(15)
-        x, y = rng.normal(size=m), rng.normal(size=m)
+        x, y = rng.normal(size=shape), rng.normal(size=shape)
         want = circ_cross_correlate(x, y)  # sizes this thread's buffers
         tracemalloc.start()
         try:
@@ -132,11 +132,22 @@ class TestCircularKernels:
         np.testing.assert_array_equal(got, want)
         assert not np.shares_memory(got, circ_cross_correlate(x, y))
 
+    def test_block_rows_equal_their_vectors_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for m in (1, 2, 7, 12, 255, 4096):
+            x, y = rng.normal(size=(2, 5, m))
+            rows = np.stack([circ_cross_correlate(a, b) for a, b in zip(x, y)])
+            np.testing.assert_array_equal(circ_cross_correlate(x, y), rows)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             circ_convolve(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
             circ_cross_correlate(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            circ_cross_correlate(np.zeros((2, 4)), np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            circ_cross_correlate(np.zeros((2, 2, 4)), np.zeros((2, 2, 4)))
 
 
 class TestNaiveEstimate:
@@ -209,6 +220,34 @@ class TestCombineSketches:
             root = int(rng.integers(0, graph.w))
             got = float(combine_sketches(traversal_plan(graph, root), sketches, 0).sum())
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.int32])
+    def test_block_equals_the_per_row_loop_bit_for_bit(self, dtype):
+        # A file keeps int16 or int32 grids; the block reads them as
+        # float64 just as each row alone is read.
+        rng = np.random.default_rng(23)
+        high = 1000 if dtype == np.float64 else np.iinfo(dtype).max
+        for _ in range(12):
+            graph = random_graph(rng)
+            for l in (1, 2, 3, 5, 8):
+                for m in (1, 2, 7, 12, 64):
+                    grids = [rng.integers(-high, high, size=(l, m)).astype(dtype)
+                             for _ in range(graph.r)]
+                    if dtype == np.float64:
+                        grids = [grid + rng.random(size=(l, m)) for grid in grids]
+                    config = SketchConfig(m=m, l=l, seed=0)
+                    sketches = [RelationSketch(k, config, graph, None, grid)
+                                for k, grid in enumerate(grids)]
+                    for root in range(graph.w):
+                        plan = traversal_plan(graph, root)
+                        rows = [combine_sketches(plan, sketches, rep) for rep in range(l)]
+                        for reps in (slice(None), slice(1, None, 2)):
+                            block = combine_sketches(plan, sketches, reps)
+                            assert block.dtype == np.float64
+                            np.testing.assert_array_equal(block, np.stack(rows)[reps])
+                            assert block.sum(axis=-1).tolist() == [
+                                float(row.sum()) for row in rows[reps]
+                            ]
 
     def test_zero_relation_sketch_absorbs(self):
         graph = multiway_graph()
@@ -328,12 +367,14 @@ def split_everything(monkeypatch):
 
 def record_threads(monkeypatch, fail=None):
     """Wrap combine_sketches; return the {rep: set of thread ids} it ran
-    on.  `fail(rep)` may raise instead of combining."""
-    threads: dict[int, set[int]] = {}
+    on, where a block of repetitions is keyed by its slice's (start,
+    stop, step).  `fail(rep)` may raise instead of combining."""
+    threads: dict[int | tuple, set[int]] = {}
     original = estimator.combine_sketches
 
     def recorded(node, sketches, rep):
-        threads.setdefault(rep, set()).add(threading.get_ident())
+        key = (rep.start, rep.stop, rep.step) if isinstance(rep, slice) else rep
+        threads.setdefault(key, set()).add(threading.get_ident())
         if fail is not None:
             fail(rep)
         return original(node, sketches, rep)
@@ -490,6 +531,76 @@ class TestSplitRepetitions:
         assert len(report.per_repetition) == 5
         if path == "fft":
             assert set().union(*threads.values()) == {threading.get_ident()}
+
+    def test_small_m_estimate_is_one_block_pass_equal_to_the_serial_report(self, monkeypatch):
+        # On any host, every fft estimate below PARALLEL_M combines all its
+        # repetitions as one block, in the calling thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_worker():
+            raise AssertionError("a worker thread was asked for")
+
+        monkeypatch.setattr(estimator, "_executor", no_worker)
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            graph = random_graph(rng)
+            for l, m in ((1, 4096), (4, 7), (5, 64), (8, 255)):
+                grids = [rng.normal(size=(l, m)) for _ in range(graph.r)]
+                sketches = sketches_from_grids(graph, grids, m=m, l=l)
+                plan = traversal_plan(graph, "auto")
+                serial = tuple(
+                    float(combine_sketches(plan, sketches, rep).sum()) for rep in range(l)
+                )
+                threads = record_threads(monkeypatch)
+                report = estimate(sketches, graph, plan)
+                monkeypatch.setattr(estimator, "combine_sketches", combine_sketches)
+                assert report.per_repetition == serial
+                assert report.median == statistics.median(serial)
+                assert threads == {(None, None, None): {threading.get_ident()}}
+
+    def test_small_m_transform_count_does_not_grow_with_l(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, original=original, name=name, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        graph = multiway_graph()
+        rng = np.random.default_rng(25)
+        counts = {}
+        for l in (1, 2, 5, 8):
+            grids = random_sketch_grids(rng, graph, m=64, l=l)
+            calls.clear()
+            estimate(sketches_from_grids(graph, grids, m=64, l=l), graph)
+            counts[l] = (calls.count("rfft"), calls.count("irfft"))
+        assert counts[1][0] > 0 and counts[1][1] > 0
+        assert set(counts.values()) == {counts[1]}, counts
+
+    def test_ams_estimate_equals_the_per_row_products(self):
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            graph = random_graph(rng)
+            for l, m in ((1, 1), (3, 7), (5, 64), (2, 1024)):
+                for dtype in (np.float64, np.int16):
+                    grids = [rng.integers(-300, 300, size=(l, m)).astype(dtype)
+                             for _ in range(graph.r)]
+                    if dtype == np.float64:
+                        grids = [grid + rng.random(size=(l, m)) for grid in grids]
+                    config = SketchConfig(m=m, l=l, seed=0, method="ams")
+                    sketches = [RelationSketch(k, config, graph, None, grid)
+                                for k, grid in enumerate(grids)]
+                    per_row = []
+                    for rep in range(l):
+                        product = grids[0][rep].astype(np.float64)
+                        for grid in grids[1:]:
+                            product = product * grid[rep]
+                        per_row.append(float(product.mean()))
+                    report = ams_estimate(sketches, graph)
+                    assert report.per_repetition == tuple(per_row)
+                    assert report.median == statistics.median(per_row)
 
     def test_ams_estimate_starts_no_worker(self, monkeypatch):
         split_everything(monkeypatch)
