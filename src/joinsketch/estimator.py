@@ -179,7 +179,7 @@ def circ_cross_correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim not in (1, 2):
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+        raise ValueError(f"expected vectors or (l, m) blocks of one shape: {x.shape} vs {y.shape}")
     spec_x, spec_y = _spectra(x.shape)
     np.fft.rfft(x, out=spec_x)
     np.conj(spec_x, out=spec_x)
