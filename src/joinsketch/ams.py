@@ -11,7 +11,7 @@ what the convolution sketch removes.
 
 The bulk update is vectorized and builds a query's sketches together:
 it takes each batch's distinct tuples, and the values they use, from
-`sketch.group_tuples`, the grouping the conv sketch and the oracle use,
+`sketch.group_tuples`, the grouping the conv sketch also uses,
 evaluates one sign-parity table per (edge, repetition), a row of m
 parities for each value at either endpoint of the edge, and adds each
 block of distinct tuples to the counters with one matrix product.  Both

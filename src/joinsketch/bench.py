@@ -29,7 +29,6 @@ from .mersenne import mix64
 from .oracle import exact_cardinality
 from .sketch import (
     METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, check_grid_fits,
-    group_tuples,
 )
 from .sketchfile import Replacement
 
@@ -166,16 +165,6 @@ def conv_grids(
         yield graph.spec.relations[rel].name, grid
 
 
-def freqs_from_columns(graph: JoinGraph, columns_by_relation: Iterable[Columns]):
-    """Each relation's `group_tuples` (groups, weights) pair, the exact
-    oracle's frequency format, from columns in relation order.  Given a
-    generator, it holds one relation's columns at a time."""
-    return [
-        group_tuples(columns, graph.omega[rel], deltas)
-        for rel, (columns, deltas) in enumerate(columns_by_relation)
-    ]
-
-
 def run_trial(
     graph: JoinGraph,
     columns_by_relation: list[Columns],
@@ -217,7 +206,7 @@ def run_bench(
     if columns_by_relation is None:
         columns_by_relation = read_all_columns(graph)
 
-    exact = exact_cardinality(freqs_from_columns(graph, columns_by_relation), graph, path="auto")
+    exact = exact_cardinality(columns_by_relation, graph, path="auto")
 
     rows: list[BenchRow] = []
     for method in methods:

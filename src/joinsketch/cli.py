@@ -16,7 +16,6 @@ from .ams import ams_estimate
 from .bench import (
     build_sketches,
     conv_grids,
-    freqs_from_columns,
     parse_m_sweep,
     read_all_columns,
     run_bench,
@@ -168,10 +167,24 @@ def _rebind(graph, config, stored):
     ]
 
 
+class _SourceRows:
+    """A query's relations as the reader's rows, each read from its source
+    when the oracle asks for it; the hash join asks for each once, after
+    the relations below it, so `exact` holds one relation's rows at a time."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def __len__(self) -> int:
+        return self.graph.r
+
+    def __getitem__(self, relation: int):
+        return read_columns(self.graph, relation)
+
+
 def cmd_exact(args) -> int:
     graph = _load_graph(args.query)
-    columns = (read_columns(graph, rel) for rel in range(graph.r))
-    value = exact_cardinality(freqs_from_columns(graph, columns), graph, path=args.path)
+    value = exact_cardinality(_SourceRows(graph), graph, path=args.path)
     print(int(value) if float(value).is_integer() else value)
     return 0
 

@@ -39,16 +39,18 @@ Columns = tuple[dict[int, np.ndarray], np.ndarray]
 
 # Values are dense over n rows when their span, max - min + 1, is at
 # most DENSE_SPAN * n: `group_tuples` then codes a column of n rows by
-# direct addressing, and the oracle looks a parent column's n distinct
-# values up in a table over a child's span, with no sort and no binary
-# search.  The multiple is set by memory.  A dense code holds a bool
-# presence array and an intp rank array over the span, 9 bytes per slot,
-# where `np.unique(col, return_inverse=True)` holds an intp argsort, a
-# sorted uint64 copy and an intp rank array, 24 bytes per row; the
-# lookup table holds a float64 per slot, where `searchsorted` holds an
-# intp position, a gathered value and a gathered weight, 24 bytes per
-# value.  At 2 slots per row or value the span costs at most 18 bytes
-# per row or value, so neither allocates more than the path it replaces.
+# direct addressing, and the oracle totals n rows per value with one
+# `np.bincount` over the span and looks n row keys up in a table over a
+# child's span, with no sort and no hashing.  The multiple is set by
+# memory.  A dense code holds a bool presence array and an intp rank
+# array over the span, 9 bytes per slot, where
+# `np.unique(col, return_inverse=True)` holds an intp argsort, a sorted
+# uint64 copy and an intp rank array, 24 bytes per row; the oracle's
+# totals and lookup table hold a float64 per slot, where the grouping
+# and the hashed lookup hold at least an intp and a float64 per row.  At
+# 2 slots per row the span costs at most 18 bytes per row, so no dense
+# path allocates more than the path it replaces.  The oracle's hash
+# table for sparse values has at least DENSE_SPAN slots per value.
 DENSE_SPAN = 2
 
 
@@ -254,7 +256,7 @@ def group_tuples(
     columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Distinct tuples of nonzero net frequency: the one grouping of a
-    batch, and the exact oracle's frequency format.
+    batch, read by both sketch updates and the nested-loop oracle.
 
     Returns, per attribute of `attrs`, `(values, inverse)`: the sorted
     distinct uint64 values that the kept tuples use, and each kept

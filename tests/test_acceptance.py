@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from joinsketch.ams import ams_estimate, ams_sketch, ams_update
-from joinsketch.bench import build_sketches, freqs_from_columns, run_bench
+from joinsketch.bench import build_sketches, run_bench
 from joinsketch.estimator import (
     combine_sketches,
     estimate,
@@ -24,6 +24,7 @@ from joinsketch.sketch import (
     SketchConfig,
     TupleUpdate,
     build_sketch,
+    group_tuples,
     merge,
     update,
 )
@@ -81,8 +82,8 @@ def chain_workload():
         ),
         ({3: zipf_values(rng, sizes[2], domain, skew)}, np.ones(sizes[2])),
     ]
-    freqs = freqs_from_columns(graph, columns)
-    exact = exact_cardinality(freqs, graph, path="nested")
+    freqs = [group_tuples(cols, graph.omega[rel], d) for rel, (cols, d) in enumerate(columns)]
+    exact = exact_cardinality(columns, graph, path="nested")
     norm_product = 1.0
     for f in freqs:
         norm_product *= frequency_norms(f)
@@ -221,8 +222,8 @@ class TestCriterion5CountSketchInnerProduct:
         fx = zipf_values(rng, 60, 24, 1.0)
         gx = zipf_values(rng, 50, 24, 1.0)
         columns = [({0: fx}, np.ones(60)), ({1: gx}, np.ones(50))]
-        freqs = freqs_from_columns(graph, columns)
-        inner = exact_cardinality(freqs, graph, path="nested")
+        freqs = [group_tuples(cols, graph.omega[k], d) for k, (cols, d) in enumerate(columns)]
+        inner = exact_cardinality(columns, graph, path="nested")
         norms = frequency_norms(freqs[0]) * frequency_norms(freqs[1])
 
         ests = np.empty(self.SEEDS)

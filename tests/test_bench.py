@@ -11,7 +11,6 @@ from joinsketch.bench import (
     BenchRow,
     BenchSummary,
     abs_rel_error,
-    freqs_from_columns,
     loglog_slope,
     parse_m_sweep,
     q_error,
@@ -23,30 +22,29 @@ from joinsketch.bench import (
 )
 from joinsketch.errors import QueryError
 from joinsketch.joingraph import build_join_graph, parse_query
-from joinsketch.oracle import materialize
+from joinsketch.oracle import exact_cardinality, materialize
 from joinsketch.sketch import TupleUpdate, updates_to_columns
 
 from conftest import chain3_query_doc, multiway_graph, turnstile_stream, write_chain3_workload
 
 
-class TestFreqsFromColumns:
+class TestExactOnColumns:
     def test_matches_materialize_on_turnstile_stream(self):
+        # `run_bench` hands the oracle each relation's columns as read,
+        # with no grouping first.
         graph = multiway_graph()
         rng = np.random.default_rng(8)
         streams = [turnstile_stream(rng, graph, rel, n=300) for rel in range(graph.r)]
         streams[1].append(TupleUpdate(1, {1: (1 << 64) - 1, 2: 1 << 63}, 3.0))
-        streams[3] = []
         columns = [updates_to_columns(s, graph, rel) for rel, s in enumerate(streams)]
-        expected = [materialize(s, graph, rel) for rel, s in enumerate(streams)]
-        assert all(len(sums) > 0 for _, sums in expected[:3]) and len(expected[3][1]) == 0
-        for (groups, sums), (ref_groups, ref_sums) in zip(
-            freqs_from_columns(graph, columns), expected
-        ):
-            assert len(groups) == len(ref_groups)
-            for (values, inverse), (ref_values, ref_inverse) in zip(groups, ref_groups):
-                assert values.dtype == ref_values.dtype and np.array_equal(values, ref_values)
-                assert np.array_equal(inverse, ref_inverse)
-            assert sums.tobytes() == ref_sums.tobytes()
+        expected = exact_cardinality(
+            [materialize(s, graph, rel) for rel, s in enumerate(streams)], graph
+        )
+        assert expected != 0 and exact_cardinality(columns, graph) == expected
+        rows, _, _ = run_bench(graph, [16], 1, 0, ["conv"], columns_by_relation=columns)
+        assert [row.exact for row in rows] == [expected]
+        columns[3] = updates_to_columns([], graph, 3)
+        assert exact_cardinality(columns, graph) == 0.0
 
 
 class TestMetrics:

@@ -498,29 +498,95 @@ class TestExactCommand:
         assert main(["exact", "--query", str(q), "--path", path]) == 0
         assert capsys.readouterr().out.strip() == str(int(expected))
 
-    def test_exact_codes_each_relation_once(self, tmp_path, monkeypatch, capsys):
-        # `exact` groups each relation with `group_tuples` once; the join
-        # reads those codes and groups nothing again.
-        from joinsketch import bench, oracle
+    @staticmethod
+    def _spy_grouping(monkeypatch):
+        """The attribute tuples of every `group_tuples` call the oracle makes."""
+        from joinsketch import oracle
 
+        calls = []
+
+        def spy(columns, attrs, deltas, group_tuples=oracle.group_tuples):
+            calls.append(attrs)
+            return group_tuples(columns, attrs, deltas)
+
+        monkeypatch.setattr(oracle, "group_tuples", spy)
+        return calls
+
+    def test_exact_joins_dense_rows_without_grouping(self, tmp_path, monkeypatch, capsys):
+        # On dense int keys the hash join totals every node with one
+        # `np.bincount` over the entry column's span and groups nothing;
+        # the nested reference still groups each relation once.
         graph = write_chain3_workload(tmp_path, np.random.default_rng(61))
         q = tmp_path / "q.json"
         sources = {name: str(tmp_path / f"{name.lower()}.csv") for name in ("R0", "R1", "R2")}
         q.write_text(json.dumps(chain3_query_doc(sources)))
-        calls = []
-        for module in (bench, oracle):
-            def spy(columns, attrs, deltas, group_tuples=module.group_tuples):
-                calls.append(attrs)
-                return group_tuples(columns, attrs, deltas)
-
-            monkeypatch.setattr(module, "group_tuples", spy)
-        assert main(["exact", "--query", str(q)]) == 0
-        assert calls == list(graph.omega)
         freqs = [materialize(read_stream(graph, rel), graph, rel) for rel in range(graph.r)]
-        calls.clear()
+        calls = self._spy_grouping(monkeypatch)
         expected = exact_cardinality(freqs, graph)
         assert calls == []
+        assert main(["exact", "--query", str(q)]) == 0
+        assert calls == []
         assert expected != 0 and capsys.readouterr().out.strip() == str(int(expected))
+        assert main(["exact", "--query", str(q), "--path", "nested"]) == 0
+        assert calls == list(graph.omega)
+        assert capsys.readouterr().out.strip() == str(int(expected))
+
+    def test_exact_reads_each_source_once_below_the_root_first(self, tmp_path, monkeypatch, capsys):
+        graph = write_chain3_workload(tmp_path, np.random.default_rng(63))
+        q = tmp_path / "q.json"
+        sources = {name: str(tmp_path / f"{name.lower()}.csv") for name in ("R0", "R1", "R2")}
+        q.write_text(json.dumps(chain3_query_doc(sources)))
+        expected = exact_cardinality(read_all_columns(graph), graph)
+        read = []
+
+        def spy(graph, relation, read_columns=cli.read_columns):
+            read.append(relation)
+            return read_columns(graph, relation)
+
+        monkeypatch.setattr(cli, "read_columns", spy)
+        assert main(["exact", "--query", str(q)]) == 0
+        assert read == [2, 1, 0]  # the chain's plan enters R0, then R1, then R2
+        assert capsys.readouterr().out.strip() == str(int(expected))
+
+    def test_exact_groups_single_columns_on_sparse_keys(self, tmp_path, monkeypatch, capsys):
+        # str keys hash to sparse uint64 values: each node totals per
+        # entry value with `group_tuples` on that one column, and no call
+        # groups tuples over more than one attribute.
+        write_chain3_workload(tmp_path, np.random.default_rng(62))
+        doc = chain3_query_doc(
+            {name: str(tmp_path / f"{name.lower()}.csv") for name in ("R0", "R1", "R2")}
+        )
+        for rel in doc["relations"]:
+            rel["join_columns"] = [col.replace(":int", "") for col in rel["join_columns"]]
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        graph = build_join_graph(load_query(str(q)))
+        freqs = [materialize(read_stream(graph, rel), graph, rel) for rel in range(graph.r)]
+        expected = exact_cardinality(freqs, graph, path="nested")
+        calls = self._spy_grouping(monkeypatch)
+        assert main(["exact", "--query", str(q)]) == 0
+        assert len(calls) == graph.r and all(len(attrs) == 1 for attrs in calls)
+        assert expected != 0 and capsys.readouterr().out.strip() == str(int(expected))
+
+    @pytest.mark.parametrize("path", ["auto", "nested"])
+    def test_count_past_2_53_is_data_error(self, tmp_path, capsys, caplog, path):
+        # (2^27 + 1)^2 = 2^54 + 2^28 + 1 has no float64; `exact` exits 3
+        # rather than print a rounded count.
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.csv").write_text(f"k,__delta\n1,{2**27 + 1}\n")
+        doc = {
+            "relations": [
+                {"name": "A", "source": str(tmp_path / "a.csv"), "join_columns": ["k:int"]},
+                {"name": "B", "source": str(tmp_path / "b.csv"), "join_columns": ["k:int"]},
+            ],
+            "joins": [["A.k", "B.k"]],
+        }
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        with caplog.at_level(logging.ERROR, logger="joinsketch"):
+            assert main(["exact", "--query", str(q), "--path", path]) == EXIT_DATA
+        assert capsys.readouterr().out == ""
+        assert "2^53" in caplog.text
 
     def test_hash_path_is_usage_error(self, tmp_path):
         # The hash join is `--path auto`; it has no second name.

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from collections import defaultdict
+from math import prod
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from joinsketch.errors import BudgetError, DataError, QueryError
 from joinsketch.joingraph import build_join_graph, parse_query, traversal_plan
 from joinsketch import oracle
 from joinsketch.oracle import exact_cardinality, frequency_norms, materialize
-from joinsketch.sketch import TupleUpdate, dense_window, group_tuples
+from joinsketch.sketch import DENSE_SPAN, TupleUpdate, dense_window, group_tuples
 
 from conftest import chain3_graph, multiway_graph, random_graph, two_rel_graph
 
@@ -339,3 +340,132 @@ class TestMaterialize:
         graph = two_rel_graph()
         with pytest.raises(DataError, match="contains a tuple for relation 1"):
             materialize([TupleUpdate(1, {1: 4}, 1.0)], graph, 0)
+
+
+def _mixed_rows(rng, graph):
+    """Rows whose columns draw from a random pool each, as in
+    `_mixed_freqs`, with deltas in {-1, 1, 2}; a random third of them is
+    inserted again with negated deltas, so those tuples cancel."""
+    rows = []
+    for rel in range(graph.r):
+        n = int(rng.integers(1, 24))
+        columns = {u: rng.choice(_POOLS[int(rng.integers(0, 3))], size=n) for u in graph.omega[rel]}
+        deltas = rng.choice([-1.0, 1.0, 2.0], size=n)
+        again = rng.permutation(n)[: n // 3]
+        columns = {u: np.concatenate([col, col[again]]) for u, col in columns.items()}
+        rows.append((columns, np.concatenate([deltas, -deltas[again]])))
+    return rows
+
+
+def test_hash_join_over_rows_equals_the_grouped_join_and_the_nested_loop(monkeypatch):
+    totals = []
+
+    def spy(col, rows=None):
+        window = dense_window(col, rows)
+        if rows is None:  # an entry column's totals, not a child lookup
+            totals.append(window is not None)
+        return window
+
+    monkeypatch.setattr(oracle, "dense_window", spy)
+    rng = np.random.default_rng(30)
+    nonzero = nested = 0
+    for _ in range(400):
+        graph = random_graph(rng)
+        rows = _mixed_rows(rng, graph)
+        freqs = [group_tuples(cols, graph.omega[k], d) for k, (cols, d) in enumerate(rows)]
+        total = exact_cardinality(rows, graph)
+        assert exact_cardinality(freqs, graph) == total
+        # The nested loop enumerates every combination of distinct tuples
+        # in Python; it runs where that takes at most a few milliseconds.
+        if prod(len(weights) for _, weights in freqs) <= 20_000:
+            assert exact_cardinality(rows, graph, path="nested") == total
+            assert exact_cardinality(freqs, graph, path="nested") == total
+            nested += 1
+        nonzero += total != 0.0
+    assert nested > 250 and nonzero > 40, (nested, nonzero)
+    assert set(totals) == {True, False}  # both the span and the grouping totalled
+
+
+class _OnDemand:
+    """Relations handed out one at a time, as copies, noting which of the
+    rows handed out before are still alive at each request."""
+
+    def __init__(self, rows):
+        self.rows, self.taken, self.alive, self.refs = rows, [], [], []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        self.alive.append(sum(ref() is not None for ref in self.refs))
+        columns, deltas = self.rows[k]
+        fresh = {u: col.copy() for u, col in columns.items()}, deltas.copy()
+        self.refs += [weakref.ref(a) for a in (*fresh[0].values(), fresh[1])]
+        self.taken.append(k)
+        return fresh
+
+
+@pytest.mark.parametrize("graph", [chain3_graph(), multiway_graph()], ids=["chain3", "star4"])
+def test_hash_join_takes_each_relation_once_and_lets_go_of_its_rows(graph):
+    rows = _mixed_rows(np.random.default_rng(32), graph)
+    on_demand = _OnDemand(rows)
+    gc.collect()
+    gc.disable()
+    try:
+        assert exact_cardinality(on_demand, graph) == exact_cardinality(rows, graph)
+    finally:
+        gc.enable()
+    assert sorted(on_demand.taken) == list(range(graph.r)) and on_demand.taken[-1] == 0
+    assert on_demand.alive == [0] * graph.r  # no other relation's rows at any request
+
+
+def test_hashed_lookup_matches_a_dict_with_shared_slots():
+    rng = np.random.default_rng(31)
+    values = np.unique(np.concatenate([
+        rng.integers(0, 2**64, size=300, dtype=np.uint64),
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        np.arange(2**40, 2**40 + 64, dtype=np.uint64),
+    ]))
+    weights = rng.normal(size=len(values))
+    keys = np.concatenate([rng.choice(values, size=500), rng.integers(0, 2**64, 200, np.uint64)])
+    keys = np.append(keys, np.array([2**63 + 1, 2**64 - 2, 2**40 + 64], dtype=np.uint64))
+    assert dense_window(values, len(keys)) is None
+    weight_of = dict(zip(values.tolist(), weights.tolist()))
+    got = oracle._weights_at(values, weights, keys)
+    assert got.tolist() == [weight_of.get(k, 0.0) for k in keys.tolist()]
+    bits = (DENSE_SPAN * len(values) - 1).bit_length()
+    slots = (values * oracle._FIBONACCI) >> np.uint64(64 - bits)
+    assert len(np.unique(slots)) < len(values)  # some values share a slot
+
+
+class TestCountLimit:
+    """A count whose partial sums could reach 2^53 is a DataError, not a
+    rounded number: (2^27 + 1)^2 = 2^54 + 2^28 + 1 has no float64."""
+
+    BIG = float(2**27 + 1)
+
+    @pytest.mark.parametrize("path", ["auto", "nested"])
+    def test_rows_past_the_limit(self, path):
+        rows = [({u: np.array([1], dtype=np.uint64)}, np.array([self.BIG])) for u in (0, 1)]
+        with pytest.raises(DataError, match="2\\^53"):
+            exact_cardinality(rows, two_rel_graph(), path=path)
+
+    @pytest.mark.parametrize("path", ["auto", "nested"])
+    def test_groups_past_the_limit(self, path):
+        freq = freq_of({(1,): self.BIG})
+        with pytest.raises(DataError, match="2\\^53"):
+            exact_cardinality([freq, freq], two_rel_graph(), path=path)
+
+    @pytest.mark.parametrize("path", ["auto", "nested"])
+    def test_cancelling_terms_count_by_magnitude(self, path):
+        # 2^52 - 2^52 is exact, but the bound is on the magnitudes, which
+        # sum to 2^53.
+        half = float(2**26)
+        freqs = [freq_of({(1,): half, (2,): half}), freq_of({(1,): half, (2,): -half})]
+        with pytest.raises(DataError, match="2\\^53"):
+            exact_cardinality(freqs, two_rel_graph(), path=path)
+
+    @pytest.mark.parametrize("path", ["auto", "nested"])
+    def test_just_below_the_limit(self, path):
+        freqs = [freq_of({(1,): float(2**26)}), freq_of({(1,): float(2**27 - 1)})]
+        assert exact_cardinality(freqs, two_rel_graph(), path=path) == 2.0**53 - 2.0**26

@@ -11,10 +11,10 @@ ten times slower than grouping by per-column codes with 1-D
 
 In `sketch.py`, `ams.py` and `oracle.py`, `np.unique` runs only inside
 `sketch.group_tuples`.  A batch is grouped into distinct tuples once, and
-the conv update, the AMS update and the oracle all read that one result,
-so no column is sorted twice and the three cannot fold duplicates three
-different ways; the oracle sums per entry value over those same codes
-with `np.bincount`, so it sorts no column again.
+the conv update, the AMS update and the nested-loop oracle all read that
+one result, so no column is sorted twice and the three cannot fold
+duplicates three different ways; the hash-join oracle groups no tuples,
+and totals a sparse column per value through the same function.
 
 In `sketch.py`, no `bin_eval_vec` or `sign_eval_vec` call sits inside
 a loop over repetitions: each call takes an attribute's values with the
