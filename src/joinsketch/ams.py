@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import QueryError
 from .estimator import EstimateReport, _check_sketches, repetition_report
-from .hashing import derive_hash_set
+from .hashing import BLOCK_ELEMENTS, derive_hash_set, sign_parity_table
 from .joingraph import JoinGraph
-from .mersenne import BLOCK_ELEMENTS, sign_parity_table
 from .sketch import (
     METHOD_AMS,
     Columns,

@@ -22,10 +22,9 @@ import numpy as np
 from .ams import ams_bulk_update, ams_estimate
 from .errors import QueryError
 from .estimator import estimate
-from .hashing import derive_hash_set
+from .hashing import derive_hash_set, mix64
 from .ingest import read_columns
 from .joingraph import JoinGraph, traversal_plan
-from .mersenne import mix64
 from .oracle import exact_cardinality
 from .sketch import (
     METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, check_grid_fits,
@@ -197,8 +196,6 @@ def run_bench(
     """Full sweep: rows per (method, m, trial), summaries, log-log slopes."""
     if trials < 1:
         raise QueryError(f"trials must be >= 1, got {trials}")
-    if l < 1:
-        raise QueryError(f"repetition count l must be >= 1, got {l}")
     for method in methods:
         if method not in (METHOD_CONV, METHOD_AMS):
             raise QueryError(f"unknown method {method!r}")
@@ -317,8 +314,6 @@ def run_throughput(
     covers only the update of that one relation's tuples, alone: the
     per-tuple update rate the paper compares.
     """
-    if l < 1:
-        raise QueryError(f"repetition count l must be >= 1, got {l}")
     check_grid_fits(SketchConfig(m=max(m_values), l=l))
     if columns_by_relation is None:
         columns_by_relation = read_all_columns(graph)

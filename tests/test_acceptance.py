@@ -15,9 +15,8 @@ from joinsketch.estimator import (
     estimate,
     naive_estimate,
 )
-from joinsketch.hashing import derive_hash_set
+from joinsketch.hashing import derive_hash_set, mix64
 from joinsketch.joingraph import traversal_plan
-from joinsketch.mersenne import mix64
 from joinsketch.oracle import exact_cardinality, frequency_norms
 from joinsketch.sketch import (
     RelationSketch,

@@ -16,8 +16,7 @@ from joinsketch.ams import (
 )
 from joinsketch.bench import build_sketches
 from joinsketch.errors import QueryError
-from joinsketch.hashing import derive_hash_set, sign_eval
-from joinsketch.mersenne import sign_parity_table
+from joinsketch.hashing import derive_hash_set, sign_eval, sign_parity_table
 from joinsketch.sketch import (
     RelationSketch,
     SketchConfig,

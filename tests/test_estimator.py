@@ -544,7 +544,7 @@ class TestSplitRepetitions:
         rng = np.random.default_rng(24)
         for _ in range(6):
             graph = random_graph(rng)
-            for l, m in ((1, 4096), (4, 7), (5, 64), (8, 255)):
+            for l, m in ((1, 4096), (4, 7), (5, 64), (8, 255), (5, estimator.PARALLEL_M - 1)):
                 grids = [rng.normal(size=(l, m)) for _ in range(graph.r)]
                 sketches = sketches_from_grids(graph, grids, m=m, l=l)
                 plan = traversal_plan(graph, "auto")

@@ -6,6 +6,7 @@ import pytest
 
 from joinsketch.errors import QueryError
 from joinsketch.hashing import (
+    PRIME,
     bin_eval,
     bin_eval_vec,
     derive_hash_set,
@@ -13,7 +14,6 @@ from joinsketch.hashing import (
     sign_eval_vec,
 )
 from joinsketch.joingraph import build_join_graph, parse_query
-from joinsketch.mersenne import PRIME
 from joinsketch.sketch import SketchConfig
 
 from conftest import multiway_query_doc

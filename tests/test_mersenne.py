@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from joinsketch.mersenne import (
+from joinsketch.hashing import (
     BLOCK_ELEMENTS,
     PRIME,
     derive_state,

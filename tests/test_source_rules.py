@@ -25,9 +25,11 @@ Every imported name is used: a leftover import of a deleted helper is
 dead code that still ties two modules together.  Names that exist only
 to be patched from outside carry `# noqa: F401`.
 
-Hash functions come from the seed in one place, `hashing.derive_hash_set`:
-no other module reads the seed-expansion functions that `mersenne.py`
-defines, so two methods cannot derive one family two ways.
+Hash functions come from the seed in one place, `hashing.derive_hash_set`,
+and `hashing.py` alone holds the seed expansion and the field arithmetic
+that evaluates them: no other module reads either, so two methods cannot
+derive or evaluate one family two ways, and another family (tabulation
+hashing, say) changes one file.
 
 Only `hashing.py` reads a HashSet's fields, `signs` and `bins`; every
 other module goes through `sign_for`, `bin_for` and `coefficients`.  One
@@ -336,38 +338,39 @@ def test_no_unused_import_in_the_package(path):
 
 
 SEED_EXPANSION = {"derive_state", "field_elements", "field_elements_vec"}
+FIELD_ARITHMETIC = {"poly_table", "poly_eval", "mulmod_vec", "mod_p_vec", "mod_p", "_fold"}
 
 
-def seed_expansion_uses(source: str) -> list[tuple[str, int]]:
-    """(name, line) of every import, call or other read of a
-    seed-expansion function; their definitions do not count."""
+def name_uses(source: str, names: set[str]) -> list[tuple[str, int]]:
+    """(name, line) of every import, call or other read of one of
+    `names`; their definitions do not count."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            found.update((a.name, node.lineno) for a in node.names if a.name in SEED_EXPANSION)
-        elif isinstance(node, ast.Name) and node.id in SEED_EXPANSION:
+            found.update((a.name, node.lineno) for a in node.names if a.name in names)
+        elif isinstance(node, ast.Name) and node.id in names:
             found.add((node.id, node.lineno))
-        elif isinstance(node, ast.Attribute) and node.attr in SEED_EXPANSION:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.add((node.attr, node.lineno))
     return sorted(found)
 
 
 def test_finds_a_seed_expansion_use():
     source = (
-        "from .mersenne import (\n"
+        "from .hashing import (\n"
         "    BLOCK_ELEMENTS,\n"
         "    derive_state,\n"
         ")\n"
-        "from . import mersenne\n"
+        "from . import hashing\n"
         "def derive_state_twice(seed):\n"
         "    'field_elements in a docstring is not a use.'\n"
         "    state = derive_state(seed, 1)\n"
-        "    draw = mersenne.field_elements_vec\n"
-        "    return draw(state, 4), mersenne.field_elements(state, 4)\n"
+        "    draw = hashing.field_elements_vec\n"
+        "    return draw(state, 4), hashing.field_elements(state, 4)\n"
         "def field_elements(state, count):\n"
         "    return state\n"
     )
-    assert seed_expansion_uses(source) == [
+    assert name_uses(source, SEED_EXPANSION) == [
         ("derive_state", 1), ("derive_state", 8), ("field_elements", 10),
         ("field_elements_vec", 9),
     ]
@@ -379,7 +382,35 @@ def test_finds_a_seed_expansion_use():
     ids=lambda p: p.name,
 )
 def test_only_hashing_expands_the_seed(path):
-    assert seed_expansion_uses(path.read_text(encoding="utf-8")) == []
+    assert name_uses(path.read_text(encoding="utf-8"), SEED_EXPANSION) == []
+
+
+def test_finds_a_field_arithmetic_use():
+    source = (
+        "from .hashing import BLOCK_ELEMENTS, mod_p, sign_parity_table\n"
+        "from .hashing import _fold as fold\n"
+        "from . import hashing\n"
+        "def parities(h, xs, x):\n"
+        "    'poly_table in a docstring is not a use.'\n"
+        "    table = hashing.poly_table(h, xs, parity=True)\n"
+        "    square = hashing.mulmod_vec(xs, xs)\n"
+        "    return table, square, poly_eval(h, mod_p(x)), sign_parity_table(h, xs)\n"
+        "def mod_p_vec(x):\n"
+        "    return hashing.mod_p_vec\n"
+    )
+    assert name_uses(source, FIELD_ARITHMETIC) == [
+        ("_fold", 2), ("mod_p", 1), ("mod_p", 8), ("mod_p_vec", 10), ("mulmod_vec", 7),
+        ("poly_eval", 8), ("poly_table", 6),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "hashing.py"),
+    ids=lambda p: p.name,
+)
+def test_only_hashing_does_field_arithmetic(path):
+    assert name_uses(path.read_text(encoding="utf-8"), FIELD_ARITHMETIC) == []
 
 
 HASH_SET_FIELDS = {"signs", "bins"}
