@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
@@ -27,7 +28,8 @@ from .ingest import read_columns
 from .joingraph import JoinGraph, traversal_plan
 from .oracle import exact_cardinality
 from .sketch import (
-    METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, bulk_update, check_grid_fits,
+    METHOD_AMS, METHOD_CONV, Columns, RelationSketch, SketchConfig, TupleUpdate, bulk_update,
+    check_grid_fits, update_batches,
 )
 from .sketchfile import Replacement
 
@@ -143,24 +145,32 @@ def build_sketches(
 def conv_grids(
     graph: JoinGraph,
     config: SketchConfig,
-    columns_by_relation: Iterable[Columns],
+    streams: Iterable[Iterable[TupleUpdate]],
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Each relation's (name, conv counter grid) in relation order, all
     built into one reused l x m grid: a yielded grid holds its relation's
     counters only until the next is asked for, as `save_sketch_file`
     needs.
 
-    The counters equal `build_sketches`'.  `sketch` so holds one grid,
-    not one per relation (2.6 MB each at m = 65,536, l = 5), and writes
-    the same pages for every relation.  The grid is filled with zeros
-    rather than made by `np.zeros`, whose shared zero pages would fault
-    once on a scatter's read and again on its write.
+    `streams` gives each relation's updates, asked for when its grid is
+    built: a `read_stream` reader is read batch by batch
+    (`update_batches`), so `sketch` holds one batch of one relation, plus
+    the grid.  The counters equal `build_sketches'` from whole reads, as
+    every partial sum is an integer below 2^53.  `sketch` so holds one
+    grid, not one per relation (2.6 MB each at m = 65,536, l = 5), and
+    writes the same pages for every relation.  The grid is filled with
+    zeros rather than made by `np.zeros`, whose shared zero pages would
+    fault once on a scatter's read and again on its write.
     """
     hashes = derive_hash_set(config, graph)
     grid = np.empty((config.l, config.m), dtype=np.float64)
-    for rel, (columns, deltas) in enumerate(columns_by_relation):
+    for rel, stream in enumerate(streams):
         grid.fill(0.0)
-        bulk_update(RelationSketch(rel, config, graph, hashes, grid), columns, deltas)
+        sk = RelationSketch(rel, config, graph, hashes, grid)
+        with closing(update_batches(stream, graph, rel)) as batches:
+            for columns, deltas in batches:
+                bulk_update(sk, columns, deltas)
+                del columns, deltas  # so that no batch is held while the next is read
         yield graph.spec.relations[rel].name, grid
 
 

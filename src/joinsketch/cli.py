@@ -25,9 +25,11 @@ from .bench import (
 from .errors import BudgetError, DataError, QueryError
 from .estimator import estimate
 # derive_hash_set, read_stream and materialize stay bound here: perfbench's
-# traced rounds patch them by name.
+# traced rounds patch them by name.  Readers are made through the module
+# attribute `ingest.read_stream`, which its probe also patches.
+from . import ingest
 from .hashing import derive_hash_set  # noqa: F401
-from .ingest import read_columns, read_stream  # noqa: F401
+from .ingest import read_stream  # noqa: F401
 from .joingraph import build_join_graph, load_query, traversal_plan
 from .oracle import exact_cardinality, materialize  # noqa: F401
 from .sketch import METHOD_AMS, METHOD_CONV, RelationSketch, SketchConfig, check_grid_fits
@@ -39,8 +41,9 @@ EXIT_USAGE = 1
 EXIT_QUERY = 2
 EXIT_DATA = 3
 
-# Below this measured rate (tuples/second) of building and writing the
-# sketches of a non-trivial stream, cmd_sketch logs a throughput warning.
+# Below this measured rate (tuples/second) of reading, building and
+# writing the sketches of a non-trivial stream, cmd_sketch logs a
+# throughput warning.
 SLOW_RATE_WARN = 100_000.0
 _WARN_MIN_TUPLES = 1000
 
@@ -110,24 +113,27 @@ def _parse_methods(text: str) -> list[str]:
 
 
 def cmd_sketch(args) -> int:
-    """Conv grids are built and written one relation at a time through one
-    grid (`conv_grids`); the AMS sketches of a query are built together,
-    as they share sign tables."""
+    """A conv sketch reads, builds and writes one relation at a time, batch
+    by batch, through one grid (`conv_grids`), so it holds one batch of one
+    relation plus the grid; the AMS sketches of a query are built together
+    from whole reads, as they share sign tables."""
     graph = _load_graph(args.query)
     config = SketchConfig(m=args.m, l=args.reps, seed=args.seed, method=args.method)
     check_grid_fits(config)
     with Replacement(args.out, "sketch file") as out:
-        columns = read_all_columns(graph)
-        n_tuples = sum(len(deltas) for _, deltas in columns)
         start = time.perf_counter()
         if config.method == METHOD_AMS:
+            columns = read_all_columns(graph)
             sketches = build_sketches(graph, config, columns)
             relations = [
                 (graph.spec.relations[k].name, sketches[k].counters) for k in range(graph.r)
             ]
+            save_sketch_file(args.out, graph, config, relations, out)
+            n_tuples = sum(len(deltas) for _, deltas in columns)
         else:
-            relations = conv_grids(graph, config, columns)
-        save_sketch_file(args.out, graph, config, relations, out)
+            readers = [ingest.read_stream(graph, rel) for rel in range(graph.r)]
+            save_sketch_file(args.out, graph, config, conv_grids(graph, config, readers), out)
+            n_tuples = sum(reader.rows_emitted for reader in readers)
         elapsed = time.perf_counter() - start
         if n_tuples >= _WARN_MIN_TUPLES and elapsed > 0 and n_tuples / elapsed < SLOW_RATE_WARN:
             logger.warning(
@@ -167,24 +173,13 @@ def _rebind(graph, config, stored):
     ]
 
 
-class _SourceRows:
-    """A query's relations as the reader's rows, each read from its source
-    when the oracle asks for it; the hash join asks for each once, after
-    the relations below it, so `exact` holds one relation's rows at a time."""
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def __len__(self) -> int:
-        return self.graph.r
-
-    def __getitem__(self, relation: int):
-        return read_columns(self.graph, relation)
-
-
 def cmd_exact(args) -> int:
+    """The hash join reads each relation batch by batch when it reaches it
+    (`exact_cardinality`), so it holds one batch of one relation plus the
+    per-value totals of the relations below."""
     graph = _load_graph(args.query)
-    value = exact_cardinality(_SourceRows(graph), graph, path=args.path)
+    readers = [ingest.read_stream(graph, rel) for rel in range(graph.r)]
+    value = exact_cardinality(readers, graph, path=args.path)
     print(int(value) if float(value).is_integer() else value)
     return 0
 

@@ -50,17 +50,26 @@ order; then the joined columns in declared order, dropping a row at its
 first empty (NULL) cell, as NULL never joins; then `__delta`, as
 float64 from parse to sketch.  The str path reads only the rows still
 kept, so a bad cell in a row already dropped is never parsed, and it
-parses each distinct cell text of a column once per read.  Integers
+parses each distinct cell text of a column once per batch.  Integers
 keep their two's-complement bit pattern; strings map through a fixed
 FNV-1a hash, so equal strings always produce equal items without any
-cross-relation dictionary.  Bulk sketching takes the assembled arrays,
-and the per-tuple API iterates over them.
+cross-relation dictionary.
+
+The assembler hands the kept rows on in batches of whole blocks, each
+of at most BATCH_ROWS rows unless one block alone has more: a block that
+would take a batch past it starts the next.  A reader's counters, the
+2^53 bound on its `__delta` magnitudes and the data-row numbers of its
+errors run on across batches, and the str path's caches are emptied
+after each, so a reader holds one batch and one block.  `sketch` and
+`exact` fold each batch in as it comes; `read()` is the concatenation
+of the batches, and the per-tuple API iterates over them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import closing
 from functools import partial
 from itertools import chain
 from typing import Callable, Iterator
@@ -69,7 +78,7 @@ import numpy as np
 
 from .errors import DataError, QueryError
 from .joingraph import FILTER_OPS, FilterPredicate, JoinGraph
-from .sketch import COUNTER_LIMIT, TupleUpdate
+from .sketch import COUNTER_LIMIT, Columns, TupleUpdate
 
 _MASK64 = (1 << 64) - 1
 _INT_MIN = -(1 << 63)
@@ -89,6 +98,17 @@ DELTA_COLUMN = "__delta"
 # in 24.2, 17.8, 14.7, 15.1 and 15.9 ms, and chain3-int in 6.6, 6.1, 6.1,
 # 6.5 and 6.6 ms; a second process read each within 0.4 ms of these.
 BLOCK_BYTES = 1 << 16
+# Kept rows per batch, at most, unless one block alone has more: a batch
+# is what `sketch` and `exact` hold of a source, so it sets their memory
+# once a relation has more rows.  Each batch re-hashes its distinct values
+# in `sketch`.  On the perfbench chain3-int data (seed 3) repeated 10x,
+# 400,000 rows a relation, batches of 2^14, 2^15, 2^16, 2^17 and 2^18 rows
+# gave a traced peak of 2.7, 4.3, 6.8, 12.2 and 23.0 MiB for `sketch` and
+# 2.0, 2.6, 4.0, 6.9 and 12.7 MiB for `exact`, and took 207, 166, 152,
+# 141 and 132 ms to sketch and 65, 66, 65, 82 and 79 ms for `exact`
+# (medians of 25 runs, the sizes interleaved in one process; 2 CPUs,
+# numpy 2.4).  Whole reads peaked at 46.7 and 18.7 MiB.
+BATCH_ROWS = 1 << 16
 _NEWLINE, _COMMA, _MINUS, _ZERO = b"\n,-0"
 # Digits an int cell may have for the numpy kernel: 10^18 - 1 < 2^63, so
 # a longer cell, which may be out of range, is left to `canonicalize`.
@@ -362,7 +382,7 @@ class _PlainBlock:
         return (same if p.op == "=" else ~same) & (end > start)
 
 
-class _RowBatch:
+class _RowBlock:
     """Rows that csv.reader tokenized: every column is read from str cells."""
 
     def __init__(self, rows: list[list[str]]):
@@ -380,11 +400,11 @@ class _RowBatch:
         return None
 
 
-_Batch = _PlainBlock | _RowBatch
+_Block = _PlainBlock | _RowBlock
 
 
-def _tokenize(fh) -> Iterator[list[str] | _Batch]:
-    """Yield the header row, then one _Batch per block."""
+def _tokenize(fh) -> Iterator[list[str] | _Block]:
+    """Yield the header row, then one _Block per block."""
     blocks = _blocks(fh)
     first = next(blocks, (0, b""))[1]
     head, newline, rest = first.partition(b"\n")
@@ -408,10 +428,12 @@ def _tokenize(fh) -> Iterator[list[str] | _Batch]:
         yield plain
 
 
-def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _Batch]:
+def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _Block]:
     """csv.reader over the file from `offset` on: the header row if asked
-    for, then one _Batch per BLOCK_BYTES characters of text, blank lines
-    left out."""
+    for, then one _Block per BLOCK_BYTES characters of text, blank lines
+    left out.  `fh` stays the caller's to close: the text wrapper is
+    detached when this generator ends, so it neither closes `fh` nor
+    warns that it was left open."""
     fh.seek(offset)
     text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
     fed = 0
@@ -422,26 +444,29 @@ def _csv_tokenize(fh, offset: int, with_header: bool) -> Iterator[list[str] | _B
             fed += len(line)
             yield line
 
-    reader = csv.reader(lines())
-    if with_header:
-        header = next(reader, None)
-        if header is None:
-            return
-        yield header
-    rows: list[list[str]] = []
-    for row in reader:
-        if row:
-            rows.append(row)
-        if rows and fed >= BLOCK_BYTES:
-            yield _RowBatch(rows)
-            rows, fed = [], 0
-    if rows:
-        yield _RowBatch(rows)
+    try:
+        reader = csv.reader(lines())
+        if with_header:
+            header = next(reader, None)
+            if header is None:
+                return
+            yield header
+        rows: list[list[str]] = []
+        for row in reader:
+            if row:
+                rows.append(row)
+            if rows and fed >= BLOCK_BYTES:
+                yield _RowBlock(rows)
+                rows, fed = [], 0
+        if rows:
+            yield _RowBlock(rows)
+    finally:
+        text.detach()
 
 
-# The str path: what a batch's kernels decline is read from its str cells,
+# The str path: what a block's kernels decline is read from its str cells,
 # only in the rows still kept, and each distinct cell text of a column is
-# parsed once per read into a block-length array, as the kernels return.
+# parsed once per batch into a block-length array, as the kernels return.
 
 # A join cell on the str path: its item, and whether it is present (not NULL).
 _ITEM = np.dtype([("item", np.uint64), ("present", bool)])
@@ -453,19 +478,19 @@ def _item(col_type: str, cell: str | None) -> np.void:
     return np.void((canonicalize(cell, col_type), True) if cell else (0, False), _ITEM)
 
 
-def _parsed_cells(batch: _Batch, at: int, keep: np.ndarray, parse: Callable,
+def _parsed_cells(block: _Block, at: int, keep: np.ndarray, parse: Callable,
                   cache: dict, dtype) -> np.ndarray:
     """`parse` of column `at`'s cell in each row in `keep`, zero in the
     other rows.  `cache` holds the column's parsed cell texts across
-    blocks, so `parse` sees each distinct text once."""
+    the blocks of a batch, so `parse` sees each distinct text once there."""
     rows = np.flatnonzero(keep)
-    cells = batch.cells(at)
+    cells = block.cells(at)
     if len(rows) < len(cells):
         cells = list(map(cells.__getitem__, rows.tolist()))
     for cell in dict.fromkeys(cells):
         if cell not in cache:
             cache[cell] = parse(cell)
-    values = np.zeros(batch.rows, dtype)
+    values = np.zeros(block.rows, dtype)
     values[rows] = np.fromiter(map(cache.__getitem__, cells), dtype, len(cells))
     return values
 
@@ -474,12 +499,23 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
+def _batch(attrs: list[int], parts: list[tuple[list[np.ndarray], np.ndarray]]) -> Columns:
+    """The batch of its blocks' (joined columns, deltas) parts, which it
+    empties, so that only the batch outlives the call."""
+    columns = {attr: _concat([cols[i] for cols, _ in parts], np.uint64)
+               for i, attr in enumerate(attrs)}
+    deltas = _concat([deltas for _, deltas in parts], np.float64)
+    parts.clear()
+    return columns, deltas
+
+
 class StreamReader:
     """Single-pass reader of one relation's source.
 
-    `read()` tokenizes the file block by block and assembles one array of
-    items per joined attribute plus the deltas; iterating the reader
-    yields one TupleUpdate per passing row from those arrays.
+    `batches()` tokenizes the file block by block and yields the passing
+    rows in batches of at most BATCH_ROWS, each one array of items per
+    joined attribute plus the deltas; `read()` concatenates them, and
+    iterating the reader yields one TupleUpdate per passing row.
     `rows_read` counts every data row seen; each is then counted once in
     `rows_filtered` (failed a filter), `rows_null` (an empty joined cell)
     or `rows_emitted` (passed filters and NULL dropping).
@@ -497,31 +533,42 @@ class StreamReader:
         self.rows_emitted = 0
         self._attr_cols = [(graph.attr_id(relation, col), col) for col in decl.join_columns]
 
-    def read(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
-        """Parse the source into uint64 item arrays keyed by attribute id,
-        and float64 deltas.
+    def read(self) -> Columns:
+        """Parse the whole source into uint64 item arrays keyed by attribute
+        id, and float64 deltas: the concatenation of `batches()`."""
+        parts = list(self.batches())
+        if len(parts) == 1:
+            return parts[0]
+        columns = {u: np.concatenate([c[u] for c, _ in parts]) for u in parts[0][0]}
+        return columns, np.concatenate([d for _, d in parts])
+
+    def batches(self) -> Iterator[Columns]:
+        """The source's passing rows as (columns, deltas) batches in file
+        order, each of whole blocks and at most BATCH_ROWS rows, unless one
+        block alone has more.  At least one batch, empty for a source with
+        no passing row.  The file stays open until the last batch is taken or
+        the generator is closed.
 
         The numpy kernels read the columns of a plain block.  For a column
         they decline, and in every block csv.reader tokenizes,
-        `canonicalize` runs once per distinct cell text of a column; each
-        column has its own cache, as one text maps to different items under
-        different column types.
+        `canonicalize` runs once per distinct cell text of a column and
+        batch; each column has its own cache, as one text maps to different
+        items under different column types.
         """
         try:
             fh = open(self.path, "rb")
         except OSError as exc:
             raise DataError(f"cannot open {self.path!r}: {exc}") from exc
-        with fh:
+        # The tokenizer closes before the file, whatever stops the read.
+        with fh, closing(_tokenize(fh)) as tokens:
             try:
-                return self._assemble(_tokenize(fh))
+                yield from self._assemble(tokens)
             except UnicodeDecodeError as exc:
                 raise DataError(f"{self.path}: not UTF-8 text: {exc}") from exc
             except csv.Error as exc:
                 raise DataError(f"{self.path}: {exc}") from exc
 
-    def _assemble(
-        self, tokens: Iterator[list[str] | _Batch]
-    ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    def _assemble(self, tokens: Iterator[list[str] | _Block]) -> Iterator[Columns]:
         decl, path = self.decl, self.path
         header = next(tokens, None)
         if header is None:
@@ -535,40 +582,44 @@ class StreamReader:
         delta_at = position.get(DELTA_COLUMN)
         filters = [(p, position[p.column], {}) for p in decl.filters]
         joins = [(position[col], decl.column_types[col], {}) for _, col in self._attr_cols]
-        items: list[list[np.ndarray]] = [[] for _ in joins]
-        deltas: list[np.ndarray] = []
+        attrs = [attr for attr, _ in self._attr_cols]
         delta_of: dict[str | None, float] = {}
+        caches = [verdict for *_, verdict in filters] + [cache for *_, cache in joins] + [delta_of]
         delta_sum = 0.0
 
-        def parse_delta(cell: str | None) -> float:
-            try:
-                return float(_parse_int(cell.strip()))
-            except (ValueError, AttributeError) as exc:
-                column = batch.cells(delta_at)
-                row = next(i for i in np.flatnonzero(keep).tolist() if column[i] == cell)
-                raise DataError(
-                    f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row {first_row + 1 + row}"
-                ) from exc
+        def block_rows(block: _Block) -> tuple[list[np.ndarray], np.ndarray]:
+            """The block's kept rows: their join columns and their deltas."""
+            nonlocal delta_sum
 
-        for batch in tokens:
+            def parse_delta(cell: str | None) -> float:
+                try:
+                    return float(_parse_int(cell.strip()))
+                except (ValueError, AttributeError) as exc:
+                    column = block.cells(delta_at)
+                    row = next(i for i in np.flatnonzero(keep).tolist() if column[i] == cell)
+                    raise DataError(
+                        f"{path}: bad {DELTA_COLUMN} value {cell!r} at data row "
+                        f"{first_row + 1 + row}"
+                    ) from exc
+
             first_row = self.rows_read  # data rows before this block
-            self.rows_read += batch.rows
-            keep = np.ones(batch.rows, bool)  # the rows still passing
+            self.rows_read += block.rows
+            keep = np.ones(block.rows, bool)  # the rows still passing
             for p, at, verdict in filters:
-                passed = batch.matches(at, p)
+                passed = block.matches(at, p)
                 if passed is None:
-                    passed = _parsed_cells(batch, at, keep, partial(_passes, p), verdict, bool)
+                    passed = _parsed_cells(block, at, keep, partial(_passes, p), verdict, bool)
                 keep &= passed
             passing = int(np.count_nonzero(keep))
-            self.rows_filtered += batch.rows - passing
+            self.rows_filtered += block.rows - passing
 
             # Join columns in declared order: a row leaves at its first NULL
             # cell, so the str path never reads its later cells.
             joined = []
             for at, col_type, cache in joins:
-                got = batch.items(at, col_type)
+                got = block.items(at, col_type)
                 if got is None:
-                    cells = _parsed_cells(batch, at, keep, partial(_item, col_type), cache, _ITEM)
+                    cells = _parsed_cells(block, at, keep, partial(_item, col_type), cache, _ITEM)
                     got = cells["item"], cells["present"]
                 values, present = got
                 if present is not None:
@@ -576,18 +627,17 @@ class StreamReader:
                 joined.append(values)
             kept = np.flatnonzero(keep)
             self.rows_null += passing - len(kept)
-            whole = len(kept) == batch.rows
-            for values, out in zip(joined, items):
-                out.append(values if whole else values[kept])
+            if len(kept) < block.rows:
+                joined = [values[kept] for values in joined]
 
             if delta_at is None:
-                deltas.append(np.ones(len(kept)))
+                values = np.ones(len(kept))
             else:
                 # An empty cell is an error in a kept row only, with its row
                 # number: the str path finds both.
-                got = batch.items(delta_at, "int")
+                got = block.items(delta_at, "int")
                 if got is None or got[1] is not None:
-                    values = _parsed_cells(batch, delta_at, keep, parse_delta, delta_of,
+                    values = _parsed_cells(block, delta_at, keep, parse_delta, delta_of,
                                            np.float64)[kept]
                 else:
                     values = got[0][kept].view(np.int64).astype(np.float64)
@@ -601,20 +651,35 @@ class StreamReader:
                         f"{path}: |{DELTA_COLUMN}| values sum to 2^53 or more in the first "
                         f"{self.rows_read} data rows; counters are exact only below that"
                     )
-                deltas.append(values)
             self.rows_emitted += len(kept)
+            return joined, values
 
-        attrs = [attr for attr, _ in self._attr_cols]
-        columns = {attr: _concat(parts, np.uint64) for attr, parts in zip(attrs, items)}
-        return columns, _concat(deltas, np.float64)
+        # Neither a block nor a yielded batch is held here while the
+        # consumer works: a block's state ends with `block_rows`, and a
+        # batch is yielded straight from `_batch`.
+        parts: list[tuple[list[np.ndarray], np.ndarray]] = []  # the next batch's blocks
+        held, yielded = 0, False  # the rows in `parts`; whether a batch went out
+        for part in map(block_rows, tokens):
+            rows = len(part[1])
+            if held and held + rows > BATCH_ROWS:
+                for cache in caches:
+                    cache.clear()
+                held, yielded = 0, True
+                yield _batch(attrs, parts)
+            parts.append(part)
+            held += rows
+        part = None
+        if held or not yielded:
+            yield _batch(attrs, parts)
 
     def __iter__(self) -> Iterator[TupleUpdate]:
-        columns, deltas = self.read()
-        attrs = list(columns)
         relation = self.relation
-        rows = zip(*(items.tolist() for items in columns.values()))
-        for values, delta in zip(rows, deltas.tolist()):
-            yield TupleUpdate(relation=relation, values=dict(zip(attrs, values)), delta=delta)
+        with closing(self.batches()) as batches:
+            for columns, deltas in batches:
+                attrs = list(columns)
+                rows = zip(*(items.tolist() for items in columns.values()))
+                for values, delta in zip(rows, deltas.tolist()):
+                    yield TupleUpdate(relation=relation, values=dict(zip(attrs, values)), delta=delta)
 
 
 def read_stream(graph: JoinGraph, relation: int, path: str | None = None) -> StreamReader:

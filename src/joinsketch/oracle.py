@@ -1,9 +1,11 @@
 """Exact multi-join cardinality on desk-scale data.
 
-A relation comes in one of two forms: its rows, the reader's `(columns
-by attribute id, deltas)` pair, as `exact` passes them; or the
-`(groups, weights)` pair of `sketch.group_tuples`, read as one row per
-distinct tuple weighted by its net frequency.
+A relation comes in one of three forms: its rows, a `(columns by
+attribute id, deltas)` pair; the `(groups, weights)` pair of
+`sketch.group_tuples`, read as one row per distinct tuple weighted by
+its net frequency; or a stream, a `read_stream` reader as `exact` passes
+them or any TupleUpdate iterable, read batch by batch
+(`sketch.update_batches`).
 
 Two independent implementations: a hash join that walks the rooted
 traversal plan the FFT estimator walks, with sorted value arrays in
@@ -19,32 +21,39 @@ key, read from a direct-address table over the child's span when that
 span is dense for the rows (`sketch.DENSE_SPAN`), from a multiplicative
 hash table otherwise, and totals the row products per entry value: with
 one `np.bincount` over the entry column's span when it is dense, with
-`group_tuples` on that one column otherwise.  `group_tuples` so serves
-the two sketch updates, the nested reference and `frequency_norms`.
+`group_tuples` on that one column otherwise.  A stream is joined one
+batch at a time, each batch's rows totalled together with the totals of
+the batches before it, so the hash join holds one batch of one relation
+plus per-value totals.  `group_tuples` so serves the two sketch updates,
+the nested reference and `frequency_norms`.
 
 Both paths are exact while every partial sum stays below
 `sketch.COUNTER_LIMIT` (2^53) in magnitude, and raise DataError once a
-bound on them reaches it: a node's sum of |row product| on the hash
-join, the sum of |combination weight| on the nested path.
+bound on them reaches it: a node's sum of |row product| over all its
+batches on the hash join, the sum of |combination weight| on the nested
+path.  Below it every total is an integer, so batching cannot change it.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from contextlib import closing
+from itertools import product, repeat
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, DataError, QueryError
 from .joingraph import JoinGraph, PlanNode, traversal_plan
 from .sketch import (
-    COUNTER_LIMIT, DENSE_SPAN, Columns, TupleUpdate, dense_window, group_tuples,
+    COUNTER_LIMIT, DENSE_SPAN, Columns, TupleUpdate, dense_window, group_tuples, update_batches,
     updates_to_columns,
 )
 
 # One relation's frequencies, as `group_tuples` returns them.
 Freq = tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]
+# A relation as `exact_cardinality` takes it.
+Relation = Columns | Freq | Iterable[TupleUpdate]
 
 NESTED_LOOP_BUDGET = 10**8
 
@@ -72,16 +81,17 @@ def frequency_norms(freq: Freq | Iterable[float]) -> float:
 
 
 def exact_cardinality(
-    relations: Sequence[Columns | Freq], graph: JoinGraph, path: str = "auto"
+    relations: Sequence[Relation], graph: JoinGraph, path: str = "auto"
 ) -> float:
     """Exact frequency-weighted join size of the query.
 
-    Each relation is its rows, `(columns by attribute id, deltas)`, or
-    its `group_tuples` (groups, weights) pair; the forms may mix.  Both
-    paths take `relations[k]` once per relation.  The hash join takes a
-    relation after every relation below it in the plan and keeps only
-    per-value totals of each, so a sequence that reads each source when
-    it is asked for holds one relation's rows at a time.
+    Each relation is its rows, `(columns by attribute id, deltas)`, its
+    `group_tuples` (groups, weights) pair, or a stream; the forms may mix.
+    Both paths take `relations[k]` once per relation.  The hash join reads
+    a relation after every relation below it in the plan, a stream batch
+    by batch, and keeps only per-value totals of each, so over
+    `read_stream` readers it holds one batch of one relation at a time.
+    The nested reference reads a stream whole.
     `path` picks the implementation: "auto" (the hash join over the
     rooted plan) or "nested" (the budgeted reference).  A DataError once
     a partial sum could reach 2^53 in magnitude, where float64 rounds.
@@ -91,14 +101,16 @@ def exact_cardinality(
     if len(relations) != graph.r:
         raise QueryError(f"expected {graph.r} relations, got {len(relations)}")
     if path == "nested":
-        return _nested_loop([_grouped(relations[k], graph.omega[k]) for k in range(graph.r)], graph)
+        return _nested_loop([_grouped(relations[k], graph, k) for k in range(graph.r)], graph)
     return _hash_join(relations, graph)
 
 
-def _grouped(relation: Columns | Freq, omega: tuple[int, ...]) -> Freq:
-    """A relation's (groups, weights) pair; rows are grouped."""
+def _grouped(relation: Relation, graph: JoinGraph, k: int) -> Freq:
+    """Relation k's (groups, weights) pair; rows and streams are grouped."""
+    if not isinstance(relation, tuple):
+        return materialize(relation, graph, k)
     first, weights = relation
-    return group_tuples(first, omega, weights) if isinstance(first, dict) else relation
+    return group_tuples(first, graph.omega[k], weights) if isinstance(first, dict) else relation
 
 
 def _rows(relation: Columns | Freq, omega: tuple[int, ...]) -> Columns:
@@ -150,7 +162,7 @@ def _nested_loop(freqs: list[Freq], graph: JoinGraph) -> float:
     return total
 
 
-def _hash_join(relations: Sequence[Columns | Freq], graph: JoinGraph) -> float:
+def _hash_join(relations: Sequence[Relation], graph: JoinGraph) -> float:
     # The root enters relation 0 at its first column, so ascending value
     # order is the order in which its lexicographic tuples first show each
     # value; the total is a running sum in that order.
@@ -159,7 +171,7 @@ def _hash_join(relations: Sequence[Columns | Freq], graph: JoinGraph) -> float:
 
 
 def _subtree(
-    node: PlanNode, relations: Sequence[Columns | Freq], graph: JoinGraph
+    node: PlanNode, relations: Sequence[Relation], graph: JoinGraph
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight of the plan subtree below `node` per value of the entry
     attribute, as (ascending distinct values, their nonzero weights): the
@@ -178,15 +190,38 @@ def _subtree(
         for child in group
     ]
     children += [(node.attr, _subtree(child, relations, graph)) for child in node.hadamard_children]
-    columns, acc = _rows(relations[node.relation], graph.omega[node.relation])
-    for u, (values, weights) in children:
-        acc = acc * _weights_at(values, weights, columns[u])
-    _check_bound(float(np.abs(acc).sum()), "row products")
-    # Both totals add in row order, as a running sum; values that cancel drop.
-    col = columns[node.attr]
+    relation, omega = relations[node.relation], graph.omega[node.relation]
+    values = weights = None  # the totals of the batches so far
+    magnitude = 0.0
+    with closing(_batches(relation, graph, node.relation)) as batches:
+        # Nothing else holds a stream batch's deltas: the first product frees them.
+        for columns, acc in map(_rows, batches, repeat(omega)):
+            for u, (child_values, child_weights) in children:
+                acc = acc * _weights_at(child_values, child_weights, columns[u])
+            magnitude += float(np.abs(acc).sum())
+            _check_bound(magnitude, "row products")
+            col = columns[node.attr]
+            if values is not None:  # earlier totals first, then this batch's rows
+                col, acc = np.concatenate([values, col]), np.concatenate([weights, acc])
+            values, weights = _totals(col, acc, node.attr)
+            del columns, acc, col  # so that no batch is held while the next is read
+    return values, weights
+
+
+def _batches(relation: Relation, graph: JoinGraph, k: int) -> Iterator[Columns | Freq]:
+    """Relation k as batches: a stream's own, any other form as one."""
+    if isinstance(relation, tuple):
+        yield relation
+    else:
+        yield from update_batches(relation, graph, k)
+
+
+def _totals(col: np.ndarray, acc: np.ndarray, attr: int) -> tuple[np.ndarray, np.ndarray]:
+    """`acc` totalled per value of `col`, as (ascending values, nonzero
+    totals); both add in row order, as a running sum."""
     window = dense_window(col)
     if window is None:
-        [(values, _)], weights = group_tuples({node.attr: col}, (node.attr,), acc)
+        [(values, _)], weights = group_tuples({attr: col}, (attr,), acc)
         return values, weights
     lo, span = window
     weights = np.bincount((col - lo).view(np.intp), weights=acc, minlength=span)

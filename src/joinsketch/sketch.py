@@ -13,8 +13,9 @@ deltas, and sketches built from split streams merge by addition.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -252,6 +253,27 @@ def updates_to_columns(
     return columns, np.array(deltas, dtype=np.float64)
 
 
+def update_batches(
+    updates: Iterable[TupleUpdate], graph: JoinGraph, relation: int
+) -> Iterator[Columns]:
+    """One relation's updates as column batches: a StreamReader's own
+    `batches()`, with no TupleUpdate built, closed when this generator is;
+    any other iterable as one batch, collected by `updates_to_columns`."""
+    from .ingest import StreamReader  # ingest imports this module
+
+    if not isinstance(updates, StreamReader):
+        yield updates_to_columns(updates, graph, relation)
+        return
+
+    def checked(batch: Columns) -> Columns:
+        if len(batch[1]):
+            _check_tuple(graph, relation, updates.relation, batch[0])
+        return batch
+
+    with closing(updates.batches()) as batches:
+        yield from map(checked, batches)  # binds no batch here
+
+
 def group_tuples(
     columns: dict[int, np.ndarray], attrs: tuple[int, ...], deltas: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
@@ -337,8 +359,12 @@ def build_sketch(
 ) -> RelationSketch:
     """Fold a stream of updates for one relation into a fresh sketch.
 
-    A StreamReader is taken as the columns it parses (updates_to_columns).
+    A StreamReader is taken batch by batch as it parses them
+    (`update_batches`), so the build holds one batch, not the stream.
     """
     sk = RelationSketch(relation, config, graph, hashes)
-    bulk_update(sk, *updates_to_columns(updates, graph, relation))
+    with closing(update_batches(updates, graph, relation)) as batches:
+        for columns, deltas in batches:
+            bulk_update(sk, columns, deltas)
+            del columns, deltas  # so that no batch is held while the next is read
     return sk

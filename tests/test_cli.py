@@ -10,7 +10,7 @@ import pytest
 from joinsketch import cli
 from joinsketch.bench import build_sketches, read_all_columns
 from joinsketch.cli import EXIT_DATA, EXIT_QUERY, EXIT_USAGE, main
-from joinsketch.ingest import read_stream
+from joinsketch.ingest import StreamReader, read_stream
 from joinsketch.joingraph import build_join_graph, load_query
 from joinsketch.oracle import exact_cardinality, materialize
 from joinsketch.sketch import SketchConfig
@@ -539,11 +539,11 @@ class TestExactCommand:
         expected = exact_cardinality(read_all_columns(graph), graph)
         read = []
 
-        def spy(graph, relation, read_columns=cli.read_columns):
-            read.append(relation)
-            return read_columns(graph, relation)
+        def spy(reader, batches=StreamReader.batches):
+            read.append(reader.relation)
+            return batches(reader)
 
-        monkeypatch.setattr(cli, "read_columns", spy)
+        monkeypatch.setattr(StreamReader, "batches", spy)
         assert main(["exact", "--query", str(q)]) == 0
         assert read == [2, 1, 0]  # the chain's plan enters R0, then R1, then R2
         assert capsys.readouterr().out.strip() == str(int(expected))
